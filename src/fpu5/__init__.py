@@ -7,7 +7,7 @@ from .errors import BlowUpError, ConfigError, DomainError, PoleError
 from .params import (EquationKind, ModelParams, PhysicalChainParams,
                      kink_speed, physical_to_model, velocity_curve)
 from .spectral import (Grid, IntegratingFactorRK4, dealias_mask,
-                       default_time_step, forward, if_rk4_step, inverse,
+                       default_time_step, forward, inverse,
                        spectral_derivative)
 from .equations import (conservation_flux, full_rhs, linear_symbol,
                         make_nonlinear_operator, nonlinear_rhs)
@@ -24,7 +24,7 @@ from .experiments import (EXPERIMENTS, InitialCondition, RecurrenceReport,
                           Snapshot, SimulationConfig, ValidationReport,
                           err_metric, gardner_soliton_experiment,
                           kink_validation, mass_drift, recurrence_scan,
-                          recurrence_table, run, shape_score,
+                          recurrence_table, run, run_batch, shape_score,
                           shape_score_series, soliton_perturbation,
                           xcorr_mismatch, zabusky_kruskal)
 from .snapio import (RunManifest, config_to_dict, parse_config, read_snapshot,

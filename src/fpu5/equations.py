@@ -3,86 +3,99 @@
 Each equation is split as u_t = symbol*u + N(u): the two constant-coefficient
 linear terms (third and, for the fifth-order family, fifth derivative) go
 into the per-mode symbol and everything u-dependent is treated explicitly.
+Symbols and tendencies live on the rfft half spectrum, modes 0..N/2.  Both
+factories take one ``ModelParams`` or a sequence of them; a sequence gives
+one row per entry, with delta and mu set per row.
 """
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import BlowUpError
-from .params import EquationKind, ModelParams
+from .params import EquationKind, ModelParams, effective_mu
 from .spectral import Grid, derivative_multiplier, forward
 
+FIFTH_ORDER = (EquationKind.FPU5, EquationKind.KDV5)
 
-def linear_symbol(kind: EquationKind, params: ModelParams, grid: Grid) -> np.ndarray:
-    """Per-mode multiplier of the linear dispersive terms.
+
+def _per_row(values, batched: bool):
+    """Scalar for one parameter set, a (B, 1) column for a sequence."""
+    return np.array(values)[:, None] if batched else values[0]
+
+
+def _rows(params: ModelParams | Sequence[ModelParams]):
+    if isinstance(params, ModelParams):
+        return [params], False
+    return list(params), True
+
+
+def linear_symbol(kind: EquationKind,
+                  params: ModelParams | Sequence[ModelParams],
+                  grid: Grid) -> np.ndarray:
+    """Per-mode multiplier of the linear dispersive terms, modes 0..N/2.
 
     Purely imaginary for every equation kind: i (delta^2 k^3) for the
     third-order family, i (delta^2 k^3 - (2/5) delta^4 k^5) with the extra
-    fifth-order term for FPU5/KDV5.
+    fifth-order term for FPU5/KDV5.  Shape (N//2 + 1,) for one parameter
+    set, (B, N//2 + 1) for a sequence of B.
     """
-    k = grid.k
-    d2 = params.delta**2
-    if kind in (EquationKind.FPU5, EquationKind.KDV5):
+    rows, batched = _rows(params)
+    k = grid.k[:grid.n // 2 + 1]
+    d2 = _per_row([p.delta**2 for p in rows], batched)
+    if kind in FIFTH_ORDER:
         return 1j * (d2 * k**3 - 0.4 * d2 * d2 * k**5)
     return 1j * d2 * k**3
 
 
-def effective_mu(kind: EquationKind, params: ModelParams) -> float:
-    """KDV5 forces mu to zero and KDV ignores it entirely."""
-    if kind in (EquationKind.KDV, EquationKind.KDV5):
-        return 0.0
-    return params.mu
+def make_nonlinear_operator(kind: EquationKind,
+                            params: ModelParams | Sequence[ModelParams],
+                            grid: Grid):
+    """Build the half-spectrum nonlinear tendency u_hat -> N_hat.
 
+    One operator serves every kind: KDV is GARDNER at mu = 0 and KDV5 is
+    FPU5 at mu = 0, and the third-order pair is the fifth-order tendency
+    without its delta^2 block.  One ``irfft`` of the stacked product
+    u_hat * [1, ik, (ik)^2, (ik)^3] (two rows for the third-order kinds)
+    gives u and its derivatives; the derivatives carry the 2/3 mask.
+    Products are formed in physical space and the ``rfft`` of the tendency
+    is masked again.  The mode-0 component is zeroed: the tendency is an
+    exact x-derivative, so its mean vanishes identically and zeroing
+    removes the aliasing residue of the cubic terms.
 
-def make_nonlinear_operator(kind: EquationKind, params: ModelParams, grid: Grid):
-    """Build the spectral-space nonlinear tendency u_hat -> N_hat.
-
-    Derivatives carry the 2/3 mask, products are formed in physical space,
-    and the transformed tendency is masked again.  The mode-0 component is
-    zeroed: the tendency is an exact x-derivative, so its mean vanishes
-    identically and zeroing removes the aliasing residue of the cubic terms.
+    The operator accepts u_hat of shape (..., N//2 + 1).  Built from a
+    sequence of B parameter sets it expects (B, N//2 + 1), row b stepping
+    under the b-th set.
     """
-    mask = grid.dealias
-    d1 = derivative_multiplier(grid, 1)
-    mu = effective_mu(kind, params)
-    delta2 = params.delta**2
-    ifft = np.fft.ifft
-    fft = np.fft.fft
-
-    if kind is EquationKind.KDV:
-        def nonlinear(u_hat):
-            u = ifft(u_hat).real
-            ux = ifft(d1 * u_hat).real
-            out = fft(-u * ux)
-            out *= mask
-            out[0] = 0.0
-            return out
-        return nonlinear
-
-    if kind is EquationKind.GARDNER:
-        def nonlinear(u_hat):
-            u = ifft(u_hat).real
-            ux = ifft(d1 * u_hat).real
-            out = fft((mu * u * u - u) * ux)
-            out *= mask
-            out[0] = 0.0
-            return out
-        return nonlinear
-
-    d3 = derivative_multiplier(grid, 3)
-    d2m = derivative_multiplier(grid, 2)
+    rows, batched = _rows(params)
+    n = grid.n
+    h = n // 2 + 1
+    fifth = kind in FIFTH_ORDER
+    orders = (1, 2, 3) if fifth else (1,)
+    mult = np.stack([np.ones(h, dtype=complex)]
+                    + [derivative_multiplier(grid, m)[:h] for m in orders])
+    mask = grid.dealias[:h]
+    mu = _per_row([effective_mu(kind, p) for p in rows], batched)
+    delta2 = _per_row([p.delta**2 for p in rows], batched)
+    irfft = np.fft.irfft
+    rfft = np.fft.rfft
 
     def nonlinear(u_hat):
-        u = ifft(u_hat).real
-        ux = ifft(d1 * u_hat).real
-        uxx = ifft(d2m * u_hat).real
-        uxxx = ifft(d3 * u_hat).real
+        f = irfft(u_hat[..., None, :] * mult, n)
+        u = f[..., 0, :]
+        ux = f[..., 1, :]
         w = mu * u * u - u
-        tend = w * (ux + delta2 * uxxx) \
-            + delta2 * ux * ((4.0 * mu * u - 2.0) * uxx + mu * ux * ux)
-        out = fft(tend)
+        if fifth:
+            uxx = f[..., 2, :]
+            uxxx = f[..., 3, :]
+            tend = w * (ux + delta2 * uxxx) \
+                + delta2 * ux * ((4.0 * mu * u - 2.0) * uxx + mu * ux * ux)
+        else:
+            tend = w * ux
+        out = rfft(tend)
         out *= mask
-        out[0] = 0.0
+        out[..., 0] = 0.0
         return out
 
     return nonlinear
@@ -95,7 +108,7 @@ def nonlinear_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
     if not np.all(np.isfinite(u)):
         raise BlowUpError("nonlinear tendency fed a non-finite field")
     op = make_nonlinear_operator(kind, params, grid)
-    tend = np.fft.ifft(op(forward(grid, u))).real
+    tend = np.fft.irfft(op(np.fft.rfft(u)), grid.n)
     if not np.all(np.isfinite(tend)):
         raise BlowUpError("nonlinear tendency became non-finite")
     return tend
@@ -104,10 +117,10 @@ def nonlinear_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
 def full_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
              u: np.ndarray) -> np.ndarray:
     """Complete du/dt, linear plus nonlinear, in physical space."""
-    u_hat = forward(grid, u)
+    u_hat = np.fft.rfft(grid.check_field(u))
     lam = linear_symbol(kind, params, grid)
     op = make_nonlinear_operator(kind, params, grid)
-    return np.fft.ifft(lam * u_hat + op(u_hat)).real
+    return np.fft.irfft(lam * u_hat + op(u_hat), grid.n)
 
 
 def conservation_flux(params: ModelParams, grid: Grid, u: np.ndarray) -> np.ndarray:

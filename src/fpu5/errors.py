@@ -20,14 +20,16 @@ class BlowUpError(RuntimeError):
     """The numerical solution stopped being finite.
 
     Carries the failing step index, the time reached, and the last finite
-    snapshot so callers can inspect how far the run got.
+    snapshot so callers can inspect how far the run got.  A batched run
+    also sets ``row``, the index of the failing configuration.
     """
 
-    def __init__(self, message, step=None, t=None, last_snapshot=None):
+    def __init__(self, message, step=None, t=None, last_snapshot=None, row=None):
         super().__init__(message)
         self.step = step
         self.t = t
         self.last_snapshot = last_snapshot
+        self.row = row
 
 
 class ConfigError(ValueError):

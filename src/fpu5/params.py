@@ -60,6 +60,13 @@ class ModelParams:
             raise DomainError("mu must be nonnegative")
 
 
+def effective_mu(kind: EquationKind, params: ModelParams) -> float:
+    """KDV5 forces mu to zero and KDV ignores it entirely."""
+    if kind in (EquationKind.KDV, EquationKind.KDV5):
+        return 0.0
+    return params.mu
+
+
 def physical_to_model(p: PhysicalChainParams) -> ModelParams:
     """Map chain constants to (delta, mu).
 

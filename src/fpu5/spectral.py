@@ -2,14 +2,22 @@
 
 Transform convention: ``forward`` is the plain unnormalized DFT (numpy's
 ``fft``), so a constant field c has coefficient N*c in mode 0; ``inverse``
-carries the 1/N factor and ``inverse(forward(u)) == u`` to roundoff.
+carries the 1/N factor and ``inverse(forward(u)) == u`` to roundoff.  The
+analysis helpers work on this full spectrum.
+
+Time stepping works on the real-FFT half spectrum instead: the state is
+``np.fft.rfft(u)``, modes 0..N/2 (length N//2 + 1), and fields come back
+through ``np.fft.irfft(u_hat, N)``.  The half-spectrum multipliers are the
+first N//2 + 1 entries of the full ones, so the Nyquist entry keeps the sign
+of ``Grid.k``.  ``IntegratingFactorRK4`` is indifferent to shape: a
+``(B, N//2 + 1)`` state steps B rows at once.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DomainError
-from .params import EquationKind, ModelParams
+from .params import EquationKind, ModelParams, effective_mu
 
 
 class Grid:
@@ -80,29 +88,6 @@ def spectral_derivative(grid: Grid, u: np.ndarray, order: int = 1,
     return np.fft.ifft(mult * forward(grid, u)).real
 
 
-def if_rk4_step(u_hat: np.ndarray, dt: float, symbol: np.ndarray, nonlinear) -> np.ndarray:
-    """One integrating-factor RK4 step of u_hat' = symbol*u_hat + N(u_hat).
-
-    The linear part is propagated exactly through exp(symbol*dt); the four
-    classical stages act on the nonlinear part only.  With ``nonlinear``
-    identically zero the step reduces to multiplication by exp(symbol*dt).
-    """
-    if not dt > 0:
-        raise DomainError("dt must be positive")
-    from .errors import BlowUpError
-
-    e_half = np.exp(symbol * (0.5 * dt))
-    e_full = e_half * e_half
-    a = dt * nonlinear(u_hat)
-    b = dt * nonlinear((u_hat + 0.5 * a) * e_half)
-    c = dt * nonlinear(u_hat * e_half + 0.5 * b)
-    d = dt * nonlinear(u_hat * e_full + c * e_half)
-    out = u_hat * e_full + (a * e_full + 2.0 * (b + c) * e_half + d) / 6.0
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError("step produced a non-finite field", step=1, t=dt)
-    return out
-
-
 class IntegratingFactorRK4:
     """IF-RK4 stepper with the integrating-factor exponentials precomputed.
 
@@ -145,10 +130,10 @@ def default_time_step(grid: Grid, params: ModelParams, kind: EquationKind,
     k_active = 2.0 * np.pi * (grid.n // 3) / grid.length
     amp = float(np.max(np.abs(u0)))
     amp = max(amp, 1e-12)
-    advective = (amp + params.mu * amp * amp) * k_active
+    mu = effective_mu(kind, params)
+    advective = (amp + mu * amp * amp) * k_active
     rate = advective
     if kind in (EquationKind.FPU5, EquationKind.KDV5):
-        mu = 0.0 if kind is EquationKind.KDV5 else params.mu
         stiff = params.delta**2 * (amp + mu * amp * amp) * k_active**3
         rate = max(rate, stiff)
     return safety / rate

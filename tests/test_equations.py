@@ -4,7 +4,7 @@ import pytest
 from fpu5 import (EquationKind, Grid, ModelParams, conservation_flux,
                   full_rhs, linear_symbol, nonlinear_rhs)
 from fpu5.equations import make_nonlinear_operator
-from fpu5.spectral import forward
+from fpu5.spectral import derivative_multiplier, forward
 
 ALL_KINDS = list(EquationKind)
 
@@ -154,6 +154,45 @@ class TestOperatorFactory:
         params = ModelParams(1.0, 0.2)
         u = band_limited_field(g, 9, seed=6)
         op = make_nonlinear_operator(EquationKind.FPU5, params, g)
-        via_op = np.fft.ifft(op(forward(g, u))).real
+        via_op = np.fft.irfft(op(np.fft.rfft(u)), g.n)
         direct = nonlinear_rhs(EquationKind.FPU5, params, g, u)
         assert np.max(np.abs(via_op - direct)) < 1e-14
+
+    def test_matches_full_spectrum_formula(self):
+        # the tendency written out on the full complex spectrum, one
+        # parameter set at a time, against the half-spectrum operator fed
+        # one row and a batch of rows
+        g = Grid(20.0, 64)
+        rows = [ModelParams(1.0, 0.2), ModelParams(0.6, 0.0), ModelParams(1.4, 0.7)]
+        fields = [band_limited_field(g, 12, seed=7 + i, scale=1.3)
+                  for i in range(len(rows))]
+        d1, d2m, d3 = (derivative_multiplier(g, m) for m in (1, 2, 3))
+
+        def full_spectrum(kind, params, u):
+            u_hat = np.fft.fft(u)
+            ux = np.fft.ifft(d1 * u_hat).real
+            mu = 0.0 if kind in (EquationKind.KDV, EquationKind.KDV5) else params.mu
+            w = mu * u * u - u
+            if kind in (EquationKind.FPU5, EquationKind.KDV5):
+                uxx = np.fft.ifft(d2m * u_hat).real
+                uxxx = np.fft.ifft(d3 * u_hat).real
+                delta2 = params.delta**2
+                tend = w * (ux + delta2 * uxxx) \
+                    + delta2 * ux * ((4.0 * mu * u - 2.0) * uxx + mu * ux * ux)
+            else:
+                tend = w * ux
+            out = np.fft.fft(tend) * g.dealias
+            out[0] = 0.0
+            return out[:g.n // 2 + 1]
+
+        for kind in ALL_KINDS:
+            expected = np.stack([full_spectrum(kind, p, u)
+                                 for p, u in zip(rows, fields)])
+            u_hat = np.fft.rfft(np.stack(fields))
+            batched = make_nonlinear_operator(kind, rows, g)(u_hat)
+            single = np.stack([make_nonlinear_operator(kind, p, g)(v)
+                               for p, v in zip(rows, u_hat)])
+            scale = np.max(np.abs(expected))
+            for got in (batched, single):
+                assert got.shape == expected.shape
+                assert np.max(np.abs(got - expected)) < 1e-13 * scale

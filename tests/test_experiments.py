@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpu5 import (BlowUpError, DomainError, EquationKind, Grid,
                   InitialCondition, ModelParams, SimulationConfig, err_metric,
                   kink_validation, mass_drift, recurrence_scan,
-                  recurrence_table, run, shape_score, xcorr_mismatch)
+                  recurrence_table, run, run_batch, shape_score,
+                  xcorr_mismatch)
 from fpu5.experiments import (Snapshot, build_initial_condition,
                               fractional_shift, min_shift_difference)
 
@@ -94,6 +97,56 @@ class TestRun:
         from fpu5 import PoleError
         with pytest.raises((PoleError, BlowUpError)):
             run(config)
+
+
+def same_snapshots(a, b):
+    return len(a) == len(b) and all(
+        x.t == y.t and np.array_equal(x.u, y.u) for x, y in zip(a, b))
+
+
+# one row: delta, mu, soliton wavenumber, dt; two dt values so that some
+# rows of a batch share a schedule and some do not
+batch_rows = st.lists(
+    st.tuples(st.floats(0.3, 1.0), st.floats(0.0, 0.5), st.floats(0.3, 1.0),
+              st.sampled_from([2e-3, 1e-3])),
+    min_size=1, max_size=4)
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("kind", list(EquationKind))
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.sampled_from([32, 64, 128]), rows=batch_rows)
+    def test_rows_match_single_runs(self, kind, n, rows):
+        grid = Grid(40.0, n)
+        configs = [SimulationConfig(
+            kind=kind, params=ModelParams(delta, mu), grid=grid, t_end=0.02,
+            dt=dt, snapshot_interval=0.01,
+            initial_condition=InitialCondition("kdv5_soliton", k=k))
+            for delta, mu, k, dt in rows]
+        batched = run_batch(configs)
+        assert len(batched) == len(configs)
+        for config, snaps in zip(configs, batched):
+            assert same_snapshots(snaps, run(config))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_names_the_row(self):
+        def config(params, k):
+            return small_config(
+                kind=EquationKind.FPU5, params=params, grid=Grid(40.0, 128),
+                initial_condition=InitialCondition("kdv5_soliton", k=k),
+                dt=0.05, t_end=5.0, snapshot_interval=0.05)
+
+        good = config(ModelParams(delta=0.5, mu=0.0), 0.5)
+        bad = config(ModelParams(delta=2.0, mu=0.0), 1.0)
+        with pytest.raises(BlowUpError) as alone:
+            run(bad)
+        with pytest.raises(BlowUpError) as err:
+            run_batch([good, bad, good])
+        assert err.value.row == 1
+        assert (err.value.step, err.value.t) == (alone.value.step, alone.value.t)
+        assert err.value.last_snapshot.t > 0.0
+        assert same_snapshots([err.value.last_snapshot],
+                              [alone.value.last_snapshot])
 
 
 class TestErrMetric:

@@ -18,6 +18,7 @@ from .params import EquationKind, ModelParams
 from .spectral import Grid
 
 FLOAT_FMT = "%.16e"
+_ROW_FMT = f"{FLOAT_FMT}\t{FLOAT_FMT}\n"
 
 
 @dataclass
@@ -36,31 +37,39 @@ class RunManifest:
 
 
 def write_snapshot(path, snapshot: Snapshot, grid: Grid) -> None:
+    rows = np.column_stack([grid.x, snapshot.u]).ravel().tolist()
     with open(path, "w") as fh:
         fh.write(f"# t={FLOAT_FMT % snapshot.t} N={grid.n} L={FLOAT_FMT % grid.length}\n")
-        for x, u in zip(grid.x, snapshot.u):
-            fh.write(f"{FLOAT_FMT % x}\t{FLOAT_FMT % u}\n")
+        fh.write(_ROW_FMT * grid.n % tuple(rows))
 
 
 def read_snapshot(path):
-    """Return (Snapshot, (n, length)) parsed from a snapshot file."""
+    """Return (Snapshot, (n, length)) parsed from a snapshot file.
+
+    Only the u column is parsed; x is implied by N and L.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# "):
             raise ConfigError(f"{path}: missing snapshot header")
+        rows = fh.read().splitlines()
+    try:
         fields = dict(item.split("=", 1) for item in header[2:].split())
         t = float(fields["t"])
         n = int(fields["N"])
         length = float(fields["L"])
-        xs = np.empty(n)
-        us = np.empty(n)
-        for i in range(n):
-            line = fh.readline()
-            if not line:
-                raise ConfigError(f"{path}: truncated after {i} rows")
-            sx, su = line.split("\t")
-            xs[i] = float(sx)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{path}: bad snapshot header {header!r}") from None
+    if len(rows) < n:
+        raise ConfigError(f"{path}: truncated after {len(rows)} rows")
+    us = np.empty(n)
+    try:
+        for i, row in enumerate(rows[:n]):
+            _, su = row.split("\t")
             us[i] = float(su)
+    except ValueError:
+        raise ConfigError(
+            f"{path}: malformed row {i + 1} (line {i + 2}): {row!r}") from None
     return Snapshot(t=t, u=us), (n, length)
 
 

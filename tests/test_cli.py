@@ -99,6 +99,40 @@ class TestSnapshotIO:
         stored = json.loads((tmp_path / "s_manifest.json").read_text())
         assert stored["checks"]["snapshot_times"] == [0.0, 1.0, 2.0]
 
+    def test_writer_matches_per_row_format(self, tmp_path):
+        rng = np.random.default_rng(4)
+        grid = Grid(46.75, 128)
+        scale = 10.0 ** rng.integers(-300, 300, grid.n)
+        snap = Snapshot(t=1.0 / 3.0, u=rng.standard_normal(grid.n) * scale)
+        path = tmp_path / "snap.dat"
+        write_snapshot(path, snap, grid)
+        expected = f"# t={snap.t:.16e} N={grid.n} L={grid.length:.16e}\n" + "".join(
+            f"{x:.16e}\t{u:.16e}\n" for x, u in zip(grid.x, snap.u))
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("body, message", [
+        ("", "truncated after 0 rows"),
+        ("0.0\t1.0\n", "truncated after 1 rows"),
+        ("0.0\t1.0\n\n0.0\t1.0\n", "malformed row 2"),
+        ("0.0\t1.0\n0.0 1.0\n0.0\t1.0\n", "malformed row 2"),
+        ("0.0\t1.0\t2.0\n0.0\t1.0\n0.0\t1.0\n", "malformed row 1"),
+        ("0.0\t1.0\n0.0\t1.0\n0.0\tnan-ish\n", "malformed row 3"),
+    ])
+    def test_bad_body_raises_config_error(self, tmp_path, body, message):
+        path = tmp_path / "bad.dat"
+        path.write_text("# t=0.0 N=3 L=1.0\n" + body)
+        with pytest.raises(ConfigError, match=message) as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("header", ["t=0.0 N=3 L=1.0", "# t=0.0 L=1.0",
+                                        "# t=zero N=3 L=1.0", "# t"])
+    def test_bad_header_raises_config_error(self, tmp_path, header):
+        path = tmp_path / "bad.dat"
+        path.write_text(header + "\n" + "0.0\t1.0\n" * 3)
+        with pytest.raises(ConfigError, match="header"):
+            read_snapshot(path)
+
     def test_zero_snapshot_format(self, tmp_path):
         grid = Grid(10.0, 16)
         path = tmp_path / "z.dat"

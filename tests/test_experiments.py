@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,15 @@ class TestErrMetric:
             err_metric(np.ones(8), np.ones(9))
 
 
+def dense_min_shift(reference, u):
+    """The shift search over the full N x N matrix of circular rolls."""
+    n = reference.size
+    rolls = reference[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    errs = np.max(np.abs(rolls - u[None, :]), axis=1) / float(np.max(np.abs(u)))
+    best = int(np.argmin(errs))
+    return float(errs[best]), best
+
+
 class TestShiftMachinery:
     def test_integer_roll_detected_exactly(self):
         rng = np.random.default_rng(1)
@@ -191,6 +202,46 @@ class TestShiftMachinery:
         rng = np.random.default_rng(2)
         u = rng.standard_normal(64)
         assert xcorr_mismatch(u, np.roll(u, 17)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(["random", "tiled", "rounded"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_roll_matrix(self, data, field, seed):
+        rng = np.random.default_rng(seed)
+        if field == "tiled":
+            # a period dividing n makes every multiple of it an exact tie
+            period = data.draw(st.integers(1, 20))
+            n = period * data.draw(st.integers(1, 300 // period))
+            reference = np.tile(rng.standard_normal(period), n // period)
+            u = np.roll(reference, data.draw(st.integers(0, n - 1)))
+            u = u + data.draw(st.sampled_from([0.0, 1e-3])) * rng.standard_normal(n)
+        else:
+            n = data.draw(st.integers(1, 300))
+            reference = rng.standard_normal(n)
+            u = rng.standard_normal(n)
+            if field == "rounded":
+                reference, u = np.round(2 * reference), np.round(2 * u)
+        if not u.any():
+            with pytest.raises(ValueError):
+                min_shift_difference(reference, u)
+            return
+        assert min_shift_difference(reference, u) == dense_min_shift(reference, u)
+
+    def test_all_zero_field_rejected(self):
+        with pytest.raises(ValueError):
+            min_shift_difference(np.ones(70), np.zeros(70))
+
+    def test_memory_stays_linear_in_n(self):
+        # one 4096 x 4096 float matrix of rolls alone would be 134 MB
+        rng = np.random.default_rng(3)
+        reference, u = rng.standard_normal((2, 4096))
+        tracemalloc.start()
+        try:
+            min_shift_difference(reference, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestRecurrenceScan:

@@ -66,7 +66,10 @@ def make_nonlinear_operator(kind: EquationKind,
 
     The operator accepts u_hat of shape (..., N//2 + 1).  Built from a
     sequence of B parameter sets it expects (B, N//2 + 1), row b stepping
-    under the b-th set.
+    under the b-th set.  It returns a fresh array on every call and never
+    writes into u_hat.  Its work arrays (one set per input shape, made on
+    first use) are shared by all calls, so one operator is not reentrant
+    and must not be called from two threads at once.
     """
     rows, batched = _rows(params)
     n = grid.n
@@ -81,22 +84,78 @@ def make_nonlinear_operator(kind: EquationKind,
     irfft = np.fft.irfft
     rfft = np.fft.rfft
 
+    def fifth_order(f, lead):
+        # w = mu u u - u and the tendency
+        #   w (ux + d2 uxxx) + d2 ux ((4 mu u - 2) uxx + mu ux ux),
+        # every product and sum taken in the order written; adjacent rows
+        # of t that meet the same operation are done in one call
+        t = np.empty((7,) + lead + (n,))
+        mu4 = 4.0 * mu
+        u, ux, uxx, uxxx = f
+        u_ux = f[:2]
+        d2ux, w, muxux, j, b, g, d2uxxx = t
+        mu_pair, d2ux_w, j_b = t[1:3], t[:2], t[3:5]
+
+        def tendency():
+            np.multiply(mu, u_ux, out=mu_pair)          # mu u, mu ux
+            np.multiply(delta2, ux, out=d2ux)
+            np.multiply(delta2, uxxx, out=d2uxxx)
+            np.multiply(mu4, u, out=g)
+            np.multiply(mu_pair, u_ux, out=mu_pair)     # mu u u, mu ux ux
+            np.subtract(w, u, out=w)
+            np.subtract(g, 2.0, out=g)
+            np.multiply(g, uxx, out=g)
+            np.add(ux, d2uxxx, out=b)
+            np.add(g, muxux, out=j)
+            np.multiply(d2ux_w, j_b, out=j_b)           # d2 ux j, w b
+            return np.add(b, j, out=b)
+
+        return tendency
+
+    def third_order(f, lead):
+        # (mu u u - u) ux
+        w = np.empty(lead + (n,))
+        u, ux = f
+
+        def tendency():
+            np.multiply(mu, u, out=w)
+            np.multiply(w, u, out=w)
+            np.subtract(w, u, out=w)
+            return np.multiply(w, ux, out=w)
+
+        return tendency
+
+    def kernel(shape):
+        """The operator for inputs of one shape, its work arrays bound.
+
+        Arrays are stacked row first, so f[r] is u or one of its
+        derivatives.  Every view is made here once: making one costs about
+        half an elementwise pass at N = 512.
+        """
+        lead = shape[:-1]
+        mult_rows = mult.reshape((len(mult),) + (1,) * len(lead) + (h,))
+        prod = np.empty((len(mult),) + shape, dtype=complex)
+        f = np.empty((len(mult),) + lead + (n,))
+        tendency = (fifth_order if fifth else third_order)(f, lead)
+
+        def apply(u_hat):
+            np.multiply(u_hat, mult_rows, out=prod)
+            irfft(prod, n, out=f)
+            out = rfft(tendency(), out=np.empty(shape, dtype=complex))
+            out *= mask
+            # kept apart from the mask: folding it in can flip a zero's sign
+            out[..., 0] = 0.0
+            return out
+
+        return apply
+
+    kernels = {}
+
     def nonlinear(u_hat):
-        f = irfft(u_hat[..., None, :] * mult, n)
-        u = f[..., 0, :]
-        ux = f[..., 1, :]
-        w = mu * u * u - u
-        if fifth:
-            uxx = f[..., 2, :]
-            uxxx = f[..., 3, :]
-            tend = w * (ux + delta2 * uxxx) \
-                + delta2 * ux * ((4.0 * mu * u - 2.0) * uxx + mu * ux * ux)
-        else:
-            tend = w * ux
-        out = rfft(tend)
-        out *= mask
-        out[..., 0] = 0.0
-        return out
+        apply = kernels.get(u_hat.shape)
+        if apply is None:
+            apply = kernels[u_hat.shape] = kernel(u_hat.shape)
+        return apply(u_hat)
 
     return nonlinear
 

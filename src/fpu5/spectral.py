@@ -105,17 +105,53 @@ class IntegratingFactorRK4:
         self.nonlinear = nonlinear
         self.e_half = np.exp(symbol * (0.5 * self.dt))
         self.e_full = self.e_half * self.e_half
+        # the step's scalars as complex128: numpy would convert a Python
+        # float to this same value on every call, at a cost per call
+        self._scalars = tuple(np.complex128(v) for v in (self.dt, 0.5, 2.0, 6.0))
 
     def step(self, u_hat: np.ndarray) -> np.ndarray:
-        dt = self.dt
+        """One step from u_hat; returns the new state as a fresh array.
+
+        Never writes into u_hat or into an array the nonlinear callable
+        returned: each stage result is scaled by dt into a new array, and
+        only those, the stage input and the result are updated in place.
+        The stage input handed to the callable is one array of the step's
+        own, overwritten once the callable has returned.  The arithmetic is
+        that of the textbook combination
+
+            a = dt N(u),  b = dt N((u + a/2) E),  c = dt N(u E + b/2),
+            d = dt N(u E^2 + c E),
+            u' = u E^2 + (a E^2 + 2 (b + c) E + d) / 6,   E = exp(L dt/2),
+
+        evaluated operation for operation in the same order.
+        """
+        dt, half, two, six = self._scalars
         e_half = self.e_half
         e_full = self.e_full
         n = self.nonlinear
         a = dt * n(u_hat)
-        b = dt * n((u_hat + 0.5 * a) * e_half)
-        c = dt * n(u_hat * e_half + 0.5 * b)
-        d = dt * n(u_hat * e_full + c * e_half)
-        return u_hat * e_full + (a * e_full + 2.0 * (b + c) * e_half + d) / 6.0
+        stage = np.multiply(half, a)
+        np.add(u_hat, stage, out=stage)
+        np.multiply(stage, e_half, out=stage)
+        b = dt * n(stage)
+        # the result array holds b/2 until u E^2 is needed
+        result = np.multiply(half, b)
+        np.multiply(u_hat, e_half, out=stage)
+        np.add(stage, result, out=stage)
+        c = dt * n(stage)
+        np.multiply(u_hat, e_full, out=result)
+        np.multiply(c, e_half, out=stage)
+        np.add(result, stage, out=stage)
+        d = dt * n(stage)
+        np.multiply(a, e_full, out=a)
+        np.add(b, c, out=b)
+        np.multiply(two, b, out=b)
+        np.multiply(b, e_half, out=b)
+        np.add(a, b, out=a)
+        np.add(a, d, out=a)
+        np.divide(a, six, out=a)
+        np.add(result, a, out=result)
+        return result
 
 
 def default_time_step(grid: Grid, params: ModelParams, kind: EquationKind,

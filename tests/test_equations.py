@@ -158,6 +158,69 @@ class TestOperatorFactory:
         direct = nonlinear_rhs(EquationKind.FPU5, params, g, u)
         assert np.max(np.abs(via_op - direct)) < 1e-14
 
+    def test_bit_identical_to_the_plain_expression(self):
+        # the operator works in place on its own arrays; its result must be
+        # that of the tendency written as one numpy expression, zero signs
+        # included, for one row and for a batch of rows
+        g = Grid(20.0, 64)
+        h = g.n // 2 + 1
+        rows = [ModelParams(1.0, 0.2), ModelParams(0.6, 0.0), ModelParams(1.4, 0.7)]
+        rng = np.random.default_rng(12)
+        u_hat = np.fft.rfft(rng.standard_normal((len(rows), g.n)))
+
+        def plain(kind, params, v):
+            fifth = kind in (EquationKind.FPU5, EquationKind.KDV5)
+            mult = np.stack([np.ones(h, dtype=complex)]
+                            + [derivative_multiplier(g, m)[:h]
+                               for m in ((1, 2, 3) if fifth else (1,))])
+            mu = 0.0 if kind in (EquationKind.KDV, EquationKind.KDV5) else params.mu
+            delta2 = params.delta**2
+            f = np.fft.irfft(v[None, :] * mult, g.n)
+            u, ux = f[0], f[1]
+            w = mu * u * u - u
+            if fifth:
+                uxx, uxxx = f[2], f[3]
+                tend = w * (ux + delta2 * uxxx) \
+                    + delta2 * ux * ((4.0 * mu * u - 2.0) * uxx + mu * ux * ux)
+            else:
+                tend = w * ux
+            out = np.fft.rfft(tend)
+            out *= g.dealias[:h]
+            out[0] = 0.0
+            return out
+
+        for kind in ALL_KINDS:
+            expected = np.stack([plain(kind, p, v) for p, v in zip(rows, u_hat)])
+            batched = make_nonlinear_operator(kind, rows, g)(u_hat)
+            assert batched.tobytes() == expected.tobytes()
+            for p, v, row in zip(rows, u_hat, expected):
+                single = make_nonlinear_operator(kind, p, g)(v)
+                assert single.tobytes() == row.tobytes()
+
+    def test_work_arrays_never_leak_between_calls(self):
+        # one operator fed single rows and stacks of three in turn gives what
+        # a freshly built operator gives, leaves its input alone, and never
+        # alters an array it returned before
+        g = Grid(20.0, 64)
+        params = ModelParams(0.8, 0.4)
+        rng = np.random.default_rng(11)
+        inputs = [np.fft.rfft(rng.standard_normal(shape))
+                  for shape in [(g.n,), (3, g.n)] * 3]
+        for kind in ALL_KINDS:
+            op = make_nonlinear_operator(kind, params, g)
+            returned, copies = [], []
+            for u_hat in inputs:
+                before = u_hat.copy()
+                out = op(u_hat)
+                assert out.shape == u_hat.shape
+                assert np.array_equal(u_hat, before)
+                fresh = make_nonlinear_operator(kind, params, g)(u_hat)
+                assert np.array_equal(out, fresh)
+                returned.append(out)
+                copies.append(out.copy())
+            for out, copy in zip(returned, copies):
+                assert np.array_equal(out, copy)
+
     def test_matches_full_spectrum_formula(self):
         # the tendency written out on the full complex spectrum, one
         # parameter set at a time, against the half-spectrum operator fed

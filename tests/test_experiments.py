@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpu5 import (BlowUpError, DomainError, EquationKind, Grid,
-                  InitialCondition, ModelParams, SimulationConfig, err_metric,
-                  kink_validation, mass_drift, recurrence_scan,
-                  recurrence_table, run, run_batch, shape_score,
-                  xcorr_mismatch)
+                  InitialCondition, IntegratingFactorRK4, ModelParams,
+                  SimulationConfig, err_metric, kink_validation,
+                  linear_symbol, make_nonlinear_operator, mass_drift,
+                  recurrence_scan, recurrence_table, run, run_batch,
+                  shape_score, xcorr_mismatch)
 from fpu5.experiments import (Snapshot, build_initial_condition,
                               fractional_shift, min_shift_difference)
 
@@ -90,6 +91,24 @@ class TestRun:
         assert err.value.step is not None and err.value.step > 0
         assert err.value.last_snapshot is not None
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_found_by_replay_matches_per_step_check(self):
+        # run() checks finiteness once per snapshot and replays a bad
+        # interval; a loop that checks after every step must agree on the
+        # step, the time and the last finite snapshot
+        config = small_config(
+            kind=EquationKind.FPU5, params=ModelParams(delta=2.0, mu=0.0),
+            grid=Grid(40.0, 64),
+            initial_condition=InitialCondition("kdv5_soliton", k=1.0),
+            dt=0.008, t_end=2.0, snapshot_interval=0.08)
+        step, t, last, steps_per = per_step_blow_up(config)
+        assert steps_per >= 10
+        assert step > steps_per and step % steps_per != 0
+        with pytest.raises(BlowUpError) as err:
+            run(config)
+        assert (err.value.step, err.value.t) == (step, t)
+        assert same_snapshots([err.value.last_snapshot], [last])
+
     def test_elliptic_initial_condition_is_singular_on_the_real_line(self):
         config = small_config(
             kind=EquationKind.FPU5,
@@ -99,6 +118,31 @@ class TestRun:
         from fpu5 import PoleError
         with pytest.raises((PoleError, BlowUpError)):
             run(config)
+
+
+def per_step_blow_up(config):
+    """(step, t, last snapshot, steps per snapshot) of the first non-finite
+    step, from a plain loop that checks finiteness after every step."""
+    u0 = build_initial_condition(config)
+    n_snap = int(np.ceil(config.t_end / config.snapshot_interval - 1e-9))
+    snap_dt = config.t_end / n_snap
+    steps_per = max(1, int(round(snap_dt / config.dt)))
+    dt = snap_dt / steps_per
+    stepper = IntegratingFactorRK4(
+        linear_symbol(config.kind, config.params, config.grid),
+        make_nonlinear_operator(config.kind, config.params, config.grid), dt)
+    u_hat = np.fft.rfft(u0)
+    last = Snapshot(0.0, u0)
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i_snap in range(1, n_snap + 1):
+            for _ in range(steps_per):
+                u_hat = stepper.step(u_hat)
+                step += 1
+                if not np.all(np.isfinite(u_hat)):
+                    return step, step * dt, last, steps_per
+            last = Snapshot(i_snap * snap_dt, np.fft.irfft(u_hat, config.grid.n))
+    raise AssertionError("the run stayed finite")
 
 
 def same_snapshots(a, b):

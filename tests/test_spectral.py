@@ -3,7 +3,8 @@ import pytest
 
 from fpu5 import (DomainError, EquationKind, Grid, IntegratingFactorRK4,
                   ModelParams, dealias_mask, default_time_step, forward,
-                  inverse, spectral_derivative)
+                  inverse, linear_symbol, make_nonlinear_operator,
+                  spectral_derivative)
 
 
 @pytest.fixture
@@ -156,6 +157,41 @@ class TestIfRk4:
     def test_nonpositive_dt_rejected(self, grid):
         with pytest.raises(DomainError):
             IntegratingFactorRK4(1j * grid.k, lambda v: v, 0.0)
+
+    def test_step_writes_into_neither_its_input_nor_the_tendency(self, grid):
+        # a callable that hands its argument back, and one that returns the
+        # same cached array every call: both arrays must survive the step
+        rng = np.random.default_rng(5)
+        symbol = linear_symbol(EquationKind.FPU5, ModelParams(1.0, 0.5), grid)
+        u_hat = np.fft.rfft(rng.standard_normal(grid.n))
+        cached = np.fft.rfft(rng.standard_normal(grid.n))
+        u_before, cached_before = u_hat.copy(), cached.copy()
+        for nonlinear in (lambda v: v, lambda v: cached):
+            stepper = IntegratingFactorRK4(symbol, nonlinear, 0.01)
+            first = stepper.step(u_hat)
+            assert np.array_equal(u_hat, u_before)
+            assert np.array_equal(cached, cached_before)
+            assert np.array_equal(stepper.step(u_hat), first)
+
+    def test_step_is_the_textbook_combination_bit_for_bit(self):
+        # the in-place step against the IF-RK4 formula written out, on a
+        # batch of two rows for every kind; tobytes also compares zero signs
+        g = Grid(30.0, 64)
+        rows = [ModelParams(1.0, 0.5), ModelParams(0.7, 0.1)]
+        rng = np.random.default_rng(6)
+        u_hat = np.fft.rfft(rng.standard_normal((2, g.n)))
+        dt = 0.01
+        for kind in EquationKind:
+            n = make_nonlinear_operator(kind, rows, g)
+            stepper = IntegratingFactorRK4(linear_symbol(kind, rows, g), n, dt)
+            e_half, e_full = stepper.e_half, stepper.e_full
+            a = dt * n(u_hat)
+            b = dt * n((u_hat + 0.5 * a) * e_half)
+            c = dt * n(u_hat * e_half + 0.5 * b)
+            d = dt * n(u_hat * e_full + c * e_half)
+            expected = u_hat * e_full \
+                + (a * e_full + 2.0 * (b + c) * e_half + d) / 6.0
+            assert stepper.step(u_hat).tobytes() == expected.tobytes()
 
     def test_fourth_order_convergence(self):
         # smooth data on the full fifth-order equation; halving dt should

@@ -13,6 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from . import spectral
 from .errors import BlowUpError
 from .params import EquationKind, ModelParams, effective_mu
 from .spectral import Grid, derivative_multiplier, forward
@@ -81,8 +82,8 @@ def make_nonlinear_operator(kind: EquationKind,
     mask = grid.dealias[:h]
     mu = _per_row([effective_mu(kind, p) for p in rows], batched)
     delta2 = _per_row([p.delta**2 for p in rows], batched)
-    irfft = np.fft.irfft
-    rfft = np.fft.rfft
+    irfft_into = spectral.irfft_into
+    rfft_into = spectral.rfft_into
 
     def fifth_order(f, lead):
         # w = mu u u - u and the tendency
@@ -140,8 +141,8 @@ def make_nonlinear_operator(kind: EquationKind,
 
         def apply(u_hat):
             np.multiply(u_hat, mult_rows, out=prod)
-            irfft(prod, n, out=f)
-            out = rfft(tendency(), out=np.empty(shape, dtype=complex))
+            irfft_into(prod, f)
+            out = rfft_into(tendency(), np.empty(shape, dtype=complex))
             out *= mask
             # kept apart from the mask: folding it in can flip a zero's sign
             out[..., 0] = 0.0
@@ -160,26 +161,36 @@ def make_nonlinear_operator(kind: EquationKind,
     return nonlinear
 
 
+def _require_finite(values: np.ndarray, message: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise BlowUpError(message)
+    return values
+
+
 def nonlinear_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
                   u: np.ndarray) -> np.ndarray:
     """Physical-space nonlinear tendency du/dt (linear terms excluded)."""
-    u = grid.check_field(u)
-    if not np.all(np.isfinite(u)):
-        raise BlowUpError("nonlinear tendency fed a non-finite field")
+    u = _require_finite(grid.check_field(u),
+                        "nonlinear tendency fed a non-finite field")
     op = make_nonlinear_operator(kind, params, grid)
-    tend = np.fft.irfft(op(np.fft.rfft(u)), grid.n)
-    if not np.all(np.isfinite(tend)):
-        raise BlowUpError("nonlinear tendency became non-finite")
-    return tend
+    return _require_finite(np.fft.irfft(op(np.fft.rfft(u)), grid.n),
+                           "nonlinear tendency became non-finite")
 
 
 def full_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
              u: np.ndarray) -> np.ndarray:
-    """Complete du/dt, linear plus nonlinear, in physical space."""
-    u_hat = np.fft.rfft(grid.check_field(u))
+    """Complete du/dt, linear plus nonlinear, in physical space.
+
+    Raises ``BlowUpError`` for a non-finite field or result, as
+    ``nonlinear_rhs`` does.
+    """
+    u = _require_finite(grid.check_field(u),
+                        "nonlinear tendency fed a non-finite field")
+    u_hat = np.fft.rfft(u)
     lam = linear_symbol(kind, params, grid)
     op = make_nonlinear_operator(kind, params, grid)
-    return np.fft.irfft(lam * u_hat + op(u_hat), grid.n)
+    return _require_finite(np.fft.irfft(lam * u_hat + op(u_hat), grid.n),
+                           "nonlinear tendency became non-finite")
 
 
 def conservation_flux(params: ModelParams, grid: Grid, u: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fpu5 import (EquationKind, Grid, ModelParams, conservation_flux,
-                  full_rhs, linear_symbol, nonlinear_rhs)
+from fpu5 import (BlowUpError, EquationKind, Grid, ModelParams,
+                  conservation_flux, full_rhs, linear_symbol, nonlinear_rhs)
 from fpu5.equations import make_nonlinear_operator
 from fpu5.spectral import derivative_multiplier, forward
 
@@ -107,6 +107,25 @@ class TestNonlinearTendency:
         for kind in ALL_KINDS:
             tend = nonlinear_rhs(kind, params, g, u)
             assert abs(tend.mean()) < 1e-14
+
+
+class TestPhysicalWrappers:
+    @pytest.mark.parametrize("rhs", [nonlinear_rhs, full_rhs])
+    def test_non_finite_field_raises(self, rhs):
+        g = Grid(20.0, 64)
+        u = band_limited_field(g, 5, seed=2)
+        u[7] = np.nan
+        with pytest.raises(BlowUpError, match="fed a non-finite field"):
+            rhs(EquationKind.FPU5, ModelParams(1.0, 0.2), g, u)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rhs", [nonlinear_rhs, full_rhs])
+    def test_non_finite_result_raises(self, rhs):
+        # finite samples whose products overflow
+        g = Grid(20.0, 64)
+        u = band_limited_field(g, 5, seed=3, scale=1e200)
+        with pytest.raises(BlowUpError, match="became non-finite"):
+            rhs(EquationKind.FPU5, ModelParams(1.0, 0.2), g, u)
 
 
 class TestConservationFlux:

@@ -120,6 +120,37 @@ class TestRun:
             run(config)
 
 
+def l2_drift(snapshots):
+    """Largest relative change of sum(u^2) from the first snapshot."""
+    sq = np.array([np.dot(s.u, s.u) for s in snapshots])
+    return np.max(np.abs(sq - sq[0])) / sq[0]
+
+
+class TestL2Conservation:
+    # every term of the four equations is skew in L2, so on a resolved
+    # field sum(u^2) drifts through the time error; bounds are ten times
+    # the drift measured at dt on a k = 0.6 soliton, N = 64, L = 40,
+    # delta = 1, mu = 0.1, to t = 2 (FPU5 5.0e-10, KDV5 5.3e-10, GARDNER
+    # 9.2e-10, KDV 9.0e-10)
+    @pytest.mark.parametrize("kind, dt, bound", [
+        (EquationKind.FPU5, 0.05, 5e-9),
+        (EquationKind.KDV5, 0.05, 5e-9),
+        (EquationKind.GARDNER, 0.2, 1e-8),
+        (EquationKind.KDV, 0.2, 1e-8),
+    ])
+    def test_drift_bounded_and_fourth_order_in_dt(self, kind, dt, bound):
+        def drift(step):
+            return l2_drift(run(small_config(
+                kind=kind, t_end=2.0, dt=step, snapshot_interval=0.4,
+                initial_condition=InitialCondition("kdv5_soliton", k=0.6))))
+
+        coarse, fine = drift(dt), drift(0.5 * dt)
+        # well above roundoff, so the ratio measures the time error
+        assert 1e-11 < coarse < bound
+        # fourth order gives 16x
+        assert coarse / fine >= 8.0
+
+
 def per_step_blow_up(config):
     """(step, t, last snapshot, steps per snapshot) of the first non-finite
     step, from a plain loop that checks finiteness after every step."""

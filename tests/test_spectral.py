@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpu5 import (DomainError, EquationKind, Grid, IntegratingFactorRK4,
-                  ModelParams, dealias_mask, default_time_step, forward,
+from fpu5 import (EXPERIMENTS, DomainError, EquationKind, Grid,
+                  InitialCondition, IntegratingFactorRK4, ModelParams,
+                  SimulationConfig, dealias_mask, default_time_step, forward,
                   inverse, linear_symbol, make_nonlinear_operator,
                   spectral_derivative)
+from fpu5.experiments import build_initial_condition
+from fpu5.spectral import irfft_into, rfft_into
 
 
 @pytest.fixture
@@ -55,6 +60,44 @@ class TestTransforms:
             physical = np.sum(u * u)
             spectral = np.sum(np.abs(u_hat) ** 2) / grid.n
             assert spectral == pytest.approx(physical, rel=1e-12)
+
+
+class TestHalfSpectrumTransforms:
+    # rfft_into and irfft_into call numpy's FFT gufuncs directly; these
+    # tests fail if a numpy release moves them or changes what np.fft.rfft
+    # and irfft compute
+
+    sizes = dict(log_n=st.integers(3, 11),
+                 lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+                 scale=st.sampled_from([1e-150, 1.0, 1e150]),
+                 seed=st.integers(0, 2**32 - 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**sizes)
+    def test_rfft_into_is_np_rfft_byte_for_byte(self, log_n, lead, scale, seed):
+        n = 2**log_n
+        u = scale * np.random.default_rng(seed).standard_normal(lead + (n,))
+        before = u.copy()
+        out = np.empty(lead + (n // 2 + 1,), dtype=complex)
+        assert rfft_into(u, out) is out
+        assert out.tobytes() == np.fft.rfft(u).tobytes()
+        assert u.tobytes() == before.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**sizes)
+    def test_irfft_into_is_np_irfft_byte_for_byte(self, log_n, lead, scale, seed):
+        # random complex input, so modes 0 and N/2 carry imaginary parts
+        # that a real field's spectrum could not have; irfft ignores them
+        n = 2**log_n
+        rng = np.random.default_rng(seed)
+        shape = lead + (n // 2 + 1,)
+        u_hat = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert np.all(u_hat[..., [0, -1]].imag != 0.0)
+        before = u_hat.copy()
+        out = np.empty(lead + (n,))
+        assert irfft_into(u_hat, out) is out
+        assert out.tobytes() == np.fft.irfft(u_hat, n).tobytes()
+        assert u_hat.tobytes() == before.tobytes()
 
 
 class TestDealias:
@@ -236,3 +279,16 @@ class TestDefaultTimeStep:
             dts = {default_time_step(g, ModelParams(delta=1.0, mu=mu), kind, u0)
                    for mu in (0.0, 0.3, 5.0)}
             assert len(dts) == 1
+
+    def test_recurrence_default_inside_measured_stable_region(self):
+        # on the frozen recurrence config (FPU5, delta = 2, N = 128, to t = 6)
+        # dt = 1e-4 drifts L2 by 9e-10, 2e-4 by 1.8e-6 (a 2000x jump) and
+        # 3e-4 blows up at t = 2.4 (ROADMAP item 4, the second invariant)
+        fx = EXPERIMENTS["recurrence"]
+        config = SimulationConfig(
+            kind=EquationKind.FPU5, params=ModelParams(fx["delta"], fx["mu"]),
+            grid=Grid(fx["length"], fx["n"]), t_end=fx["t_end"],
+            initial_condition=InitialCondition("kdv5_soliton", k=fx["k"]))
+        dt = default_time_step(config.grid, config.params, config.kind,
+                               build_initial_condition(config))
+        assert dt <= 1.7e-4

@@ -6,8 +6,7 @@ and Fuchs-index computation, and the recurrence experiments."""
 from .errors import BlowUpError, ConfigError, DomainError, PoleError
 from .params import (EquationKind, ModelParams, PhysicalChainParams,
                      kink_speed, physical_to_model, velocity_curve)
-from .spectral import (Grid, IntegratingFactorRK4, dealias_mask,
-                       default_time_step, forward, inverse,
+from .spectral import (Grid, IntegratingFactorRK4, default_time_step,
                        spectral_derivative)
 from .equations import (conservation_flux, full_rhs, linear_symbol,
                         make_nonlinear_operator, nonlinear_rhs)
@@ -19,7 +18,7 @@ from .solutions import (EllipticSolution, GardnerSoliton, KdV5Soliton,
                         kink_integration_constants, kink_pole_variant,
                         residual_first_integral, residual_second_integral)
 from .painleve import (FuchsResult, LeadingBalance, fuchs_indices,
-                       leading_balance, painleve_verdict, passes_painleve)
+                       leading_balance, painleve_verdict)
 from .experiments import (EXPERIMENTS, InitialCondition, RecurrenceReport,
                           Snapshot, SimulationConfig, ValidationReport,
                           err_metric, gardner_soliton_experiment,

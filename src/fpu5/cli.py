@@ -251,12 +251,14 @@ def _experiment_gardner(fx, out: Path) -> dict:
                      zip(res["times"], res["scores"]))
         checks[f"{kind.value}_max_score"] = float(res["scores"].max())
         checks[f"{kind.value}_mass_drift"] = res["mass_drift"]
-    fpu5_scores = results[EquationKind.FPU5]["scores"]
-    fpu5_times = results[EquationKind.FPU5]["times"]
-    i_deform = int(np.argmin(np.abs(fpu5_times - fx["deform_by"])))
+    # the fifth-order run must first cross the threshold by deform_by
+    fifth = results[EquationKind.FPU5]
+    crossed = fifth["scores"] > fx["deform_threshold"]
+    deform_time = float(fifth["times"][np.argmax(crossed)]) if crossed.any() else None
+    checks["fpu5_deform_time"] = deform_time
     checks["pass"] = bool(
         checks["gardner_max_score"] < fx["hold_bound"]
-        and fpu5_scores[i_deform] > fx["deform_threshold"])
+        and deform_time is not None and deform_time <= fx["deform_by"])
     return checks
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import spectral
 from .errors import BlowUpError
 from .params import EquationKind, ModelParams, effective_mu
-from .spectral import Grid, derivative_multiplier, forward
+from .spectral import Grid, derivative_multiplier, spectral_derivative
 
 FIFTH_ORDER = (EquationKind.FPU5, EquationKind.KDV5)
 
@@ -43,7 +43,7 @@ def linear_symbol(kind: EquationKind,
     set, (B, N//2 + 1) for a sequence of B.
     """
     rows, batched = _rows(params)
-    k = grid.k[:grid.n // 2 + 1]
+    k = grid.k
     d2 = _per_row([p.delta**2 for p in rows], batched)
     if kind in FIFTH_ORDER:
         return 1j * (d2 * k**3 - 0.4 * d2 * d2 * k**5)
@@ -74,12 +74,12 @@ def make_nonlinear_operator(kind: EquationKind,
     """
     rows, batched = _rows(params)
     n = grid.n
-    h = n // 2 + 1
+    h = grid.k.size
     fifth = kind in FIFTH_ORDER
     orders = (1, 2, 3) if fifth else (1,)
     mult = np.stack([np.ones(h, dtype=complex)]
-                    + [derivative_multiplier(grid, m)[:h] for m in orders])
-    mask = grid.dealias[:h]
+                    + [derivative_multiplier(grid, m) for m in orders])
+    mask = grid.dealias
     mu = _per_row([effective_mu(kind, p) for p in rows], batched)
     delta2 = _per_row([p.delta**2 for p in rows], batched)
     irfft_into = spectral.irfft_into
@@ -167,14 +167,24 @@ def _require_finite(values: np.ndarray, message: str) -> np.ndarray:
     return values
 
 
-def nonlinear_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
-                  u: np.ndarray) -> np.ndarray:
-    """Physical-space nonlinear tendency du/dt (linear terms excluded)."""
+def _physical(grid: Grid, u: np.ndarray, spectral_rhs) -> np.ndarray:
+    """irfft(spectral_rhs(rfft(u))) for a checked, finite field u.
+
+    Raises ``BlowUpError`` for a non-finite field or result.
+    """
     u = _require_finite(grid.check_field(u),
                         "nonlinear tendency fed a non-finite field")
-    op = make_nonlinear_operator(kind, params, grid)
-    return _require_finite(np.fft.irfft(op(np.fft.rfft(u)), grid.n),
+    return _require_finite(np.fft.irfft(spectral_rhs(np.fft.rfft(u)), grid.n),
                            "nonlinear tendency became non-finite")
+
+
+def nonlinear_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
+                  u: np.ndarray) -> np.ndarray:
+    """Physical-space nonlinear tendency du/dt (linear terms excluded).
+
+    Raises ``BlowUpError`` for a non-finite field or result.
+    """
+    return _physical(grid, u, make_nonlinear_operator(kind, params, grid))
 
 
 def full_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
@@ -184,13 +194,9 @@ def full_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
     Raises ``BlowUpError`` for a non-finite field or result, as
     ``nonlinear_rhs`` does.
     """
-    u = _require_finite(grid.check_field(u),
-                        "nonlinear tendency fed a non-finite field")
-    u_hat = np.fft.rfft(u)
     lam = linear_symbol(kind, params, grid)
     op = make_nonlinear_operator(kind, params, grid)
-    return _require_finite(np.fft.irfft(lam * u_hat + op(u_hat), grid.n),
-                           "nonlinear tendency became non-finite")
+    return _physical(grid, u, lambda u_hat: lam * u_hat + op(u_hat))
 
 
 def conservation_flux(params: ModelParams, grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -199,13 +205,8 @@ def conservation_flux(params: ModelParams, grid: Grid, u: np.ndarray) -> np.ndar
     F = u^2/2 - mu u^3/3 + delta^2 u_xx + delta^2 (u u_xx + u_x^2/2)
         - delta^2 mu (u^2 u_xx + u u_x^2) + (2/5) delta^4 u_xxxx
     """
-    u = grid.check_field(u)
-    if not np.all(np.isfinite(u)):
-        raise BlowUpError("flux fed a non-finite field")
-    u_hat = forward(grid, u)
-    ux = np.fft.ifft(derivative_multiplier(grid, 1) * u_hat).real
-    uxx = np.fft.ifft(derivative_multiplier(grid, 2) * u_hat).real
-    uxxxx = np.fft.ifft(derivative_multiplier(grid, 4) * u_hat).real
+    u = _require_finite(grid.check_field(u), "flux fed a non-finite field")
+    ux, uxx, uxxxx = (spectral_derivative(grid, u, m) for m in (1, 2, 4))
     mu = params.mu
     d2 = params.delta**2
     return (0.5 * u * u - mu * u**3 / 3.0 + d2 * uxx

@@ -7,20 +7,23 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .equations import linear_symbol, make_nonlinear_operator
-from .errors import BlowUpError, DomainError, PoleError
+from .errors import BlowUpError, DomainError
 from .params import EquationKind, ModelParams
-from .solutions import (EllipticSolution, GardnerSoliton, KdV5Soliton,
-                        KinkSolution, elliptic_eval, gardner_soliton,
-                        kdv5_soliton, kink_eval)
+from .solutions import (GardnerSoliton, KdV5Soliton, KinkSolution,
+                        gardner_soliton, kdv5_soliton, kink_eval)
 from .spectral import Grid, IntegratingFactorRK4, default_time_step
 
 IC_NAMES = ("kink_pair", "kdv5_soliton", "gardner_soliton", "cosine",
-            "elliptic", "from_file")
+            "from_file")
 
 # domain length shared by the soliton-perturbation and recurrence studies;
 # chosen so the surviving solitary wave laps the ring in the observed
 # recurrence period
 RECURRENCE_LENGTH = 46.75
+
+# kink validation scores the grid points where the initial pair agrees with
+# the exact kink to this fraction of max|u0|, i.e. away from the mirror seam
+KINK_MASK_TOL = 1e-9
 
 # shifts compared per pass of the exact shift search: a (64, N) buffer stays
 # cache-sized at the grids used here and amortizes the per-call overhead
@@ -34,14 +37,13 @@ class InitialCondition:
     name: str
     k: float | None = None      # kdv5_soliton wavenumber
     c0: float | None = None     # gardner_soliton speed
-    g3: float | None = None     # elliptic free invariant
     path: str | None = None     # from_file snapshot path
 
     def __post_init__(self):
         if self.name not in IC_NAMES:
             raise DomainError(f"unknown initial condition {self.name!r}")
         needs = {"kdv5_soliton": "k", "gardner_soliton": "c0",
-                 "elliptic": "g3", "from_file": "path"}
+                 "from_file": "path"}
         for ic, attr in needs.items():
             if self.name == ic and getattr(self, attr) is None:
                 raise DomainError(f"initial condition {ic} needs {attr}")
@@ -120,12 +122,6 @@ def build_initial_condition(config: SimulationConfig) -> np.ndarray:
         return gardner_soliton(s, grid.x - 0.5 * grid.length)
     if ic.name == "cosine":
         return np.cos(np.pi * grid.x)
-    if ic.name == "elliptic":
-        s = EllipticSolution(params=config.params, g3=ic.g3)
-        u = elliptic_eval(s, grid.x, on_pole="raise")
-        if not np.all(np.isfinite(u)):
-            raise PoleError("elliptic initial profile is singular on this grid")
-        return np.asarray(u)
     if ic.name == "from_file":
         from .snapio import read_snapshot
         snap, (n, length) = read_snapshot(ic.path)
@@ -138,14 +134,15 @@ def build_initial_condition(config: SimulationConfig) -> np.ndarray:
 def _schedule(config: SimulationConfig, u0: np.ndarray) -> tuple[float, int, int]:
     """(snapshot interval, steps per snapshot, snapshot count) of a run.
 
-    dt is rescaled so that a whole number of steps fills each interval; the
-    step size is the interval over the steps per snapshot.
+    The steps per snapshot are the fewest whose step, the interval over
+    their count, does not exceed the requested dt; a ratio within 1e-9
+    (relative) of a whole number keeps that number.
     """
     dt = config.dt or default_time_step(config.grid, config.params, config.kind, u0)
     snap_dt = config.snapshot_interval or max(config.t_end / 50.0, dt)
     n_snap = int(np.ceil(config.t_end / snap_dt - 1e-9))
     snap_dt = config.t_end / n_snap
-    steps_per = max(1, int(round(snap_dt / dt)))
+    steps_per = max(1, int(np.ceil(snap_dt / dt * (1.0 - 1e-9))))
     return snap_dt, steps_per, n_snap
 
 
@@ -275,7 +272,7 @@ def xcorr_mismatch(reference: np.ndarray, u: np.ndarray) -> float:
     """
     reference = np.asarray(reference, dtype=float)
     u = np.asarray(u, dtype=float)
-    corr = np.fft.ifft(np.fft.fft(u) * np.conj(np.fft.fft(reference))).real
+    corr = np.fft.irfft(np.fft.rfft(u) * np.conj(np.fft.rfft(reference)), u.size)
     norm = np.sqrt(np.sum(reference**2) * np.sum(u**2))
     if norm == 0.0:
         raise ValueError("correlation undefined for an all-zero field")
@@ -312,11 +309,6 @@ def min_shift_difference(reference: np.ndarray,
     return float(errs[best]), best
 
 
-def fractional_shift(u: np.ndarray, grid: Grid, shift: float) -> np.ndarray:
-    """u(x - shift) by Fourier phase rotation (shift in x units)."""
-    return np.fft.ifft(np.fft.fft(u) * np.exp(-1j * grid.k * shift)).real
-
-
 def shape_score(reference: np.ndarray, u: np.ndarray, grid: Grid) -> float:
     """Shape deviation of u from reference modulo continuous translation.
 
@@ -327,11 +319,11 @@ def shape_score(reference: np.ndarray, u: np.ndarray, grid: Grid) -> float:
     from scipy.optimize import minimize_scalar
 
     coarse, s0 = min_shift_difference(reference, u)
-    ref_hat = np.fft.fft(reference)
+    ref_hat = np.fft.rfft(reference)
     denom = float(np.max(np.abs(u)))
 
     def objective(shift):
-        shifted = np.fft.ifft(ref_hat * np.exp(-1j * grid.k * shift)).real
+        shifted = np.fft.irfft(ref_hat * np.exp(-1j * grid.k * shift), grid.n)
         return float(np.max(np.abs(shifted - u))) / denom
 
     x0 = s0 * grid.dx
@@ -352,12 +344,12 @@ def shape_score_series(snapshots: list[Snapshot], grid: Grid,
 
 def kink_validation(params: ModelParams, grid: Grid, dt: float | None,
                     t_end: float, snapshot_interval: float | None = None,
-                    mask_tol: float = 1e-9,
                     keep_snapshots: bool = False) -> ValidationReport:
     """Integrate the kink pair and compare with the travelling exact kink.
 
     The error is measured only on grid points where the initial profile
-    agrees with the exact kink to mask_tol, i.e. away from the mirror seam.
+    agrees with the exact kink to KINK_MASK_TOL, i.e. away from the mirror
+    seam.
     """
     if not params.mu > 0:
         raise DomainError("kink validation requires mu > 0")
@@ -369,7 +361,7 @@ def kink_validation(params: ModelParams, grid: Grid, dt: float | None,
     kink = KinkSolution(params, branch=1, z0=0.25 * grid.length)
     u0 = snapshots[0].u
     exact0 = kink_eval(kink, grid.x)
-    mask = np.abs(u0 - exact0) <= mask_tol * float(np.max(np.abs(u0)))
+    mask = np.abs(u0 - exact0) <= KINK_MASK_TOL * float(np.max(np.abs(u0)))
     speed = kink.speed
     times = np.array([s.t for s in snapshots])
     errs = np.array([
@@ -379,10 +371,9 @@ def kink_validation(params: ModelParams, grid: Grid, dt: float | None,
                             snapshots=snapshots if keep_snapshots else None)
 
 
-def soliton_perturbation(delta: float = 2.0, k: float = 1.0,
-                         mus=(0.0, 0.05), grid: Grid | None = None,
-                         dt: float | None = None, t_end: float = 20.0,
-                         snapshot_interval: float = 0.5) -> dict:
+def soliton_perturbation(*, delta: float, k: float, mus, grid: Grid,
+                         dt: float, t_end: float,
+                         snapshot_interval: float) -> dict:
     """Run the mu = 0 soliton under the fifth-order equation at several mu.
 
     The mu rows share grid and delta; given a common dt they also share the
@@ -390,7 +381,6 @@ def soliton_perturbation(delta: float = 2.0, k: float = 1.0,
     Returns per-mu snapshot lists and shape-invariance scores against the
     initial profile.
     """
-    grid = grid or Grid(RECURRENCE_LENGTH, 256)
     configs = [SimulationConfig(
         kind=EquationKind.FPU5, params=ModelParams(delta=delta, mu=mu),
         grid=grid, t_end=t_end, dt=dt, snapshot_interval=snapshot_interval,
@@ -404,24 +394,21 @@ def soliton_perturbation(delta: float = 2.0, k: float = 1.0,
     return out
 
 
-def gardner_soliton_experiment(delta: float = 1.0, mu: float = 0.1,
-                               c0: float = 1.0, grid: Grid | None = None,
-                               t_end: float = 20.0,
-                               snapshot_interval: float = 0.25,
-                               dts: dict | None = None) -> dict:
+def gardner_soliton_experiment(*, delta: float, mu: float, c0: float,
+                               grid: Grid, t_end: float,
+                               snapshot_interval: float, dts: dict) -> dict:
     """Propagate the cubic-equation soliton under both equations.
 
     Under the third-order equation the profile is exact and must keep its
-    shape; under the fifth-order equation it deforms.
+    shape; under the fifth-order equation it deforms.  ``dts`` maps each
+    equation kind to its step size.
     """
-    grid = grid or Grid(40.0, 256)
     params = ModelParams(delta=delta, mu=mu)
-    dts = dts or {}
     out = {}
     for kind in (EquationKind.GARDNER, EquationKind.FPU5):
         config = SimulationConfig(
             kind=kind, params=params, grid=grid, t_end=t_end,
-            dt=dts.get(kind), snapshot_interval=snapshot_interval,
+            dt=dts[kind], snapshot_interval=snapshot_interval,
             initial_condition=InitialCondition("gardner_soliton", c0=c0))
         snapshots = run(config)
         scores = shape_score_series(snapshots, grid)
@@ -431,12 +418,11 @@ def gardner_soliton_experiment(delta: float = 1.0, mu: float = 0.1,
     return out
 
 
-def zabusky_kruskal(delta: float = 0.022, mu: float = 1.0,
-                    grid: Grid | None = None, t_end: float = 11.5,
-                    snapshot_interval: float = 0.02,
-                    figure_times: tuple[float, float] = (1.14, 10.6),
-                    recurrence_window: tuple[float, float] = (8.0, 11.5),
-                    dts: dict | None = None) -> dict:
+def zabusky_kruskal(*, delta: float, mu: float, grid: Grid, t_end: float,
+                    snapshot_interval: float,
+                    figure_times: tuple[float, float],
+                    recurrence_window: tuple[float, float],
+                    dts: dict) -> dict:
     """Cosine initial data on [0, 2): soliton train versus chaotic response.
 
     For each equation two correlation-mismatch scores are reported:
@@ -446,16 +432,15 @@ def zabusky_kruskal(delta: float = 0.022, mu: float = 1.0,
       * ``figure_pair_score``: the mismatch between the snapshots nearest
         the two figure times.
     The third-order equation recurs toward the cosine; the fifth-order one
-    scatters energy out of the initial modes and does not.
+    scatters energy out of the initial modes and does not.  ``dts`` maps
+    each equation kind to its step size.
     """
-    grid = grid or Grid(2.0, 256)
     params = ModelParams(delta=delta, mu=mu)
-    dts = dts or {}
     out = {}
     for kind in (EquationKind.KDV, EquationKind.FPU5):
         config = SimulationConfig(
             kind=kind, params=params, grid=grid, t_end=t_end,
-            dt=dts.get(kind), snapshot_interval=snapshot_interval,
+            dt=dts[kind], snapshot_interval=snapshot_interval,
             initial_condition=InitialCondition("cosine"))
         snapshots = run(config)
         times = np.array([s.t for s in snapshots])
@@ -516,10 +501,12 @@ def recurrence_scan(snapshots: list[Snapshot], t_fix: float,
 
 
 # Frozen study configurations.  dt values are verified stable for their
-# grids (the delta=2 runs use N=128: at N=256 the integrating factor turns
-# the top retained modes by tens of radians per step and a triad resonance
-# destabilizes the run for any practical dt).  Score thresholds were frozen
-# from reference runs of these exact configurations.
+# grids.  The delta=2 runs use N=128: at N=256 the integrating factor turns
+# the top retained modes by tens of radians per step and IF-RK4 itself goes
+# unstable; the perturbation pair blows up at t = 0.017, 0.069 and 0.28 for
+# dt = 1e-4, 5e-5 and 2.5e-5, and padding the products to 3N/2 points does
+# not prevent it.  Score thresholds were frozen from reference runs of these
+# exact configurations.
 EXPERIMENTS: dict[str, dict] = {
     "kink-validation": dict(
         delta=0.6, mu=2.0, length=64.0, n=512, dt=1.5e-4,

@@ -188,11 +188,6 @@ def painleve_verdict(indices, tol: float = 1e-9) -> tuple[bool, str]:
     return True, "all indices beyond -1 are nonnegative integers"
 
 
-def passes_painleve(result: FuchsResult) -> tuple[bool, str]:
-    """Verdict with reason for an already computed index set."""
-    return painleve_verdict(result.indices)
-
-
 def leading_coefficient_residual(params: ModelParams) -> Fraction:
     """Exact coefficient of the leading z power after substituting v = a0/z.
 

@@ -109,12 +109,11 @@ _CONFIG_KEYS = {
     "initial_condition": str,
     "ic_k": float,
     "ic_c0": float,
-    "ic_g3": float,
     "ic_path": str,
 }
 _REQUIRED = ("kind", "delta", "mu", "L", "N", "t_end")
 _IC_PARAM_KEYS = {"kdv5_soliton": "ic_k", "gardner_soliton": "ic_c0",
-                  "elliptic": "ic_g3", "from_file": "ic_path"}
+                  "from_file": "ic_path"}
 
 
 def parse_config(text: str) -> SimulationConfig:
@@ -189,7 +188,7 @@ def config_to_dict(config: SimulationConfig) -> dict:
         "snapshot_interval": config.snapshot_interval,
         "initial_condition": ic.name,
     }
-    for attr in ("k", "c0", "g3", "path"):
+    for attr in ("k", "c0", "path"):
         if getattr(ic, attr) is not None:
             out[f"ic_{attr}"] = getattr(ic, attr)
     return out

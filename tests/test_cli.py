@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpu5 import ConfigError, Grid, Snapshot, parse_config, read_snapshot
+from fpu5 import (ConfigError, DomainError, Grid, Snapshot, parse_config,
+                  read_snapshot)
 from fpu5.cli import main
 from fpu5.snapio import write_snapshot, write_snapshots
 
@@ -66,6 +67,14 @@ class TestParseConfig:
     def test_mismatched_ic_parameter(self):
         with pytest.raises(ConfigError, match="only applies"):
             parse_config(MINIMAL + "initial_condition = cosine\nic_k = 1\n")
+
+    def test_elliptic_initial_condition_rejected(self):
+        # the elliptic profile has real poles, so it is no initial condition
+        # and ic_g3 is no key; `fpu5 exact elliptic` still tabulates it
+        with pytest.raises(ConfigError, match="unknown key 'ic_g3'"):
+            parse_config(MINIMAL + "ic_g3 = 0.15\n")
+        with pytest.raises(DomainError, match="unknown initial condition"):
+            parse_config(MINIMAL + "initial_condition = elliptic\n")
 
     def test_line_numbers_in_errors(self):
         try:

@@ -6,8 +6,10 @@ the reporting and file layout.
 """
 import json
 
+import numpy as np
 import pytest
 
+from fpu5 import EquationKind
 from fpu5.cli import _EXPERIMENT_RUNNERS, main
 
 SMALL = {
@@ -74,3 +76,29 @@ def test_validate_cli(tmp_path):
     assert (out / "err_vs_t.dat").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["checks"]["max_err"] == report["max_err"]
+
+
+@pytest.mark.parametrize("fpu5_scores, deform_time, passes", [
+    # crosses at t = 0.5 and dips back below the threshold at deform_by
+    ([0.0, 0.02, 0.15, 0.12, 0.05], 0.5, True),
+    # first crosses after deform_by
+    ([0.0, 0.02, 0.05, 0.08, 0.09, 0.2], 1.25, False),
+    ([0.0, 0.02, 0.05, 0.08, 0.09], None, False),
+])
+def test_gardner_passes_when_the_score_first_crosses_by_deform_by(
+        fpu5_scores, deform_time, passes, tmp_path, monkeypatch):
+    # the rule of acceptance criterion 07, not the score nearest deform_by
+    import fpu5.cli as cli
+
+    def fake_experiment(**kwargs):
+        def result(scores):
+            scores = np.array(scores)
+            return {"times": 0.25 * np.arange(len(scores)), "scores": scores,
+                    "mass_drift": 0.0}
+        return {EquationKind.GARDNER: result([0.0, 1e-3, 2e-3]),
+                EquationKind.FPU5: result(fpu5_scores)}
+
+    monkeypatch.setattr(cli, "gardner_soliton_experiment", fake_experiment)
+    checks = cli._experiment_gardner(SMALL["gardner"], tmp_path)
+    assert checks["fpu5_deform_time"] == deform_time
+    assert checks["pass"] is passes

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpu5 import (DomainError, ModelParams, fuchs_indices, leading_balance,
-                  painleve_verdict, passes_painleve)
+                  painleve_verdict)
 from fpu5.painleve import leading_coefficient_residual
 
 
@@ -84,8 +84,7 @@ class TestFuchsIndices:
         result = fuchs_indices(ModelParams(1.0, 1.0))
         assert result.passes is False
         assert "complex" in result.reason
-        ok, reason = passes_painleve(result)
-        assert ok is False and "complex" in reason
+        assert (result.passes, result.reason) == painleve_verdict(result.indices)
 
 
 class TestVerdictPredicate:

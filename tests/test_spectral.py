@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from fpu5 import (EXPERIMENTS, DomainError, EquationKind, Grid,
                   InitialCondition, IntegratingFactorRK4, ModelParams,
-                  SimulationConfig, dealias_mask, default_time_step, forward,
-                  inverse, linear_symbol, make_nonlinear_operator,
-                  spectral_derivative)
+                  SimulationConfig, default_time_step, linear_symbol,
+                  make_nonlinear_operator, spectral_derivative)
 from fpu5.experiments import build_initial_condition
-from fpu5.spectral import irfft_into, rfft_into
+from fpu5.spectral import derivative_multiplier, irfft_into, rfft_into
 
 
 @pytest.fixture
@@ -23,6 +22,29 @@ class TestGrid:
         assert grid.x[0] == 0.0
         assert grid.k[1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("length, n", [(2.0 * np.pi, 8), (46.75, 128),
+                                           (64.0, 512), (2.0, 1024)])
+    def test_half_spectrum_of_the_full_fft_convention(self, length, n):
+        # k and the mask are the first N//2 + 1 entries of numpy's full fft
+        # ordering, byte for byte, so the Nyquist wavenumber stays negative
+        g = Grid(length, n)
+        modes = np.fft.fftfreq(n, d=1.0 / n)
+        full_k = (2.0 * np.pi / length) * modes
+        full_mask = (np.abs(modes) <= n // 3).astype(float)
+        assert g.k.shape == g.dealias.shape == (n // 2 + 1,)
+        assert g.k.tobytes() == full_k[:n // 2 + 1].tobytes()
+        assert g.dealias.tobytes() == full_mask[:n // 2 + 1].tobytes()
+        assert g.k[-1] < 0.0
+        for order in range(1, 6):
+            for dealias in (True, False):
+                mult = (1j * full_k) ** order
+                if order % 2:
+                    mult[n // 2] = 0.0
+                if dealias:
+                    mult = mult * full_mask
+                got = derivative_multiplier(g, order, dealias)
+                assert got.tobytes() == mult[:n // 2 + 1].tobytes()
+
     def test_power_of_two_required(self):
         for bad in (500, 12, 7, 0):
             with pytest.raises(DomainError):
@@ -32,33 +54,43 @@ class TestGrid:
 
     def test_size_mismatch_rejected(self, grid):
         with pytest.raises(ValueError):
-            forward(grid, np.zeros(32))
+            spectral_derivative(grid, np.zeros(32))
+
+
+def half_spectrum(u):
+    return rfft_into(u, np.empty(u.shape[:-1] + (u.shape[-1] // 2 + 1,),
+                                 dtype=complex))
 
 
 class TestTransforms:
     def test_constant_field_is_dc_only(self, grid):
-        u_hat = forward(grid, np.ones(grid.n))
+        u_hat = half_spectrum(np.ones(grid.n))
         assert u_hat[0] == pytest.approx(grid.n)
         assert np.max(np.abs(u_hat[1:])) < 1e-12 * grid.n
 
     def test_pure_tone_two_modes(self, grid):
-        u_hat = forward(grid, np.sin(2 * np.pi * grid.x / grid.length))
+        # the half spectrum holds the pair of modes -1 and +1 as mode 1
+        u_hat = half_spectrum(np.sin(2 * np.pi * grid.x / grid.length))
         nonzero = np.nonzero(np.abs(u_hat) > 1e-9 * grid.n)[0]
-        assert sorted(grid.modes[nonzero]) == [-1.0, 1.0]
+        assert nonzero.tolist() == [1]
+        assert grid.k[1] == pytest.approx(2 * np.pi / grid.length)
 
     def test_round_trip(self, grid):
         rng = np.random.default_rng(0)
         u = rng.standard_normal(grid.n)
-        back = inverse(grid, forward(grid, u))
+        back = irfft_into(half_spectrum(u), np.empty(grid.n))
         assert np.max(np.abs(back - u)) < 1e-12 * np.max(np.abs(u))
 
     def test_parseval(self, grid):
+        # modes 1..N/2 - 1 stand for themselves and their mirror images
         rng = np.random.default_rng(1)
+        weight = np.full(grid.n // 2 + 1, 2.0)
+        weight[[0, -1]] = 1.0
         for _ in range(5):
             u = rng.standard_normal(grid.n)
-            u_hat = forward(grid, u)
+            u_hat = half_spectrum(u)
             physical = np.sum(u * u)
-            spectral = np.sum(np.abs(u_hat) ** 2) / grid.n
+            spectral = np.sum(weight * np.abs(u_hat) ** 2) / grid.n
             assert spectral == pytest.approx(physical, rel=1e-12)
 
 
@@ -100,20 +132,20 @@ class TestHalfSpectrumTransforms:
         assert u_hat.tobytes() == before.tobytes()
 
 
+def kept_modes(g):
+    modes = np.round(g.k * g.length / (2 * np.pi)).astype(int)
+    return modes[g.dealias == 1.0].tolist()
+
+
 class TestDealias:
     def test_kept_band_n16(self):
-        g = Grid(1.0, 16)
-        mask = dealias_mask(g)
-        kept = sorted(g.modes[mask == 1.0])
-        assert kept == list(range(-5, 6))
+        assert kept_modes(Grid(1.0, 16)) == list(range(0, 6))
 
     def test_kept_band_n8(self):
-        g = Grid(1.0, 8)
-        kept = sorted(g.modes[dealias_mask(g) == 1.0])
-        assert kept == list(range(-2, 3))
+        assert kept_modes(Grid(1.0, 8)) == list(range(0, 3))
 
     def test_idempotent(self, grid):
-        mask = dealias_mask(grid)
+        mask = grid.dealias
         assert np.array_equal(mask * mask, mask)
 
 
@@ -162,7 +194,7 @@ class TestDerivative:
 
     def test_nyquist_mode_zeroed_for_odd_orders(self, grid):
         u_hat = np.zeros(grid.n, dtype=complex)
-        u_hat[grid.nyquist_index] = grid.n  # pure Nyquist oscillation
+        u_hat[grid.n // 2] = grid.n  # pure Nyquist oscillation
         u = np.fft.ifft(u_hat).real
         du = spectral_derivative(grid, u, 1, dealias=False)
         assert np.max(np.abs(du)) < 1e-12
@@ -173,11 +205,11 @@ class TestDerivative:
 class TestIfRk4:
     def test_pure_advection_is_exact(self, grid):
         symbol = 1j * grid.k  # u_t = u_x, so u(x, t) = u0(x + t)
-        u_hat = forward(grid, np.sin(grid.x))
+        u_hat = np.fft.rfft(np.sin(grid.x))
         dt = 0.3
         stepper = IntegratingFactorRK4(symbol, lambda v: np.zeros_like(v), dt)
         out = stepper.step(u_hat)
-        u = inverse(grid, out)
+        u = np.fft.irfft(out, grid.n)
         assert np.max(np.abs(u - np.sin(grid.x + dt))) < 1e-12
 
     def test_modulus_conserved_by_imaginary_symbol(self, grid):

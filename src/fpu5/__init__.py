@@ -19,13 +19,13 @@ from .solutions import (EllipticSolution, GardnerSoliton, KdV5Soliton,
                         residual_first_integral, residual_second_integral)
 from .painleve import (FuchsResult, LeadingBalance, fuchs_indices,
                        leading_balance, painleve_verdict)
-from .experiments import (EXPERIMENTS, InitialCondition, RecurrenceReport,
-                          Snapshot, SimulationConfig, ValidationReport,
-                          err_metric, gardner_soliton_experiment,
-                          kink_validation, mass_drift, recurrence_scan,
-                          recurrence_table, run, run_batch, shape_score,
-                          shape_score_series, soliton_perturbation,
-                          xcorr_mismatch, zabusky_kruskal)
+from .experiments import (EXPERIMENTS, STUDIES, InitialCondition,
+                          RecurrenceReport, Snapshot, SimulationConfig,
+                          ValidationReport, err_metric,
+                          gardner_soliton_experiment, kink_validation,
+                          mass_drift, recurrence_scan, recurrence_table, run,
+                          run_batch, shape_score, shape_score_series,
+                          soliton_perturbation, xcorr_mismatch, zabusky_kruskal)
 from .snapio import (RunManifest, config_to_dict, parse_config, read_snapshot,
                      write_snapshot, write_snapshots)
 

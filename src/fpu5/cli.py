@@ -16,11 +16,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BlowUpError, ConfigError, DomainError, PoleError
-from .experiments import (EXPERIMENTS, InitialCondition, SimulationConfig,
-                          Snapshot, gardner_soliton_experiment,
-                          kink_validation, mass_drift, recurrence_scan,
-                          recurrence_table, run, soliton_perturbation,
-                          zabusky_kruskal)
+from .experiments import (EXPERIMENTS, STUDIES, Snapshot, kink_validation,
+                          mass_drift, recurrence_scan, recurrence_table, run)
 from .params import EquationKind, ModelParams, velocity_curve
 from .painleve import fuchs_indices, leading_balance
 from .snapio import (RunManifest, config_to_dict, parse_config, read_snapshot,
@@ -109,6 +106,10 @@ def _cmd_exact(args) -> int:
 def _cmd_validate(args) -> int:
     started = time.monotonic()
     config = parse_config(Path(args.config).read_text())
+    ic = config.initial_condition.name
+    if config.kind is not EquationKind.FPU5 or ic != "kink_pair":
+        raise ConfigError("validate runs kind = fpu5 with initial_condition = "
+                          f"kink_pair, not kind = {config.kind.value} with {ic}")
     report = kink_validation(config.params, config.grid, config.dt,
                              config.t_end, config.snapshot_interval)
     out = Path(args.out)
@@ -128,15 +129,11 @@ def _cmd_validate(args) -> int:
 def _cmd_recurrence(args) -> int:
     started = time.monotonic()
     manifest = json.loads(Path(args.manifest).read_text())
-    snapshots = []
-    geometry = None
-    for path in manifest["files"]:
-        if path.endswith("manifest.json"):
-            continue
-        snap, geom = read_snapshot(path)
-        snapshots.append(snap)
-        geometry = geom
-    snapshots.sort(key=lambda s: s.t)
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+        raise ConfigError(f'{args.manifest}: no "files" list of snapshot paths')
+    read = [read_snapshot(p) for p in files if not p.endswith("manifest.json")]
+    snapshots = sorted((snap for snap, _ in read), key=lambda s: s.t)
     report = recurrence_scan(snapshots, t_fix=args.t_fix, skip=args.skip)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -145,12 +142,13 @@ def _cmd_recurrence(args) -> int:
                  zip(report.times, report.differences, report.plain_differences))
     rows, period_rows = recurrence_table(
         snapshots, [args.t_fix], skip=max(args.skip, 1e-9))
+    n, length = read[-1][1]
     rep_path = out / "report.json"
     rep_path.write_text(json.dumps(
         {"t_fix": report.t_fix, "minima_times": report.minima_times,
          "period": report.period, "fixed_time_rows": rows,
          "fixed_time_period": period_rows,
-         "grid": {"N": geometry[0], "L": geometry[1]}}, indent=2) + "\n")
+         "grid": {"N": n, "L": length}}, indent=2) + "\n")
     checks = {"period": report.period, "fixed_time_period": period_rows}
     _write_manifest(out, {"manifest": args.manifest, "t_fix": args.t_fix,
                           "skip": args.skip}, [str(table), str(rep_path)],
@@ -205,136 +203,21 @@ def _cmd_velocity_curve(args) -> int:
     return 0
 
 
-def _experiment_kink_validation(fx, out: Path) -> dict:
-    grid = Grid(fx["length"], fx["n"])
-    params = ModelParams(delta=fx["delta"], mu=fx["mu"])
-    report = kink_validation(params, grid, fx["dt"], fx["t_end"],
-                             fx["snapshot_interval"])
-    _write_table(out / "err_vs_t.dat", "t\terr", zip(report.times, report.errs))
-    return {"max_err": report.max_err,
-            "err_bound": fx["err_bound"],
-            "pass": report.max_err < fx["err_bound"]}
-
-
-def _experiment_soliton_perturbation(fx, out: Path) -> dict:
-    grid = Grid(fx["length"], fx["n"])
-    results = soliton_perturbation(delta=fx["delta"], k=fx["k"], mus=fx["mus"],
-                                   grid=grid, dt=fx["dt"], t_end=fx["t_end"],
-                                   snapshot_interval=fx["snapshot_interval"])
-    checks: dict = {}
-    for mu, res in results.items():
-        tag = f"mu_{mu:g}"
-        _write_table(out / f"score_vs_t_{tag}.dat", "t\tscore",
-                     zip(res["times"], res["scores"]))
-        write_snapshots(res["snapshots"][::4], grid, str(out / f"snap_{tag}"))
-        checks[f"{tag}_max_score"] = float(res["scores"].max())
-        checks[f"{tag}_mass_drift"] = res["mass_drift"]
-    unperturbed = results[fx["mus"][0]]["scores"].max()
-    perturbed = results[fx["mus"][1]]
-    i_late = int(np.argmin(np.abs(perturbed["times"] - fx["destruction_by"])))
-    checks["pass"] = bool(
-        unperturbed < fx["invariance_bound"]
-        and perturbed["scores"][i_late] > fx["destruction_threshold"])
-    return checks
-
-
-def _experiment_gardner(fx, out: Path) -> dict:
-    grid = Grid(fx["length"], fx["n"])
-    results = gardner_soliton_experiment(
-        delta=fx["delta"], mu=fx["mu"], c0=fx["c0"], grid=grid,
-        t_end=fx["t_end"], snapshot_interval=fx["snapshot_interval"],
-        dts={EquationKind.GARDNER: fx["dt_gardner"],
-             EquationKind.FPU5: fx["dt_fpu5"]})
-    checks: dict = {}
-    for kind, res in results.items():
-        _write_table(out / f"score_vs_t_{kind.value}.dat", "t\tscore",
-                     zip(res["times"], res["scores"]))
-        checks[f"{kind.value}_max_score"] = float(res["scores"].max())
-        checks[f"{kind.value}_mass_drift"] = res["mass_drift"]
-    # the fifth-order run must first cross the threshold by deform_by
-    fifth = results[EquationKind.FPU5]
-    crossed = fifth["scores"] > fx["deform_threshold"]
-    deform_time = float(fifth["times"][np.argmax(crossed)]) if crossed.any() else None
-    checks["fpu5_deform_time"] = deform_time
-    checks["pass"] = bool(
-        checks["gardner_max_score"] < fx["hold_bound"]
-        and deform_time is not None and deform_time <= fx["deform_by"])
-    return checks
-
-
-def _experiment_zabusky_kruskal(fx, out: Path) -> dict:
-    grid = Grid(fx["length"], fx["n"])
-    results = zabusky_kruskal(
-        delta=fx["delta"], mu=fx["mu"], grid=grid, t_end=fx["t_end"],
-        snapshot_interval=fx["snapshot_interval"],
-        figure_times=fx["figure_times"],
-        recurrence_window=fx["recurrence_window"],
-        dts={EquationKind.KDV: fx["dt_kdv"], EquationKind.FPU5: fx["dt_fpu5"]})
-    checks: dict = {}
-    for kind, res in results.items():
-        checks[f"{kind.value}_recurrence_score"] = res["recurrence_score"]
-        checks[f"{kind.value}_figure_pair_score"] = res["figure_pair_score"]
-        checks[f"{kind.value}_mass_drift"] = res["mass_drift"]
-        times = res["times"]
-        keep = [int(np.argmin(np.abs(times - tv))) for tv in fx["figure_times"]]
-        write_snapshots([res["snapshots"][i] for i in keep], grid,
-                        str(out / f"snap_{kind.value}"))
-    kdv = checks["kdv_recurrence_score"]
-    fpu = checks["fpu5_recurrence_score"]
-    checks["contrast"] = fpu / kdv
-    checks["pass"] = bool(kdv < fx["kdv_recurrence_bound"]
-                          and fpu >= fx["contrast_factor"] * kdv)
-    return checks
-
-
-def _experiment_recurrence(fx, out: Path) -> dict:
-    grid = Grid(fx["length"], fx["n"])
-    params = ModelParams(delta=fx["delta"], mu=fx["mu"])
-    config = SimulationConfig(
-        kind=EquationKind.FPU5, params=params, grid=grid, t_end=fx["t_end"],
-        dt=fx["dt"], snapshot_interval=fx["snapshot_interval"],
-        initial_condition=InitialCondition("kdv5_soliton", k=fx["k"]))
-    snapshots = run(config)
-    report = recurrence_scan(snapshots, t_fix=fx["t_fix"], skip=fx["scan_skip"])
-    _write_table(out / "difference_vs_t.dat", "t\td_min_shift\td_plain",
-                 zip(report.times, report.differences, report.plain_differences))
-    rows, period = recurrence_table(snapshots, [fx["t_fix"]],
-                                    skip=fx["table_skip"])
-    checks = {
-        "mass_drift": mass_drift(snapshots),
-        "scan_period": report.period,
-        "fixed_time_rows": rows,
-        "fixed_time_period": period,
-        "expected_first_minimum": fx["expected_first_minimum"],
-        "expected_period": fx["expected_period"],
-    }
-    tol = fx["tolerance"]
-    checks["pass"] = bool(
-        rows and abs(rows[0][1] - fx["expected_first_minimum"]) <= tol
-        and abs(period - fx["expected_period"]) <= tol)
-    return checks
-
-
-_EXPERIMENT_RUNNERS = {
-    "kink-validation": _experiment_kink_validation,
-    "soliton-perturbation": _experiment_soliton_perturbation,
-    "gardner": _experiment_gardner,
-    "zabusky-kruskal": _experiment_zabusky_kruskal,
-    "recurrence": _experiment_recurrence,
-}
-
-
 def _cmd_experiment(args) -> int:
     started = time.monotonic()
     fx = EXPERIMENTS[args.name]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    checks = _EXPERIMENT_RUNNERS[args.name](fx, out)
+    result = STUDIES[args.name](fx)
+    for name, (header, rows) in result.tables.items():
+        _write_table(out / name, header, rows)
+    grid = Grid(fx["length"], fx["n"])
+    for prefix, snapshots in result.snapshots.items():
+        write_snapshots(snapshots, grid, str(out / prefix))
     files = sorted(str(p) for p in out.iterdir() if p.name != "manifest.json")
-    _write_manifest(out, {"experiment": args.name, **{
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in fx.items()}},
-        files, checks, started)
-    for key, value in checks.items():
+    _write_manifest(out, {"experiment": args.name, **fx}, files, result.checks,
+                    started)
+    for key, value in result.checks.items():
         print(f"{key}: {value}")
     return 0
 

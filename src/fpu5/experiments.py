@@ -29,6 +29,8 @@ KINK_MASK_TOL = 1e-9
 # cache-sized at the grids used here and amortizes the per-call overhead
 _SHIFT_BLOCK = 64
 
+_MINIMUM_WINDOW = 5  # snapshots in recurrence_scan's local-minimum window
+
 
 @dataclass
 class InitialCondition:
@@ -95,6 +97,16 @@ class RecurrenceReport:
     plain_differences: np.ndarray | None = None  # no realignment
     minima_times: list[float] = field(default_factory=list)
     period: float | None = None
+
+
+@dataclass
+class StudyResult:
+    """What a canned study returns: its runs, verdict and files to write."""
+
+    arms: object                   # the study function's raw output
+    checks: dict                   # manifest checks, verdict under "pass"
+    tables: dict[str, tuple[str, list]]     # file name -> (header, rows)
+    snapshots: dict[str, list[Snapshot]]    # file prefix -> snapshots
 
 
 def kink_pair_profile(params: ModelParams, grid: Grid) -> np.ndarray:
@@ -332,12 +344,15 @@ def shape_score(reference: np.ndarray, u: np.ndarray, grid: Grid) -> float:
     return float(min(coarse, res.fun))
 
 
-def shape_score_series(snapshots: list[Snapshot], grid: Grid,
-                       reference: np.ndarray | None = None) -> np.ndarray:
-    """shape_score of each snapshot against a fixed reference (default u(0))."""
-    if reference is None:
-        reference = snapshots[0].u
-    return np.array([shape_score(reference, s.u, grid) for s in snapshots])
+def shape_score_series(snapshots: list[Snapshot], grid: Grid) -> np.ndarray:
+    """shape_score of each snapshot against the first one, u(0)."""
+    return np.array([shape_score(snapshots[0].u, s.u, grid) for s in snapshots])
+
+
+def _arm(snapshots: list[Snapshot], **analysis) -> dict:
+    """A study arm: a run's snapshots, their times, mass drift and analysis."""
+    return {"snapshots": snapshots, "times": np.array([s.t for s in snapshots]),
+            "mass_drift": mass_drift(snapshots), **analysis}
 
 
 # ------------------------------------------------------------ experiments
@@ -385,13 +400,8 @@ def soliton_perturbation(*, delta: float, k: float, mus, grid: Grid,
         kind=EquationKind.FPU5, params=ModelParams(delta=delta, mu=mu),
         grid=grid, t_end=t_end, dt=dt, snapshot_interval=snapshot_interval,
         initial_condition=InitialCondition("kdv5_soliton", k=k)) for mu in mus]
-    out = {}
-    for mu, snapshots in zip(mus, run_batch(configs)):
-        scores = shape_score_series(snapshots, grid)
-        out[mu] = {"snapshots": snapshots, "scores": scores,
-                   "times": np.array([s.t for s in snapshots]),
-                   "mass_drift": mass_drift(snapshots)}
-    return out
+    return {mu: _arm(snapshots, scores=shape_score_series(snapshots, grid))
+            for mu, snapshots in zip(mus, run_batch(configs))}
 
 
 def gardner_soliton_experiment(*, delta: float, mu: float, c0: float,
@@ -406,15 +416,11 @@ def gardner_soliton_experiment(*, delta: float, mu: float, c0: float,
     params = ModelParams(delta=delta, mu=mu)
     out = {}
     for kind in (EquationKind.GARDNER, EquationKind.FPU5):
-        config = SimulationConfig(
+        snapshots = run(SimulationConfig(
             kind=kind, params=params, grid=grid, t_end=t_end,
             dt=dts[kind], snapshot_interval=snapshot_interval,
-            initial_condition=InitialCondition("gardner_soliton", c0=c0))
-        snapshots = run(config)
-        scores = shape_score_series(snapshots, grid)
-        out[kind] = {"snapshots": snapshots, "scores": scores,
-                     "times": np.array([s.t for s in snapshots]),
-                     "mass_drift": mass_drift(snapshots)}
+            initial_condition=InitialCondition("gardner_soliton", c0=c0)))
+        out[kind] = _arm(snapshots, scores=shape_score_series(snapshots, grid))
     return out
 
 
@@ -438,12 +444,12 @@ def zabusky_kruskal(*, delta: float, mu: float, grid: Grid, t_end: float,
     params = ModelParams(delta=delta, mu=mu)
     out = {}
     for kind in (EquationKind.KDV, EquationKind.FPU5):
-        config = SimulationConfig(
+        snapshots = run(SimulationConfig(
             kind=kind, params=params, grid=grid, t_end=t_end,
             dt=dts[kind], snapshot_interval=snapshot_interval,
-            initial_condition=InitialCondition("cosine"))
-        snapshots = run(config)
-        times = np.array([s.t for s in snapshots])
+            initial_condition=InitialCondition("cosine")))
+        out[kind] = arm = _arm(snapshots)
+        times = arm["times"]
         u0 = snapshots[0].u
         in_window = (times >= recurrence_window[0]) & (times <= recurrence_window[1])
         window_scores = np.array([xcorr_mismatch(u0, s.u)
@@ -452,20 +458,17 @@ def zabusky_kruskal(*, delta: float, mu: float, grid: Grid, t_end: float,
         i_best = int(np.argmin(window_scores))
         i_early = int(np.argmin(np.abs(times - figure_times[0])))
         i_late = int(np.argmin(np.abs(times - figure_times[1])))
-        pair = xcorr_mismatch(snapshots[i_early].u, snapshots[i_late].u)
-        out[kind] = {
-            "snapshots": snapshots, "times": times,
-            "recurrence_score": float(window_scores[i_best]),
-            "recurrence_time": float(window_times[i_best]),
-            "figure_pair_score": pair,
-            "figure_pair_times": (float(times[i_early]), float(times[i_late])),
-            "mass_drift": mass_drift(snapshots),
-        }
+        arm.update(
+            recurrence_score=float(window_scores[i_best]),
+            recurrence_time=float(window_times[i_best]),
+            figure_pair_score=xcorr_mismatch(snapshots[i_early].u,
+                                             snapshots[i_late].u),
+            figure_pair_times=(float(times[i_early]), float(times[i_late])))
     return out
 
 
 def recurrence_scan(snapshots: list[Snapshot], t_fix: float,
-                    skip: float = 0.0, window: int = 5) -> RecurrenceReport:
+                    skip: float = 0.0) -> RecurrenceReport:
     """Minimal circular difference of each later snapshot from the t_fix one.
 
     d(t) = min over all integer circular shifts of
@@ -486,7 +489,7 @@ def recurrence_scan(snapshots: list[Snapshot], t_fix: float,
     d = np.array([min_shift_difference(u_fix, snapshots[i].u)[0]
                   for i in sel])
     plain = np.array([err_metric(u_fix, snapshots[i].u) for i in sel])
-    half = window // 2
+    half = _MINIMUM_WINDOW // 2
     minima = []
     for i in range(half, len(d) - half):
         segment = d[i - half:i + half + 1]
@@ -556,3 +559,114 @@ def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float = 10.0):
                      t_match - float(times[i_fix]), float(diffs[j])))
     period = float(np.mean([r[2] for r in rows])) if rows else None
     return rows, period
+
+
+
+# ---------------------------------------------------------------- studies
+
+def _score_checks(arms: dict, tags: list[str]) -> tuple[dict, dict]:
+    """Score table, peak score and mass drift of each shape-scored arm."""
+    checks, tables = {}, {}
+    for tag, arm in zip(tags, arms.values()):
+        tables[f"score_vs_t_{tag}.dat"] = (
+            "t\tscore", list(zip(arm["times"], arm["scores"])))
+        checks[f"{tag}_max_score"] = float(arm["scores"].max())
+        checks[f"{tag}_mass_drift"] = arm["mass_drift"]
+    return checks, tables
+
+
+def _kink_validation_study(fx: dict) -> StudyResult:
+    report = kink_validation(
+        ModelParams(fx["delta"], fx["mu"]), Grid(fx["length"], fx["n"]),
+        fx["dt"], fx["t_end"], fx["snapshot_interval"], keep_snapshots=True)
+    checks = {"max_err": report.max_err, "err_bound": fx["err_bound"],
+              "pass": report.max_err < fx["err_bound"]}
+    table = ("t\terr", list(zip(report.times, report.errs)))
+    return StudyResult(report, checks, {"err_vs_t.dat": table}, {})
+
+
+def _soliton_perturbation_study(fx: dict) -> StudyResult:
+    arms = soliton_perturbation(
+        delta=fx["delta"], k=fx["k"], mus=fx["mus"],
+        grid=Grid(fx["length"], fx["n"]), dt=fx["dt"], t_end=fx["t_end"],
+        snapshot_interval=fx["snapshot_interval"])
+    checks, tables = _score_checks(arms, [f"mu_{mu:g}" for mu in arms])
+    clean, perturbed = arms[fx["mus"][0]], arms[fx["mus"][1]]
+    i_late = int(np.argmin(np.abs(perturbed["times"] - fx["destruction_by"])))
+    checks["pass"] = bool(
+        clean["scores"].max() < fx["invariance_bound"]
+        and perturbed["scores"][i_late] > fx["destruction_threshold"])
+    snapshots = {f"snap_mu_{mu:g}": arm["snapshots"][::4]
+                 for mu, arm in arms.items()}
+    return StudyResult(arms, checks, tables, snapshots)
+
+
+def _gardner_study(fx: dict) -> StudyResult:
+    arms = gardner_soliton_experiment(
+        delta=fx["delta"], mu=fx["mu"], c0=fx["c0"],
+        grid=Grid(fx["length"], fx["n"]), t_end=fx["t_end"],
+        snapshot_interval=fx["snapshot_interval"],
+        dts={EquationKind.GARDNER: fx["dt_gardner"],
+             EquationKind.FPU5: fx["dt_fpu5"]})
+    checks, tables = _score_checks(arms, [kind.value for kind in arms])
+    # the fifth-order run must first cross the threshold by deform_by
+    fifth = arms[EquationKind.FPU5]
+    crossed = fifth["scores"] > fx["deform_threshold"]
+    deform_time = float(fifth["times"][np.argmax(crossed)]) if crossed.any() else None
+    checks["fpu5_deform_time"] = deform_time
+    checks["pass"] = bool(
+        checks["gardner_max_score"] < fx["hold_bound"]
+        and deform_time is not None and deform_time <= fx["deform_by"])
+    return StudyResult(arms, checks, tables, {})
+
+
+def _zabusky_kruskal_study(fx: dict) -> StudyResult:
+    arms = zabusky_kruskal(
+        delta=fx["delta"], mu=fx["mu"], grid=Grid(fx["length"], fx["n"]),
+        t_end=fx["t_end"], snapshot_interval=fx["snapshot_interval"],
+        figure_times=fx["figure_times"],
+        recurrence_window=fx["recurrence_window"],
+        dts={EquationKind.KDV: fx["dt_kdv"], EquationKind.FPU5: fx["dt_fpu5"]})
+    checks, snapshots = {}, {}
+    for kind, arm in arms.items():
+        for key in ("recurrence_score", "figure_pair_score", "mass_drift"):
+            checks[f"{kind.value}_{key}"] = arm[key]
+        snapshots[f"snap_{kind.value}"] = [
+            s for t in arm["figure_pair_times"] for s in arm["snapshots"]
+            if s.t == t]
+    kdv, fpu = checks["kdv_recurrence_score"], checks["fpu5_recurrence_score"]
+    checks["contrast"] = fpu / kdv
+    checks["pass"] = bool(kdv < fx["kdv_recurrence_bound"]
+                          and fpu >= fx["contrast_factor"] * kdv)
+    return StudyResult(arms, checks, {}, snapshots)
+
+
+def _recurrence_study(fx: dict) -> StudyResult:
+    snapshots = run(SimulationConfig(
+        kind=EquationKind.FPU5, params=ModelParams(fx["delta"], fx["mu"]),
+        grid=Grid(fx["length"], fx["n"]), t_end=fx["t_end"], dt=fx["dt"],
+        snapshot_interval=fx["snapshot_interval"],
+        initial_condition=InitialCondition("kdv5_soliton", k=fx["k"])))
+    scan = recurrence_scan(snapshots, t_fix=fx["t_fix"], skip=fx["scan_skip"])
+    rows, period = recurrence_table(snapshots, [fx["t_fix"]],
+                                    skip=fx["table_skip"])
+    tol = fx["tolerance"]
+    checks = {"mass_drift": mass_drift(snapshots), "scan_period": scan.period,
+              "fixed_time_rows": rows, "fixed_time_period": period,
+              "expected_first_minimum": fx["expected_first_minimum"],
+              "expected_period": fx["expected_period"], "pass": bool(
+                  rows and abs(rows[0][1] - fx["expected_first_minimum"]) <= tol
+                  and abs(period - fx["expected_period"]) <= tol)}
+    table = ("t\td_min_shift\td_plain", list(zip(
+        scan.times, scan.differences, scan.plain_differences)))
+    return StudyResult(snapshots, checks, {"difference_vs_t.dat": table}, {})
+
+
+# the one definition of each canned study: its EXPERIMENTS entry -> result
+STUDIES = {
+    "kink-validation": _kink_validation_study,
+    "soliton-perturbation": _soliton_perturbation_study,
+    "gardner": _gardner_study,
+    "zabusky-kruskal": _zabusky_kruskal_study,
+    "recurrence": _recurrence_study,
+}

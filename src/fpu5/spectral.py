@@ -26,6 +26,8 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 from .errors import DomainError
 from .params import EquationKind, ModelParams, effective_mu
 
+_DT_SAFETY = 0.5  # default_time_step's dt times the fastest explicit rate
+
 
 class Grid:
     """Uniform periodic grid on [0, L) with a power-of-two point count.
@@ -178,7 +180,7 @@ class IntegratingFactorRK4:
 
 
 def default_time_step(grid: Grid, params: ModelParams, kind: EquationKind,
-                      u0: np.ndarray, safety: float = 0.5) -> float:
+                      u0: np.ndarray) -> float:
     """Step-size heuristic from the explicitly treated terms.
 
     The fifth-order linear term is absorbed exactly by the integrating
@@ -195,4 +197,4 @@ def default_time_step(grid: Grid, params: ModelParams, kind: EquationKind,
     if kind in (EquationKind.FPU5, EquationKind.KDV5):
         stiff = params.delta**2 * (amp + mu * amp * amp) * k_active**3
         rate = max(rate, stiff)
-    return safety / rate
+    return _DT_SAFETY / rate

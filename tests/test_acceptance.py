@@ -9,16 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpu5 import (EXPERIMENTS, EquationKind, Grid, InitialCondition,
+from fpu5 import (EXPERIMENTS, STUDIES, EquationKind, Grid,
                   IntegratingFactorRK4, KinkSolution, ModelParams,
-                  SimulationConfig, WeierstrassP, degenerate_p,
-                  elliptic_coeffs, elliptic_derivatives, fuchs_indices,
-                  gardner_soliton_experiment, kink_derivatives,
-                  kink_validation, leading_balance, linear_symbol,
-                  make_nonlinear_operator, mass_drift, recurrence_scan,
-                  recurrence_table, residual_first_integral,
-                  residual_second_integral, run, soliton_perturbation,
-                  zabusky_kruskal)
+                  WeierstrassP, degenerate_p, elliptic_coeffs,
+                  elliptic_derivatives, fuchs_indices, kink_derivatives,
+                  leading_balance, linear_symbol, make_nonlinear_operator,
+                  mass_drift, recurrence_scan, recurrence_table,
+                  residual_first_integral, residual_second_integral)
 from fpu5.experiments import Snapshot
 
 
@@ -29,64 +26,36 @@ def verdict(number: int, ok: bool, detail: str):
 
 # --------------------------------------------------------------- fixtures
 
+def study(name):
+    """Run one canned study on its frozen configuration, timed."""
+    start = time.monotonic()
+    result = STUDIES[name](EXPERIMENTS[name])
+    return result, time.monotonic() - start
+
+
 @pytest.fixture(scope="module")
 def kink_run():
-    fx = EXPERIMENTS["kink-validation"]
-    start = time.monotonic()
-    report = kink_validation(
-        ModelParams(fx["delta"], fx["mu"]), Grid(fx["length"], fx["n"]),
-        fx["dt"], fx["t_end"], fx["snapshot_interval"], keep_snapshots=True)
-    return report, time.monotonic() - start
+    return study("kink-validation")
 
 
 @pytest.fixture(scope="module")
 def gardner_run():
-    fx = EXPERIMENTS["gardner"]
-    start = time.monotonic()
-    out = gardner_soliton_experiment(
-        delta=fx["delta"], mu=fx["mu"], c0=fx["c0"],
-        grid=Grid(fx["length"], fx["n"]), t_end=fx["t_end"],
-        snapshot_interval=fx["snapshot_interval"],
-        dts={EquationKind.GARDNER: fx["dt_gardner"],
-             EquationKind.FPU5: fx["dt_fpu5"]})
-    return out, time.monotonic() - start
+    return study("gardner")
 
 
 @pytest.fixture(scope="module")
 def perturbation_run():
-    fx = EXPERIMENTS["soliton-perturbation"]
-    out = soliton_perturbation(
-        delta=fx["delta"], k=fx["k"], mus=fx["mus"],
-        grid=Grid(fx["length"], fx["n"]), dt=fx["dt"], t_end=fx["t_end"],
-        snapshot_interval=fx["snapshot_interval"])
-    return out
+    return study("soliton-perturbation")[0]
 
 
 @pytest.fixture(scope="module")
 def zk_run():
-    fx = EXPERIMENTS["zabusky-kruskal"]
-    start = time.monotonic()
-    out = zabusky_kruskal(
-        delta=fx["delta"], mu=fx["mu"], grid=Grid(fx["length"], fx["n"]),
-        t_end=fx["t_end"], snapshot_interval=fx["snapshot_interval"],
-        figure_times=fx["figure_times"],
-        recurrence_window=fx["recurrence_window"],
-        dts={EquationKind.KDV: fx["dt_kdv"], EquationKind.FPU5: fx["dt_fpu5"]})
-    return out, time.monotonic() - start
+    return study("zabusky-kruskal")
 
 
 @pytest.fixture(scope="module")
 def recurrence_run():
-    fx = EXPERIMENTS["recurrence"]
-    start = time.monotonic()
-    config = SimulationConfig(
-        kind=EquationKind.FPU5,
-        params=ModelParams(fx["delta"], fx["mu"]),
-        grid=Grid(fx["length"], fx["n"]), t_end=fx["t_end"], dt=fx["dt"],
-        snapshot_interval=fx["snapshot_interval"],
-        initial_condition=InitialCondition("kdv5_soliton", k=fx["k"]))
-    snapshots = run(config)
-    return snapshots, time.monotonic() - start
+    return study("recurrence")
 
 
 # --------------------------------------------------------------- criteria
@@ -111,7 +80,9 @@ def test_criterion_01_kink_integral_oracle():
 
 
 def test_criterion_02_kink_solver_validation(kink_run):
-    report, elapsed = kink_run
+    result, elapsed = kink_run
+    report = result.arms
+    assert result.checks["pass"] == (report.max_err < 6e-3)
     verdict(2, report.max_err < 6e-3 and elapsed < 60.0,
             f"kink validation err {report.max_err:.2e} (bound 6e-3) "
             f"in {elapsed:.1f}s at N=512")
@@ -209,15 +180,17 @@ def test_criterion_06_elliptic_solution():
 
 
 def test_criterion_07_gardner_soliton_contrast(gardner_run):
-    out, elapsed = gardner_run
+    result, elapsed = gardner_run
+    out = result.arms
     fx = EXPERIMENTS["gardner"]
     hold = float(out[EquationKind.GARDNER]["scores"].max())
     times = out[EquationKind.FPU5]["times"]
     scores = out[EquationKind.FPU5]["scores"]
     crossed = scores > fx["deform_threshold"]
     cross_time = float(times[np.argmax(crossed)]) if crossed.any() else np.inf
-    ok = hold < fx["hold_bound"] and cross_time <= fx["deform_by"] \
-        and elapsed < 120.0
+    physics_ok = hold < fx["hold_bound"] and cross_time <= fx["deform_by"]
+    assert result.checks["pass"] == physics_ok
+    ok = physics_ok and elapsed < 120.0
     verdict(7, ok,
             f"cubic-equation run holds shape to {hold:.1e}; fifth-order run "
             f"deforms past {fx['deform_threshold']} at t={cross_time} "
@@ -227,15 +200,15 @@ def test_criterion_07_gardner_soliton_contrast(gardner_run):
 def test_criterion_08_mass_conservation(kink_run, gardner_run,
                                         perturbation_run, zk_run,
                                         recurrence_run):
-    report, _ = kink_run
+    report = kink_run[0].arms
     drifts = {"kink-validation": mass_drift(report.snapshots)}
-    for kind, res in gardner_run[0].items():
+    for kind, res in gardner_run[0].arms.items():
         drifts[f"gardner/{kind.value}"] = res["mass_drift"]
-    for mu, res in perturbation_run.items():
+    for mu, res in perturbation_run.arms.items():
         drifts[f"perturbation/mu={mu:g}"] = res["mass_drift"]
-    for kind, res in zk_run[0].items():
+    for kind, res in zk_run[0].arms.items():
         drifts[f"zabusky-kruskal/{kind.value}"] = res["mass_drift"]
-    drifts["recurrence"] = mass_drift(recurrence_run[0])
+    drifts["recurrence"] = mass_drift(recurrence_run[0].arms)
     worst = max(drifts.values())
     verdict(8, worst < 1e-10,
             f"mass drift below 1e-10 in every experiment (worst {worst:.1e})")
@@ -246,11 +219,12 @@ def test_soliton_perturbation_behavior(perturbation_run):
     # the mu=0 soliton propagates shape-invariantly, the mu=0.05 run is
     # destroyed by the late times
     fx = EXPERIMENTS["soliton-perturbation"]
-    clean = perturbation_run[fx["mus"][0]]
-    perturbed = perturbation_run[fx["mus"][1]]
+    clean = perturbation_run.arms[fx["mus"][0]]
+    perturbed = perturbation_run.arms[fx["mus"][1]]
     assert float(clean["scores"].max()) < fx["invariance_bound"]
     i_late = int(np.argmin(np.abs(perturbed["times"] - fx["destruction_by"])))
     assert perturbed["scores"][i_late] > fx["destruction_threshold"]
+    assert perturbation_run.checks["pass"]
     print(f"SUPPORT: perturbation study holds {clean['scores'].max():.1e} "
           f"at mu=0, destroyed ({perturbed['scores'][i_late]:.2f}) "
           f"by t={fx['destruction_by']} at mu={fx['mus'][1]}")
@@ -301,13 +275,15 @@ def test_criterion_10_recurrence(recurrence_run):
         abs(report.period - expected) <= 1.0  # one snapshot interval
 
     # best-effort reconstruction of the published table (soft gate)
-    snapshots, elapsed = recurrence_run
+    result, elapsed = recurrence_run
+    snapshots = result.arms
     fx = EXPERIMENTS["recurrence"]
     rows, period = recurrence_table(snapshots, [fx["t_fix"]],
                                     skip=fx["table_skip"])
     t_first = rows[0][1]
     soft_ok = abs(t_first - fx["expected_first_minimum"]) <= fx["tolerance"] \
         and abs(period - fx["expected_period"]) <= fx["tolerance"]
+    assert result.checks["pass"] == soft_ok
     if not soft_ok:
         print(f"ACCEPTANCE 10 FLAG: reconstruction drifted "
               f"(first minimum {t_first}, period {period})")
@@ -320,13 +296,16 @@ def test_criterion_10_recurrence(recurrence_run):
 
 
 def test_criterion_11_zabusky_kruskal_contrast(zk_run):
-    out, elapsed = zk_run
+    result, elapsed = zk_run
+    out = result.arms
     fx = EXPERIMENTS["zabusky-kruskal"]
     kdv = out[EquationKind.KDV]
     fpu = out[EquationKind.FPU5]
     contrast = fpu["recurrence_score"] / kdv["recurrence_score"]
-    ok = kdv["recurrence_score"] < fx["kdv_recurrence_bound"] \
-        and contrast >= fx["contrast_factor"] and elapsed < 300.0
+    physics_ok = kdv["recurrence_score"] < fx["kdv_recurrence_bound"] \
+        and contrast >= fx["contrast_factor"]
+    assert result.checks["pass"] == physics_ok
+    ok = physics_ok and elapsed < 300.0
     verdict(11, ok,
             f"KdV returns toward its start (mismatch "
             f"{kdv['recurrence_score']:.3f} < {fx['kdv_recurrence_bound']}); "

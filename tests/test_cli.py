@@ -232,6 +232,16 @@ class TestCli:
         table = np.loadtxt(rec_out / "difference_vs_t.dat")
         assert table.shape[1] == 3
 
+    @pytest.mark.parametrize("body", ['{"checks": {}}', '["snap_0000.dat"]'])
+    def test_recurrence_rejects_a_manifest_without_files(self, tmp_path,
+                                                         capsys, body):
+        manifest = tmp_path / "snap_manifest.json"
+        manifest.write_text(body)
+        assert main(["recurrence", str(manifest), "--t-fix", "0.0",
+                     "--out", str(tmp_path / "rec")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(manifest) in err
+
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -1,16 +1,16 @@
-"""Experiment-runner plumbing on scaled-down configurations.
+"""Canned-study plumbing on scaled-down configurations.
 
 The physical thresholds are exercised by the acceptance suite on the frozen
-fixtures; here each runner is driven end to end on a cheap variant to check
-the reporting and file layout.
+fixtures; here each study is driven end to end through the CLI on a cheap
+variant to check the reporting and file layout.
 """
 import json
 
 import numpy as np
 import pytest
 
-from fpu5 import EquationKind
-from fpu5.cli import _EXPERIMENT_RUNNERS, main
+from fpu5 import EXPERIMENTS, STUDIES, EquationKind
+from fpu5.cli import main
 
 SMALL = {
     "kink-validation": dict(
@@ -41,34 +41,68 @@ SMALL = {
 }
 
 
+# per study: the files `fpu5 experiment` writes besides manifest.json, and
+# the checks in the order the study reports them
+LAYOUT = {
+    "kink-validation": (
+        ["err_vs_t.dat"],
+        ["max_err", "err_bound", "pass"]),
+    "soliton-perturbation": (
+        ["score_vs_t_mu_0.05.dat", "score_vs_t_mu_0.dat",
+         "snap_mu_0.05_0000.dat", "snap_mu_0.05_manifest.json",
+         "snap_mu_0_0000.dat", "snap_mu_0_manifest.json"],
+        ["mu_0_max_score", "mu_0_mass_drift", "mu_0.05_max_score",
+         "mu_0.05_mass_drift", "pass"]),
+    "gardner": (
+        ["score_vs_t_fpu5.dat", "score_vs_t_gardner.dat"],
+        ["gardner_max_score", "gardner_mass_drift", "fpu5_max_score",
+         "fpu5_mass_drift", "fpu5_deform_time", "pass"]),
+    "zabusky-kruskal": (
+        ["snap_fpu5_0000.dat", "snap_fpu5_0001.dat", "snap_fpu5_manifest.json",
+         "snap_kdv_0000.dat", "snap_kdv_0001.dat", "snap_kdv_manifest.json"],
+        ["kdv_recurrence_score", "kdv_figure_pair_score", "kdv_mass_drift",
+         "fpu5_recurrence_score", "fpu5_figure_pair_score", "fpu5_mass_drift",
+         "contrast", "pass"]),
+    "recurrence": (
+        ["difference_vs_t.dat"],
+        ["mass_drift", "scan_period", "fixed_time_rows", "fixed_time_period",
+         "expected_first_minimum", "expected_period", "pass"]),
+}
+
+
+def test_one_study_per_experiment():
+    assert STUDIES.keys() == EXPERIMENTS.keys()
+    assert SMALL.keys() == LAYOUT.keys() == EXPERIMENTS.keys()
+
+
 @pytest.mark.parametrize("name", sorted(SMALL))
-def test_runner_reports_and_files(name, tmp_path):
+def test_runner_reports_and_files(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(EXPERIMENTS, name, SMALL[name])
     out = tmp_path / name
-    out.mkdir()
-    checks = _EXPERIMENT_RUNNERS[name](SMALL[name], out)
-    assert "pass" in checks
-    assert any(out.iterdir())
-
-
-def test_experiment_cli_end_to_end(tmp_path, monkeypatch, capsys):
-    import fpu5.experiments as exps
-    monkeypatch.setitem(exps.EXPERIMENTS, "gardner", SMALL["gardner"])
-    out = tmp_path / "exp"
-    assert main(["experiment", "gardner", "--out", str(out)]) == 0
+    assert main(["experiment", name, "--out", str(out)]) == 0
+    files, checks = LAYOUT[name]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["experiment"] == "gardner"
-    assert "gardner_max_score" in manifest["checks"]
-    for path in manifest["files"]:
-        assert path
-    assert "pass" in capsys.readouterr().out
+    assert manifest["config"] == {"experiment": name, **json.loads(
+        json.dumps(SMALL[name]))}
+    assert manifest["files"] == [str(out / f) for f in files]
+    assert sorted(p.name for p in out.iterdir()) == sorted(files + ["manifest.json"])
+    # the manifest sorts its keys; the printed report keeps the study's order
+    assert list(manifest["checks"]) == sorted(checks)
+    printed = [line.split(": ", 1)[0]
+               for line in capsys.readouterr().out.splitlines()]
+    assert printed == checks
+    assert isinstance(manifest["checks"]["pass"], bool)
+
+
+KINK_CONFIG = (
+    "kind = fpu5\ndelta = 0.6\nmu = 2.0\nL = 32\nN = 128\n"
+    "t_end = 0.5\ndt = 5e-4\nsnapshot_interval = 0.25\n"
+    "initial_condition = kink_pair\n")
 
 
 def test_validate_cli(tmp_path):
     cfg = tmp_path / "v.cfg"
-    cfg.write_text(
-        "kind = fpu5\ndelta = 0.6\nmu = 2.0\nL = 32\nN = 128\n"
-        "t_end = 0.5\ndt = 5e-4\nsnapshot_interval = 0.25\n"
-        "initial_condition = kink_pair\n")
+    cfg.write_text(KINK_CONFIG)
     out = tmp_path / "val"
     assert main(["validate", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -76,6 +110,22 @@ def test_validate_cli(tmp_path):
     assert (out / "err_vs_t.dat").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["checks"]["max_err"] == report["max_err"]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("kind = fpu5", "kind = kdv", "not kind = kdv with kink_pair"),
+    ("initial_condition = kink_pair", "initial_condition = cosine",
+     "not kind = fpu5 with cosine"),
+])
+def test_validate_rejects_other_runs(old, new, message, tmp_path, capsys):
+    # validate always runs the FPU5 kink pair, so any other run is an error
+    # rather than a report on something the config did not ask for
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(KINK_CONFIG.replace(old, new))
+    out = tmp_path / "val"
+    assert main(["validate", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fpu5_scores, deform_time, passes", [
@@ -86,9 +136,9 @@ def test_validate_cli(tmp_path):
     ([0.0, 0.02, 0.05, 0.08, 0.09], None, False),
 ])
 def test_gardner_passes_when_the_score_first_crosses_by_deform_by(
-        fpu5_scores, deform_time, passes, tmp_path, monkeypatch):
+        fpu5_scores, deform_time, passes, monkeypatch):
     # the rule of acceptance criterion 07, not the score nearest deform_by
-    import fpu5.cli as cli
+    import fpu5.experiments as exps
 
     def fake_experiment(**kwargs):
         def result(scores):
@@ -98,7 +148,7 @@ def test_gardner_passes_when_the_score_first_crosses_by_deform_by(
         return {EquationKind.GARDNER: result([0.0, 1e-3, 2e-3]),
                 EquationKind.FPU5: result(fpu5_scores)}
 
-    monkeypatch.setattr(cli, "gardner_soliton_experiment", fake_experiment)
-    checks = cli._experiment_gardner(SMALL["gardner"], tmp_path)
+    monkeypatch.setattr(exps, "gardner_soliton_experiment", fake_experiment)
+    checks = STUDIES["gardner"](SMALL["gardner"]).checks
     assert checks["fpu5_deform_time"] == deform_time
     assert checks["pass"] is passes

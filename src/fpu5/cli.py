@@ -1,8 +1,10 @@
 """Command-line surface: simulate, exact, validate, recurrence, painleve,
 velocity-curve, and the canned experiments.
 
-Every successful invocation writes its outputs plus a JSON manifest under
---out; snapshot files are bit-reproducible for identical configurations.
+Every command builds a StudyResult, and one writer, `_write`, puts it under
+--out: its tables, its snapshot files, and one manifest.json that lists
+exactly those files and holds every scalar result under "checks".  Snapshot
+files are bit-reproducible for identical configurations.
 """
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ import numpy as np
 
 from . import __version__
 from .errors import BlowUpError, ConfigError, DomainError, PoleError
-from .experiments import (EXPERIMENTS, STUDIES, Snapshot, kink_validation,
-                          mass_drift, recurrence_scan, recurrence_table, run)
+from .experiments import (EXPERIMENTS, STUDIES, Snapshot, StudyResult,
+                          kink_validation, mass_drift, recurrence_scan,
+                          recurrence_table, run)
 from .params import EquationKind, ModelParams, velocity_curve
 from .painleve import fuchs_indices, leading_balance
 from .snapio import (RunManifest, config_to_dict, parse_config, read_snapshot,
@@ -28,34 +31,39 @@ from .solutions import (EllipticSolution, GardnerSoliton, KdV5Soliton,
 from .spectral import Grid
 
 
-def _write_manifest(out_dir: Path, config: dict, files: list[str],
-                    checks: dict, started: float) -> None:
+def _write(out: str, config: dict, result: StudyResult, started: float,
+           grid: Grid | None = None) -> list[str]:
+    """Write result's tables and snapshot series (on grid) under out, then
+    manifest.json listing exactly those files; returns the listed paths."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    files = []
+    for name, (header, rows) in result.tables.items():
+        files.append(str(out / name))
+        with open(files[-1], "w") as fh:
+            fh.write(f"# {header}\n")
+            for row in rows:
+                fh.write("\t".join("%.16e" % v for v in row) + "\n")
+    for prefix, snapshots in result.snapshots.items():
+        files += write_snapshots(snapshots, grid, str(out / prefix)).files
+    files.sort()
     manifest = RunManifest(config=config, version=__version__,
                            wall_time=time.monotonic() - started,
-                           files=[str(f) for f in files], checks=checks)
-    path = out_dir / "manifest.json"
-    path.write_text(manifest.to_json() + "\n")
-
-
-def _write_table(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# {header}\n")
-        for row in rows:
-            fh.write("\t".join("%.16e" % v for v in row) + "\n")
+                           files=files, checks=result.checks)
+    (out / "manifest.json").write_text(manifest.to_json() + "\n")
+    return files
 
 
 def _cmd_simulate(args) -> int:
     started = time.monotonic()
     config = parse_config(Path(args.config).read_text())
     snapshots = run(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    checks = {"mass_drift": mass_drift(snapshots)}
-    manifest = write_snapshots(snapshots, config.grid, str(out / "snap"),
-                               config_echo=config_to_dict(config),
-                               checks=checks, started=started)
-    _write_manifest(out, config_to_dict(config), manifest.files, checks, started)
-    print(f"wrote {len(manifest.files)} snapshots to {out} "
+    checks = {"mass_drift": mass_drift(snapshots),
+              "snapshot_times": [float(s.t) for s in snapshots]}
+    files = _write(args.out, config_to_dict(config),
+                   StudyResult(snapshots, checks, snapshots={"snap": snapshots}),
+                   started, config.grid)
+    print(f"wrote {len(files)} snapshots to {Path(args.out)} "
           f"(mass drift {checks['mass_drift']:.3e})")
     return 0
 
@@ -92,14 +100,12 @@ def _cmd_exact(args) -> int:
     started = time.monotonic()
     grid = Grid(args.length, args.n)
     u, info = _exact_profile(args, grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     snap = Snapshot(t=args.t, u=np.asarray(u, dtype=float))
     echo = {k: v for k, v in vars(args).items() if k != "func"}
-    manifest = write_snapshots([snap], grid, str(out / f"exact_{args.family}"),
-                               config_echo=echo, checks=info, started=started)
-    _write_manifest(out, echo, manifest.files, info, started)
-    print(f"wrote {manifest.files[0]}")
+    checks = {**info, "snapshot_times": [float(snap.t)]}
+    files = _write(args.out, echo, StudyResult(
+        snap, checks, snapshots={f"exact_{args.family}": [snap]}), started, grid)
+    print(f"wrote {files[0]}")
     return 0
 
 
@@ -112,47 +118,50 @@ def _cmd_validate(args) -> int:
                           f"kink_pair, not kind = {config.kind.value} with {ic}")
     report = kink_validation(config.params, config.grid, config.dt,
                              config.t_end, config.snapshot_interval)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table = out / "err_vs_t.dat"
-    _write_table(table, "t\terr", zip(report.times, report.errs))
-    rep_path = out / "report.json"
-    rep_path.write_text(json.dumps(
-        {"times": report.times.tolist(), "errs": report.errs.tolist(),
-         "max_err": report.max_err}, indent=2) + "\n")
-    _write_manifest(out, config_to_dict(config), [str(table), str(rep_path)],
-                    {"max_err": report.max_err}, started)
+    table = ("t\terr", list(zip(report.times, report.errs)))
+    _write(args.out, config_to_dict(config), StudyResult(
+        report, {"max_err": report.max_err}, {"err_vs_t.dat": table}), started)
     print(f"max err {report.max_err:.3e}")
     return 0
 
 
+def _read_series(manifest_path: str) -> tuple[list[Snapshot], tuple[int, float]]:
+    """The snapshot series a manifest lists, sorted by t, and its (N, L).
+
+    Each file is opened by name from the manifest's own directory.  Raises
+    ConfigError unless the files are one series: one grid, distinct times.
+    """
+    manifest = json.loads(Path(manifest_path).read_text())
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not (isinstance(files, list) and files
+            and all(isinstance(f, str) for f in files)):
+        raise ConfigError(f'{manifest_path}: no "files" list of snapshot paths')
+    folder = Path(manifest_path).parent
+    read = [read_snapshot(folder / Path(f).name) for f in files]
+    grids = sorted({geometry for _, geometry in read})
+    if len(grids) > 1:
+        raise ConfigError(
+            f"{manifest_path}: not one snapshot series; (N, L) = {grids}")
+    snapshots = sorted((snap for snap, _ in read), key=lambda s: s.t)
+    for a, b in zip(snapshots, snapshots[1:]):
+        if a.t == b.t:
+            raise ConfigError(f"{manifest_path}: not one snapshot series; "
+                              f"two snapshots at t = {a.t}")
+    return snapshots, grids[0]
+
+
 def _cmd_recurrence(args) -> int:
     started = time.monotonic()
-    manifest = json.loads(Path(args.manifest).read_text())
-    files = manifest.get("files") if isinstance(manifest, dict) else None
-    if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
-        raise ConfigError(f'{args.manifest}: no "files" list of snapshot paths')
-    read = [read_snapshot(p) for p in files if not p.endswith("manifest.json")]
-    snapshots = sorted((snap for snap, _ in read), key=lambda s: s.t)
+    snapshots, (n, length) = _read_series(args.manifest)
     report = recurrence_scan(snapshots, t_fix=args.t_fix, skip=args.skip)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table = out / "difference_vs_t.dat"
-    _write_table(table, "t\td_min_shift\td_plain",
-                 zip(report.times, report.differences, report.plain_differences))
     rows, period_rows = recurrence_table(
         snapshots, [args.t_fix], skip=max(args.skip, 1e-9))
-    n, length = read[-1][1]
-    rep_path = out / "report.json"
-    rep_path.write_text(json.dumps(
-        {"t_fix": report.t_fix, "minima_times": report.minima_times,
-         "period": report.period, "fixed_time_rows": rows,
-         "fixed_time_period": period_rows,
-         "grid": {"N": n, "L": length}}, indent=2) + "\n")
-    checks = {"period": report.period, "fixed_time_period": period_rows}
-    _write_manifest(out, {"manifest": args.manifest, "t_fix": args.t_fix,
-                          "skip": args.skip}, [str(table), str(rep_path)],
-                    checks, started)
+    checks = {"t_fix": report.t_fix, "minima_times": report.minima_times,
+              "period": report.period, "fixed_time_rows": rows,
+              "fixed_time_period": period_rows, "grid": {"N": n, "L": length}}
+    _write(args.out, {"manifest": args.manifest, "t_fix": args.t_fix,
+                      "skip": args.skip},
+           StudyResult(report, checks, report.difference_table()), started)
     print(f"scan minima: {report.minima_times}")
     print(f"mean-gap period: {report.period}")
     print(f"fixed-time rows: {rows} -> period {period_rows}")
@@ -174,17 +183,13 @@ def _cmd_painleve(args) -> int:
     print(f"fuchs indices: {roots}")
     verdict = "passes" if result.passes else "does not pass"
     print(f"verdict: {verdict} ({result.reason})")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rep = out / "painleve.json"
-    rep.write_text(json.dumps(
-        {"pole_order": balance.pole_order,
-         "branch_coefficients": list(balance.coefficients),
-         "indicial_polynomial": coeffs,
-         "indices": [[r.real, r.imag] for r in result.indices],
-         "passes": result.passes, "reason": result.reason}, indent=2) + "\n")
-    _write_manifest(out, {"mu": args.mu, "delta": args.delta}, [str(rep)],
-                    {"passes": result.passes}, started)
+    checks = {"pole_order": balance.pole_order,
+              "branch_coefficients": list(balance.coefficients),
+              "indicial_polynomial": coeffs,
+              "indices": [[r.real, r.imag] for r in result.indices],
+              "passes": result.passes, "reason": result.reason}
+    _write(args.out, {"mu": args.mu, "delta": args.delta},
+           StudyResult((balance, result), checks), started)
     return 0
 
 
@@ -193,30 +198,19 @@ def _cmd_velocity_curve(args) -> int:
     table = velocity_curve(args.mu_min, args.mu_max, args.n)
     for mu, speed in table:
         print(f"{mu:.6f}\t{speed:.6f}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "velocity_curve.dat"
-    _write_table(path, "mu\tC0", table)
-    _write_manifest(out, {"mu_min": args.mu_min, "mu_max": args.mu_max,
-                          "n": args.n}, [str(path)],
-                    {"rows": len(table)}, started)
+    _write(args.out, {"mu_min": args.mu_min, "mu_max": args.mu_max,
+                      "n": args.n},
+           StudyResult(table, {"rows": len(table)},
+                       {"velocity_curve.dat": ("mu\tC0", table)}), started)
     return 0
 
 
 def _cmd_experiment(args) -> int:
     started = time.monotonic()
     fx = EXPERIMENTS[args.name]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = STUDIES[args.name](fx)
-    for name, (header, rows) in result.tables.items():
-        _write_table(out / name, header, rows)
-    grid = Grid(fx["length"], fx["n"])
-    for prefix, snapshots in result.snapshots.items():
-        write_snapshots(snapshots, grid, str(out / prefix))
-    files = sorted(str(p) for p in out.iterdir() if p.name != "manifest.json")
-    _write_manifest(out, {"experiment": args.name, **fx}, files, result.checks,
-                    started)
+    _write(args.out, {"experiment": args.name, **fx}, result, started,
+           Grid(fx["length"], fx["n"]))
     for key, value in result.checks.items():
         print(f"{key}: {value}")
     return 0

@@ -98,15 +98,22 @@ class RecurrenceReport:
     minima_times: list[float] = field(default_factory=list)
     period: float | None = None
 
+    def difference_table(self) -> dict[str, tuple[str, list]]:
+        """The scan as StudyResult.tables: difference_vs_t.dat."""
+        return {"difference_vs_t.dat": ("t\td_min_shift\td_plain", list(zip(
+            self.times, self.differences, self.plain_differences)))}
+
 
 @dataclass
 class StudyResult:
-    """What a canned study returns: its runs, verdict and files to write."""
+    """What a canned study or CLI command returns: its runs, its scalar
+    results and the files to write."""
 
-    arms: object                   # the study function's raw output
-    checks: dict                   # manifest checks, verdict under "pass"
-    tables: dict[str, tuple[str, list]]     # file name -> (header, rows)
-    snapshots: dict[str, list[Snapshot]]    # file prefix -> snapshots
+    arms: object                   # the raw output behind the checks
+    checks: dict                   # manifest checks; a study's verdict is "pass"
+    # file name -> (header, rows), and file prefix -> snapshot series
+    tables: dict[str, tuple[str, list]] = field(default_factory=dict)
+    snapshots: dict[str, list[Snapshot]] = field(default_factory=dict)
 
 
 def kink_pair_profile(params: ModelParams, grid: Grid) -> np.ndarray:
@@ -267,8 +274,6 @@ def err_metric(u_analytic: np.ndarray, u_calc: np.ndarray, mask=None) -> float:
             raise ValueError("empty mask")
         u_analytic = u_analytic[mask]
         u_calc = u_calc[mask]
-        if u_calc.size == 0:
-            raise ValueError("empty mask")
     denom = float(np.max(np.abs(u_calc)))
     if denom == 0.0:
         raise ValueError("err metric undefined for an all-zero reference")
@@ -537,7 +542,7 @@ EXPERIMENTS: dict[str, dict] = {
 }
 
 
-def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float = 10.0):
+def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float):
     """Fixed-time recurrence rows: for each t_fix, the time of the smallest
     plain circular difference after the skip, the gap, and the difference.
 
@@ -582,7 +587,7 @@ def _kink_validation_study(fx: dict) -> StudyResult:
     checks = {"max_err": report.max_err, "err_bound": fx["err_bound"],
               "pass": report.max_err < fx["err_bound"]}
     table = ("t\terr", list(zip(report.times, report.errs)))
-    return StudyResult(report, checks, {"err_vs_t.dat": table}, {})
+    return StudyResult(report, checks, {"err_vs_t.dat": table})
 
 
 def _soliton_perturbation_study(fx: dict) -> StudyResult:
@@ -617,7 +622,7 @@ def _gardner_study(fx: dict) -> StudyResult:
     checks["pass"] = bool(
         checks["gardner_max_score"] < fx["hold_bound"]
         and deform_time is not None and deform_time <= fx["deform_by"])
-    return StudyResult(arms, checks, tables, {})
+    return StudyResult(arms, checks, tables)
 
 
 def _zabusky_kruskal_study(fx: dict) -> StudyResult:
@@ -638,7 +643,7 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
     checks["contrast"] = fpu / kdv
     checks["pass"] = bool(kdv < fx["kdv_recurrence_bound"]
                           and fpu >= fx["contrast_factor"] * kdv)
-    return StudyResult(arms, checks, {}, snapshots)
+    return StudyResult(arms, checks, snapshots=snapshots)
 
 
 def _recurrence_study(fx: dict) -> StudyResult:
@@ -657,9 +662,7 @@ def _recurrence_study(fx: dict) -> StudyResult:
               "expected_period": fx["expected_period"], "pass": bool(
                   rows and abs(rows[0][1] - fx["expected_first_minimum"]) <= tol
                   and abs(period - fx["expected_period"]) <= tol)}
-    table = ("t\td_min_shift\td_plain", list(zip(
-        scan.times, scan.differences, scan.plain_differences)))
-    return StudyResult(snapshots, checks, {"difference_vs_t.dat": table}, {})
+    return StudyResult(snapshots, checks, scan.difference_table())
 
 
 # the one definition of each canned study: its EXPERIMENTS entry -> result

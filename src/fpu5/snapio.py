@@ -7,7 +7,6 @@ reproduces the doubles bit for bit.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,9 +72,8 @@ def read_snapshot(path):
     return Snapshot(t=t, u=us), (n, length)
 
 
-def write_snapshots(snapshots, grid: Grid, path_prefix, config_echo=None,
-                    checks=None, started=None) -> RunManifest:
-    """Write one file per snapshot plus a JSON manifest listing them all."""
+def write_snapshots(snapshots, grid: Grid, path_prefix) -> RunManifest:
+    """Write one file per snapshot; the returned manifest lists them."""
     from . import __version__
     if not snapshots:
         raise DomainError("no snapshots to write")
@@ -84,15 +82,8 @@ def write_snapshots(snapshots, grid: Grid, path_prefix, config_echo=None,
         path = f"{path_prefix}_{i:04d}.dat"
         write_snapshot(path, snap, grid)
         paths.append(path)
-    wall = 0.0 if started is None else time.monotonic() - started
-    manifest = RunManifest(config=config_echo or {}, version=__version__,
-                           wall_time=wall, files=paths, checks=checks or {})
-    manifest.checks.setdefault(
-        "snapshot_times", [float(s.t) for s in snapshots])
-    with open(f"{path_prefix}_manifest.json", "w") as fh:
-        fh.write(manifest.to_json())
-        fh.write("\n")
-    return manifest
+    return RunManifest(config={}, version=__version__, wall_time=0.0,
+                       files=paths)
 
 
 # ------------------------------------------------------------ run config

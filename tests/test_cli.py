@@ -102,11 +102,11 @@ class TestSnapshotIO:
         grid = Grid(10.0, 16)
         snaps = [Snapshot(t=float(i), u=np.zeros(grid.n)) for i in range(3)]
         manifest = write_snapshots(snaps, grid, str(tmp_path / "s"))
-        assert len(manifest.files) == 3
-        for path in manifest.files:
-            assert Path(path).exists()
-        stored = json.loads((tmp_path / "s_manifest.json").read_text())
-        assert stored["checks"]["snapshot_times"] == [0.0, 1.0, 2.0]
+        assert manifest.files == [str(tmp_path / f"s_{i:04d}.dat")
+                                  for i in range(3)]
+        assert [read_snapshot(p)[0].t for p in manifest.files] == [0.0, 1.0, 2.0]
+        # the files are all it writes: the CLI writes the one manifest.json
+        assert sorted(map(str, tmp_path.iterdir())) == manifest.files
 
     def test_writer_matches_per_row_format(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -191,8 +191,9 @@ class TestCli:
         assert "does not pass" in text
         assert "2.5+1.32288i" in text
         assert "-1" in text
-        report = json.loads((out / "painleve.json").read_text())
-        assert report["passes"] is False
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        assert checks["passes"] is False
+        assert checks["reason"] == "complex Fuchs indices"
 
     def test_velocity_curve_crosses_zero(self, tmp_path, capsys):
         out = tmp_path / "vc"
@@ -225,17 +226,44 @@ class TestCli:
         out = tmp_path / "sim"
         main(["simulate", str(cfg), "--out", str(out)])
         rec_out = tmp_path / "rec"
-        assert main(["recurrence", str(out / "snap_manifest.json"),
+        assert main(["recurrence", str(out / "manifest.json"),
                      "--t-fix", "0.0", "--out", str(rec_out)]) == 0
-        report = json.loads((rec_out / "report.json").read_text())
-        assert report["t_fix"] == 0.0
+        checks = json.loads((rec_out / "manifest.json").read_text())["checks"]
+        assert checks["t_fix"] == 0.0
+        assert checks["grid"] == {"N": 64, "L": 40.0}
         table = np.loadtxt(rec_out / "difference_vs_t.dat")
         assert table.shape[1] == 3
 
-    @pytest.mark.parametrize("body", ['{"checks": {}}', '["snap_0000.dat"]'])
+    def test_recurrence_reads_files_beside_the_manifest(self, tmp_path,
+                                                        monkeypatch):
+        cfg = self.write_config(tmp_path)
+        (tmp_path / "other").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", str(cfg), "--out", "rel/sim"]) == 0
+        monkeypatch.chdir(tmp_path / "other")
+        assert main(["recurrence", "../rel/sim/manifest.json", "--t-fix", "0.0",
+                     "--out", "rec"]) == 0
+        assert (tmp_path / "other" / "rec" / "difference_vs_t.dat").exists()
+
+    def test_recurrence_rejects_snapshots_on_two_grids(self, tmp_path, capsys):
+        files = []
+        for i, n in enumerate((16, 32)):
+            files.append(str(tmp_path / f"s_{i:04d}.dat"))
+            write_snapshot(files[-1], Snapshot(t=float(i), u=np.zeros(n)),
+                           Grid(10.0, n))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"files": files}))
+        assert main(["recurrence", str(manifest), "--t-fix", "0.0",
+                     "--out", str(tmp_path / "rec")]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "not one snapshot series" in err
+        assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize("body", ['{"checks": {}}', '["snap_0000.dat"]',
+                                      '{"files": []}'])
     def test_recurrence_rejects_a_manifest_without_files(self, tmp_path,
                                                          capsys, body):
-        manifest = tmp_path / "snap_manifest.json"
+        manifest = tmp_path / "manifest.json"
         manifest.write_text(body)
         assert main(["recurrence", str(manifest), "--t-fix", "0.0",
                      "--out", str(tmp_path / "rec")]) == 2

@@ -1,10 +1,12 @@
-"""Canned-study plumbing on scaled-down configurations.
+"""Canned-study plumbing on scaled-down configurations, and the output
+layout every CLI command shares.
 
 The physical thresholds are exercised by the acceptance suite on the frozen
 fixtures; here each study is driven end to end through the CLI on a cheap
 variant to check the reporting and file layout.
 """
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,8 +51,7 @@ LAYOUT = {
         ["max_err", "err_bound", "pass"]),
     "soliton-perturbation": (
         ["score_vs_t_mu_0.05.dat", "score_vs_t_mu_0.dat",
-         "snap_mu_0.05_0000.dat", "snap_mu_0.05_manifest.json",
-         "snap_mu_0_0000.dat", "snap_mu_0_manifest.json"],
+         "snap_mu_0.05_0000.dat", "snap_mu_0_0000.dat"],
         ["mu_0_max_score", "mu_0_mass_drift", "mu_0.05_max_score",
          "mu_0.05_mass_drift", "pass"]),
     "gardner": (
@@ -58,8 +59,8 @@ LAYOUT = {
         ["gardner_max_score", "gardner_mass_drift", "fpu5_max_score",
          "fpu5_mass_drift", "fpu5_deform_time", "pass"]),
     "zabusky-kruskal": (
-        ["snap_fpu5_0000.dat", "snap_fpu5_0001.dat", "snap_fpu5_manifest.json",
-         "snap_kdv_0000.dat", "snap_kdv_0001.dat", "snap_kdv_manifest.json"],
+        ["snap_fpu5_0000.dat", "snap_fpu5_0001.dat",
+         "snap_kdv_0000.dat", "snap_kdv_0001.dat"],
         ["kdv_recurrence_score", "kdv_figure_pair_score", "kdv_mass_drift",
          "fpu5_recurrence_score", "fpu5_figure_pair_score", "fpu5_mass_drift",
          "contrast", "pass"]),
@@ -105,11 +106,10 @@ def test_validate_cli(tmp_path):
     cfg.write_text(KINK_CONFIG)
     out = tmp_path / "val"
     assert main(["validate", str(cfg), "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["max_err"] < 1e-3
-    assert (out / "err_vs_t.dat").exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["checks"]["max_err"] == report["max_err"]
+    assert manifest["checks"]["max_err"] < 1e-3
+    errs = np.loadtxt(out / "err_vs_t.dat")[:, 1]
+    assert manifest["checks"]["max_err"] == errs.max()
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -152,3 +152,55 @@ def test_gardner_passes_when_the_score_first_crosses_by_deform_by(
     checks = STUDIES["gardner"](SMALL["gardner"]).checks
     assert checks["fpu5_deform_time"] == deform_time
     assert checks["pass"] is passes
+
+
+# every subcommand, with "{cfg}" a KINK_CONFIG file and "{sim}" the manifest
+# of a simulate run of it; --out is appended
+COMMANDS = {
+    "simulate": ["simulate", "{cfg}"],
+    "exact": ["exact", "kink", "--mu", "2", "--delta", "0.6", "--length", "32",
+              "--n", "64", "--z0", "16"],
+    "validate": ["validate", "{cfg}"],
+    "recurrence": ["recurrence", "{sim}", "--t-fix", "0.0"],
+    "painleve": ["painleve", "--mu", "1", "--delta", "1"],
+    "velocity-curve": ["velocity-curve", "--mu-min", "0.2", "--mu-max", "0.35",
+                       "-n", "5"],
+    "experiment": ["experiment", "kink-validation"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_manifest_lists_what_the_command_wrote(command, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.setitem(EXPERIMENTS, "kink-validation", SMALL["kink-validation"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(KINK_CONFIG)
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(cfg), "--out", str(sim)]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    stray = out / "stray_0000.dat"  # left in --out by an earlier run
+    stray.write_text("# t=0 N=8 L=1\n")
+    argv = [arg.format(cfg=cfg, sim=sim / "manifest.json")
+            for arg in COMMANDS[command]]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert [p.name for p in out.glob("*.json")] == ["manifest.json"]
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert all(Path(f).is_file() for f in files)
+    assert files == sorted(str(p) for p in out.iterdir()
+                           if p not in (out / "manifest.json", stray))
+
+
+def test_recurrence_rejects_an_experiment_with_two_series(tmp_path, monkeypatch,
+                                                          capsys):
+    # zabusky-kruskal stores a kdv and an fpu5 snapshot at each figure time
+    monkeypatch.setitem(EXPERIMENTS, "zabusky-kruskal", SMALL["zabusky-kruskal"])
+    out = tmp_path / "zk"
+    assert main(["experiment", "zabusky-kruskal", "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = out / "manifest.json"
+    assert main(["recurrence", str(manifest), "--t-fix", "0.05",
+                 "--out", str(tmp_path / "rec")]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "two snapshots at t =" in err
+    assert not (tmp_path / "rec").exists()

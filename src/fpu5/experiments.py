@@ -299,31 +299,56 @@ def xcorr_mismatch(reference: np.ndarray, u: np.ndarray) -> float:
 def min_shift_difference(reference: np.ndarray,
                          u: np.ndarray) -> tuple[float, int]:
     """Smallest err_metric over every integer circular shift of reference,
-    found by evaluating all shifts exactly; returns (difference, shift).
+    found exactly; returns (difference, shift).
 
     Shift s compares u with reference rolled by s cells, which is window
     n - s of the doubled reference.  The windows are walked _SHIFT_BLOCK at
     a time through one (block, n) buffer, so memory stays O(n); ties go to
     the lowest shift.
+
+    Whole blocks of shifts that cannot hold the answer are skipped.  For
+    shift s, the larger of |rolled_s[p] - u[p]| at p = argmax u and at
+    p = argmin u, over max|u|, is made of terms that shift's difference
+    maxes, so it is an exact lower bound with no rounding margin.  The block
+    holding the smallest bound is walked first, then the others in order; a
+    block is skipped when its smallest bound exceeds the best difference so
+    far.  Both sides of that comparison are divided by max|u|, because
+    distinct raw maxima can round to one quotient.  A skipped shift thus
+    differs strictly more than the answer, and (difference, shift) equals
+    the full walk's for finite fields.  On a field unlike every shift of
+    the reference, such as noise, nothing is skipped and the cost is the
+    full walk's plus the O(n) bound.
     """
     reference = np.asarray(reference, dtype=float)
+    u = np.asarray(u, dtype=float)
     denom = float(np.max(np.abs(u)))
     if denom == 0.0:
         raise ValueError("difference undefined for an all-zero field")
     n = reference.size
     # zero-copy (n, n) view whose row s is reference rolled by s cells
     rolled = sliding_window_view(np.concatenate([reference, reference]), n)[n:0:-1]
-    errs = np.empty(n)
+    p, q = int(np.argmax(u)), int(np.argmin(u))
+    bound = np.maximum(np.abs(rolled[:, p] - u[p]),
+                       np.abs(rolled[:, q] - u[q])) / denom
+    floors = np.minimum.reduceat(bound, range(0, n, _SHIFT_BLOCK)).tolist()
+    first = int(np.argmin(bound)) // _SHIFT_BLOCK
+    best = np.inf
+    errs = np.full(n, np.inf)
     buf = np.empty((min(_SHIFT_BLOCK, n), n))
-    for start in range(0, n, _SHIFT_BLOCK):
+    for b in (first, *range(first), *range(first + 1, len(floors))):
+        if floors[b] > best:
+            continue
+        start = b * _SHIFT_BLOCK
         block = rolled[start:start + _SHIFT_BLOCK]
         diff = buf[:len(block)]
         np.subtract(block, u, out=diff)
         np.abs(diff, out=diff)
-        diff.max(axis=1, out=errs[start:start + len(block)])
+        found = errs[start:start + len(block)]
+        diff.max(axis=1, out=found)
+        best = min(best, found.min() / denom)
     errs /= denom
-    best = int(np.argmin(errs))
-    return float(errs[best]), best
+    shift = int(np.argmin(errs))
+    return float(errs[shift]), shift
 
 
 def shape_score(reference: np.ndarray, u: np.ndarray, grid: Grid) -> float:
@@ -554,7 +579,9 @@ def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float):
     for t_fix in t_fixes:
         i_fix = int(np.argmin(np.abs(times - t_fix)))
         u_fix = snapshots[i_fix].u
-        sel = [i for i, t in enumerate(times) if t >= times[i_fix] + skip]
+        # recurrence_scan's tolerance: a snapshot at t_fix + skip counts
+        tol = 1e-9 * max(1.0, abs(times[i_fix]))
+        sel = [i for i, t in enumerate(times) if t >= times[i_fix] + skip - tol]
         if not sel:
             continue
         diffs = np.array([err_metric(u_fix, snapshots[i].u) for i in sel])

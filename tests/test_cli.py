@@ -119,6 +119,16 @@ class TestSnapshotIO:
             f"{x:.16e}\t{u:.16e}\n" for x, u in zip(grid.x, snap.u))
         assert path.read_bytes() == expected.encode()
 
+    def test_series_writer_matches_single_file_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        grid = Grid(46.75, 128)
+        snaps = [Snapshot(t=0.25 * i, u=rng.standard_normal(grid.n))
+                 for i in range(3)]
+        manifest = write_snapshots(snaps, grid, str(tmp_path / "s"))
+        for snap, path in zip(snaps, manifest.files):
+            write_snapshot(tmp_path / "one.dat", snap, grid)
+            assert (tmp_path / "one.dat").read_bytes() == open(path, "rb").read()
+
     @pytest.mark.parametrize("body, message", [
         ("", "truncated after 0 rows"),
         ("0.0\t1.0\n", "truncated after 1 rows"),

@@ -336,11 +336,19 @@ class TestShiftMachinery:
         assert xcorr_mismatch(u, np.roll(u, 17)) < 1e-12
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), field=st.sampled_from(["random", "tiled", "rounded"]),
+    @given(data=st.data(),
+           field=st.sampled_from(["random", "tiled", "rounded", "soliton"]),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_dense_roll_matrix(self, data, field, seed):
         rng = np.random.default_rng(seed)
-        if field == "tiled":
+        if field == "soliton":
+            # a rolled bump: the lower bound rules out most blocks of shifts
+            n = data.draw(st.integers(1, 1024))
+            width = data.draw(st.floats(2.0, 20.0))
+            reference = np.cosh((np.arange(n) - n / 2) / width) ** -2.0
+            u = np.roll(reference, data.draw(st.integers(0, n - 1)))
+            u = u + data.draw(st.sampled_from([0.0, 1e-3])) * rng.standard_normal(n)
+        elif field == "tiled":
             # a period dividing n makes every multiple of it an exact tie
             period = data.draw(st.integers(1, 20))
             n = period * data.draw(st.integers(1, 300 // period))
@@ -358,6 +366,25 @@ class TestShiftMachinery:
                 min_shift_difference(reference, u)
             return
         assert min_shift_difference(reference, u) == dense_min_shift(reference, u)
+
+    @pytest.mark.parametrize("height, bump, u_bump", [
+        (1.0, 0.5, 0.0),                 # the raw differences tie exactly
+        (2.0**1000, 2.0**-80, 2.0**-81),  # both quotients underflow to 0
+    ], ids=["exact", "underflow"])
+    def test_tie_in_a_later_walked_block(self, height, bump, u_bump):
+        # shifts 5 and 69 both align the two peaks and tie after the division
+        # by max|u|, so 5 must win.  Shift 5's bound is its difference
+        # (reference[123] lands on u's argmin, column 0) and shift 69 has the
+        # smallest raw bound, so a walk that skips a block whose smallest
+        # bound equals the best so far, or that compares raw maxima, gives 69
+        reference, u = np.zeros(128), np.zeros(128)
+        reference[[0, 64]] = height
+        reference[123] = bump
+        u[[5, 69]] = height
+        u[64] = u_bump
+        expected = dense_min_shift(reference, u)
+        assert expected[1] == 5
+        assert min_shift_difference(reference, u) == expected
 
     def test_all_zero_field_rejected(self):
         with pytest.raises(ValueError):
@@ -429,6 +456,16 @@ class TestRecurrenceScan:
         rows, period = recurrence_table(snaps, [0.0, 5.0], skip=5.0)
         assert len(rows) == 2
         assert period == pytest.approx(length / speed_cells, abs=1.0)
+
+    def test_fixed_time_table_keeps_snapshot_at_skip(self):
+        # times[6] + 0.3 rounds above times[9] = 0.9; the snapshot there,
+        # a copy of the t_fix one, must still be a candidate
+        rng = np.random.default_rng(5)
+        snaps = [Snapshot(t=i * 0.1, u=rng.standard_normal(16)) for i in range(60)]
+        snaps[9].u = snaps[6].u.copy()
+        rows, _ = recurrence_table(snaps, [snaps[6].t], skip=0.3)
+        assert rows == [(snaps[6].t, 0.9, 0.9 - snaps[6].t, 0.0)]
+        assert recurrence_scan(snaps, snaps[6].t, skip=0.3).times[0] == 0.9
 
 
 class TestKinkValidation:

@@ -154,8 +154,7 @@ def _cmd_recurrence(args) -> int:
     started = time.monotonic()
     snapshots, (n, length) = _read_series(args.manifest)
     report = recurrence_scan(snapshots, t_fix=args.t_fix, skip=args.skip)
-    rows, period_rows = recurrence_table(
-        snapshots, [args.t_fix], skip=max(args.skip, 1e-9))
+    rows, period_rows = recurrence_table(snapshots, [args.t_fix], skip=args.skip)
     checks = {"t_fix": report.t_fix, "minima_times": report.minima_times,
               "period": report.period, "fixed_time_rows": rows,
               "fixed_time_period": period_rows, "grid": {"N": n, "L": length}}

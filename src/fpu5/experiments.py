@@ -497,6 +497,20 @@ def zabusky_kruskal(*, delta: float, mu: float, grid: Grid, t_end: float,
     return out
 
 
+def _snapshot_index(times: np.ndarray, t_fix: float) -> tuple[int, float]:
+    """Index of the snapshot at t_fix, and the time tolerance that found it.
+
+    A stored time within 1e-9 max(1, |t_fix|) of t_fix is t_fix, so a sum
+    such as t_fix + interval that rounds an ulp away still finds its
+    snapshot; raises DomainError when no stored time is that close.
+    """
+    tol = 1e-9 * max(1.0, abs(t_fix))
+    hits = np.nonzero(np.abs(times - t_fix) <= tol)[0]
+    if hits.size == 0:
+        raise DomainError("t_fix must be one of the snapshot times")
+    return int(hits[0]), tol
+
+
 def recurrence_scan(snapshots: list[Snapshot], t_fix: float,
                     skip: float = 0.0) -> RecurrenceReport:
     """Minimal circular difference of each later snapshot from the t_fix one.
@@ -509,11 +523,8 @@ def recurrence_scan(snapshots: list[Snapshot], t_fix: float,
     if skip < 0:
         raise DomainError("skip must be nonnegative")
     times = np.array([s.t for s in snapshots])
-    tol = 1e-9 * max(1.0, abs(t_fix))
-    hits = np.nonzero(np.abs(times - t_fix) <= tol)[0]
-    if hits.size == 0:
-        raise DomainError("t_fix must be one of the snapshot times")
-    u_fix = snapshots[hits[0]].u
+    i_fix, tol = _snapshot_index(times, t_fix)
+    u_fix = snapshots[i_fix].u
     sel = [i for i, t in enumerate(times) if t >= t_fix + skip - tol]
     scan_times = times[sel]
     d = np.array([min_shift_difference(u_fix, snapshots[i].u)[0]
@@ -571,17 +582,20 @@ def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float):
     """Fixed-time recurrence rows: for each t_fix, the time of the smallest
     plain circular difference after the skip, the gap, and the difference.
 
-    One row per fixed time; the recurrence period estimate is the mean gap.
+    Snapshots are in time order.  Each t_fix must be a snapshot time, found
+    as recurrence_scan finds it (DomainError otherwise); its candidates are
+    the later snapshots at or after t_fix + skip, so even skip = 0 never
+    matches the t_fix snapshot with itself.  A t_fix with no candidate gives
+    no row; the recurrence period estimate is the mean gap.
     Returns (rows, period) with rows of (t_fix, t_match, gap, difference).
     """
     times = np.array([s.t for s in snapshots])
     rows = []
     for t_fix in t_fixes:
-        i_fix = int(np.argmin(np.abs(times - t_fix)))
+        i_fix, tol = _snapshot_index(times, t_fix)
         u_fix = snapshots[i_fix].u
-        # recurrence_scan's tolerance: a snapshot at t_fix + skip counts
-        tol = 1e-9 * max(1.0, abs(times[i_fix]))
-        sel = [i for i, t in enumerate(times) if t >= times[i_fix] + skip - tol]
+        sel = [i for i in range(i_fix + 1, len(times))
+               if times[i] >= times[i_fix] + skip - tol]
         if not sel:
             continue
         diffs = np.array([err_metric(u_fix, snapshots[i].u) for i in sel])

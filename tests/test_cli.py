@@ -236,11 +236,14 @@ class TestCli:
         out = tmp_path / "sim"
         main(["simulate", str(cfg), "--out", str(out)])
         rec_out = tmp_path / "rec"
-        assert main(["recurrence", str(out / "manifest.json"),
-                     "--t-fix", "0.0", "--out", str(rec_out)]) == 0
+        assert main(["recurrence", str(out / "manifest.json"), "--t-fix",
+                     "0.0", "--skip", "0", "--out", str(rec_out)]) == 0
         checks = json.loads((rec_out / "manifest.json").read_text())["checks"]
         assert checks["t_fix"] == 0.0
         assert checks["grid"] == {"N": 64, "L": 40.0}
+        # even with no skip the fixed-time row matches a later snapshot
+        t_fix, t_match, gap, _ = checks["fixed_time_rows"][0]
+        assert t_fix == 0.0 and t_match > t_fix and gap > 0.0
         table = np.loadtxt(rec_out / "difference_vs_t.dat")
         assert table.shape[1] == 3
 

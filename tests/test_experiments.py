@@ -467,6 +467,30 @@ class TestRecurrenceScan:
         assert rows == [(snaps[6].t, 0.9, 0.9 - snaps[6].t, 0.0)]
         assert recurrence_scan(snaps, snaps[6].t, skip=0.3).times[0] == 0.9
 
+    def test_fixed_time_table_rejects_t_fix_off_the_snapshots(self):
+        snaps = [Snapshot(t=float(i), u=np.full(8, float(i))) for i in range(10)]
+        for t_fixes in ([3.4, 42.0], [3.4], [42.0], [3.0, 42.0]):
+            with pytest.raises(DomainError):
+                recurrence_table(snaps, t_fixes, skip=2.0)
+
+    def test_fixed_time_table_accepts_t_fix_an_ulp_off(self):
+        # 5 * 0.1 + 0.1 is an ulp above 6 * 0.1, the stored time
+        rng = np.random.default_rng(3)
+        snaps = [Snapshot(t=i * 0.1, u=rng.standard_normal(16)) for i in range(30)]
+        t_fix = snaps[5].t + 0.1
+        assert t_fix != snaps[6].t
+        rows, _ = recurrence_table(snaps, [t_fix], skip=0.5)
+        assert [r[0] for r in rows] == [snaps[6].t]
+
+    def test_fixed_time_table_zero_skip_never_matches_t_fix(self):
+        snaps, _, _ = self.make_translating_snapshots()
+        rows, period = recurrence_table(snaps, [0.0, 3.0], skip=0.0)
+        assert [r[0] for r in rows] == [0.0, 3.0]
+        assert all(r[1] > r[0] and r[2] > 0.0 for r in rows)
+        assert period > 0.0
+        # the last snapshot has nothing after it
+        assert recurrence_table(snaps, [snaps[-1].t], skip=0.0) == ([], None)
+
 
 class TestKinkValidation:
     def test_zero_horizon_error_is_seam_limited(self):

@@ -21,11 +21,10 @@ from .painleve import (FuchsResult, LeadingBalance, fuchs_indices,
                        leading_balance, painleve_verdict)
 from .experiments import (EXPERIMENTS, STUDIES, InitialCondition,
                           RecurrenceReport, Snapshot, SimulationConfig,
-                          ValidationReport, err_metric,
-                          gardner_soliton_experiment, kink_validation,
+                          ValidationReport, err_metric, kink_validation,
                           mass_drift, recurrence_scan, recurrence_table, run,
                           run_batch, shape_score, shape_score_series,
-                          soliton_perturbation, xcorr_mismatch, zabusky_kruskal)
+                          soliton_perturbation, xcorr_mismatch)
 from .snapio import (RunManifest, config_to_dict, parse_config, read_snapshot,
                      write_snapshot, write_snapshots)
 

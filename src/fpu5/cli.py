@@ -118,9 +118,8 @@ def _cmd_validate(args) -> int:
                           f"kink_pair, not kind = {config.kind.value} with {ic}")
     report = kink_validation(config.params, config.grid, config.dt,
                              config.t_end, config.snapshot_interval)
-    table = ("t\terr", list(zip(report.times, report.errs)))
     _write(args.out, config_to_dict(config), StudyResult(
-        report, {"max_err": report.max_err}, {"err_vs_t.dat": table}), started)
+        report, {"max_err": report.max_err}, report.error_table()), started)
     print(f"max err {report.max_err:.3e}")
     return 0
 

@@ -88,6 +88,10 @@ class ValidationReport:
     max_err: float
     snapshots: list | None = None
 
+    def error_table(self) -> dict[str, tuple[str, list]]:
+        """The error history as StudyResult.tables: err_vs_t.dat."""
+        return {"err_vs_t.dat": ("t\terr", list(zip(self.times, self.errs)))}
+
 
 @dataclass
 class RecurrenceReport:
@@ -434,69 +438,6 @@ def soliton_perturbation(*, delta: float, k: float, mus, grid: Grid,
             for mu, snapshots in zip(mus, run_batch(configs))}
 
 
-def gardner_soliton_experiment(*, delta: float, mu: float, c0: float,
-                               grid: Grid, t_end: float,
-                               snapshot_interval: float, dts: dict) -> dict:
-    """Propagate the cubic-equation soliton under both equations.
-
-    Under the third-order equation the profile is exact and must keep its
-    shape; under the fifth-order equation it deforms.  ``dts`` maps each
-    equation kind to its step size.
-    """
-    params = ModelParams(delta=delta, mu=mu)
-    out = {}
-    for kind in (EquationKind.GARDNER, EquationKind.FPU5):
-        snapshots = run(SimulationConfig(
-            kind=kind, params=params, grid=grid, t_end=t_end,
-            dt=dts[kind], snapshot_interval=snapshot_interval,
-            initial_condition=InitialCondition("gardner_soliton", c0=c0)))
-        out[kind] = _arm(snapshots, scores=shape_score_series(snapshots, grid))
-    return out
-
-
-def zabusky_kruskal(*, delta: float, mu: float, grid: Grid, t_end: float,
-                    snapshot_interval: float,
-                    figure_times: tuple[float, float],
-                    recurrence_window: tuple[float, float],
-                    dts: dict) -> dict:
-    """Cosine initial data on [0, 2): soliton train versus chaotic response.
-
-    For each equation two correlation-mismatch scores are reported:
-      * ``recurrence_score``: the best match against the initial profile
-        inside the late window, i.e. how well the run returns toward its
-        starting state;
-      * ``figure_pair_score``: the mismatch between the snapshots nearest
-        the two figure times.
-    The third-order equation recurs toward the cosine; the fifth-order one
-    scatters energy out of the initial modes and does not.  ``dts`` maps
-    each equation kind to its step size.
-    """
-    params = ModelParams(delta=delta, mu=mu)
-    out = {}
-    for kind in (EquationKind.KDV, EquationKind.FPU5):
-        snapshots = run(SimulationConfig(
-            kind=kind, params=params, grid=grid, t_end=t_end,
-            dt=dts[kind], snapshot_interval=snapshot_interval,
-            initial_condition=InitialCondition("cosine")))
-        out[kind] = arm = _arm(snapshots)
-        times = arm["times"]
-        u0 = snapshots[0].u
-        in_window = (times >= recurrence_window[0]) & (times <= recurrence_window[1])
-        window_scores = np.array([xcorr_mismatch(u0, s.u)
-                                  for s, keep in zip(snapshots, in_window) if keep])
-        window_times = times[in_window]
-        i_best = int(np.argmin(window_scores))
-        i_early = int(np.argmin(np.abs(times - figure_times[0])))
-        i_late = int(np.argmin(np.abs(times - figure_times[1])))
-        arm.update(
-            recurrence_score=float(window_scores[i_best]),
-            recurrence_time=float(window_times[i_best]),
-            figure_pair_score=xcorr_mismatch(snapshots[i_early].u,
-                                             snapshots[i_late].u),
-            figure_pair_times=(float(times[i_early]), float(times[i_late])))
-    return out
-
-
 def _snapshot_index(times: np.ndarray, t_fix: float) -> tuple[int, float]:
     """Index of the snapshot at t_fix, and the time tolerance that found it.
 
@@ -585,8 +526,9 @@ def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float):
     Snapshots are in time order.  Each t_fix must be a snapshot time, found
     as recurrence_scan finds it (DomainError otherwise); its candidates are
     the later snapshots at or after t_fix + skip, so even skip = 0 never
-    matches the t_fix snapshot with itself.  A t_fix with no candidate gives
-    no row; the recurrence period estimate is the mean gap.
+    matches the t_fix snapshot with itself.  A t_fix with no candidate
+    raises DomainError, so every t_fix gives a row; the recurrence period
+    estimate is the mean gap.
     Returns (rows, period) with rows of (t_fix, t_match, gap, difference).
     """
     times = np.array([s.t for s in snapshots])
@@ -597,7 +539,8 @@ def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float):
         sel = [i for i in range(i_fix + 1, len(times))
                if times[i] >= times[i_fix] + skip - tol]
         if not sel:
-            continue
+            raise DomainError(f"t_fix {t_fix:g} has no later snapshot at or "
+                              f"after t_fix + skip (skip {skip:g})")
         diffs = np.array([err_metric(u_fix, snapshots[i].u) for i in sel])
         j = int(np.argmin(diffs))
         t_match = float(times[sel][j])
@@ -605,7 +548,6 @@ def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float):
                      t_match - float(times[i_fix]), float(diffs[j])))
     period = float(np.mean([r[2] for r in rows])) if rows else None
     return rows, period
-
 
 
 # ---------------------------------------------------------------- studies
@@ -627,8 +569,7 @@ def _kink_validation_study(fx: dict) -> StudyResult:
         fx["dt"], fx["t_end"], fx["snapshot_interval"], keep_snapshots=True)
     checks = {"max_err": report.max_err, "err_bound": fx["err_bound"],
               "pass": report.max_err < fx["err_bound"]}
-    table = ("t\terr", list(zip(report.times, report.errs)))
-    return StudyResult(report, checks, {"err_vs_t.dat": table})
+    return StudyResult(report, checks, report.error_table())
 
 
 def _soliton_perturbation_study(fx: dict) -> StudyResult:
@@ -647,13 +588,29 @@ def _soliton_perturbation_study(fx: dict) -> StudyResult:
     return StudyResult(arms, checks, tables, snapshots)
 
 
+def _contrast_runs(fx: dict, grid: Grid, kinds: tuple,
+                   ic: InitialCondition) -> dict:
+    """One initial profile under each equation kind, stepped by one run_batch.
+
+    Row dt is fx["dt_<kind>"]; the rows differ in kind, so each is its own
+    group and bit-identical to its single run.  Returns {kind: snapshots}.
+    """
+    params = ModelParams(fx["delta"], fx["mu"])
+    return dict(zip(kinds, run_batch([SimulationConfig(
+        kind=kind, params=params, grid=grid, t_end=fx["t_end"],
+        dt=fx[f"dt_{kind.value}"], snapshot_interval=fx["snapshot_interval"],
+        initial_condition=ic) for kind in kinds])))
+
+
 def _gardner_study(fx: dict) -> StudyResult:
-    arms = gardner_soliton_experiment(
-        delta=fx["delta"], mu=fx["mu"], c0=fx["c0"],
-        grid=Grid(fx["length"], fx["n"]), t_end=fx["t_end"],
-        snapshot_interval=fx["snapshot_interval"],
-        dts={EquationKind.GARDNER: fx["dt_gardner"],
-             EquationKind.FPU5: fx["dt_fpu5"]})
+    """The Gardner soliton under both equations: exact under the
+    third-order one, so it must keep its shape, while under the fifth-order
+    one it must deform."""
+    grid = Grid(fx["length"], fx["n"])
+    runs = _contrast_runs(fx, grid, (EquationKind.GARDNER, EquationKind.FPU5),
+                          InitialCondition("gardner_soliton", c0=fx["c0"]))
+    arms = {kind: _arm(snapshots, scores=shape_score_series(snapshots, grid))
+            for kind, snapshots in runs.items()}
     checks, tables = _score_checks(arms, [kind.value for kind in arms])
     # the fifth-order run must first cross the threshold by deform_by
     fifth = arms[EquationKind.FPU5]
@@ -667,19 +624,37 @@ def _gardner_study(fx: dict) -> StudyResult:
 
 
 def _zabusky_kruskal_study(fx: dict) -> StudyResult:
-    arms = zabusky_kruskal(
-        delta=fx["delta"], mu=fx["mu"], grid=Grid(fx["length"], fx["n"]),
-        t_end=fx["t_end"], snapshot_interval=fx["snapshot_interval"],
-        figure_times=fx["figure_times"],
-        recurrence_window=fx["recurrence_window"],
-        dts={EquationKind.KDV: fx["dt_kdv"], EquationKind.FPU5: fx["dt_fpu5"]})
-    checks, snapshots = {}, {}
-    for kind, arm in arms.items():
+    """Cosine initial data on [0, 2): KdV recurs toward the cosine, while
+    the fifth-order equation scatters energy out of its modes and does not.
+    Per arm, xcorr_mismatch gives ``recurrence_score``, the best match with
+    u(0) inside recurrence_window, and ``figure_pair_score``, the mismatch
+    between the snapshots nearest the two figure_times."""
+    runs = _contrast_runs(fx, Grid(fx["length"], fx["n"]),
+                          (EquationKind.KDV, EquationKind.FPU5),
+                          InitialCondition("cosine"))
+    lo, hi = fx["recurrence_window"]
+    arms, checks, snapshots = {}, {}, {}
+    for kind, run_snaps in runs.items():
+        arms[kind] = arm = _arm(run_snaps)
+        times = arm["times"]
+        in_window = np.flatnonzero((times >= lo) & (times <= hi))
+        if in_window.size == 0:
+            raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds no "
+                              f"snapshot of the run to t_end = {fx['t_end']:g}")
+        window_scores = [xcorr_mismatch(run_snaps[0].u, run_snaps[i].u)
+                         for i in in_window]
+        j = int(np.argmin(window_scores))
+        i_early, i_late = (int(np.argmin(np.abs(times - t)))
+                           for t in fx["figure_times"])
+        arm.update(
+            recurrence_score=window_scores[j],
+            recurrence_time=float(times[in_window[j]]),
+            figure_pair_score=xcorr_mismatch(run_snaps[i_early].u,
+                                             run_snaps[i_late].u),
+            figure_pair_times=(float(times[i_early]), float(times[i_late])))
         for key in ("recurrence_score", "figure_pair_score", "mass_drift"):
             checks[f"{kind.value}_{key}"] = arm[key]
-        snapshots[f"snap_{kind.value}"] = [
-            s for t in arm["figure_pair_times"] for s in arm["snapshots"]
-            if s.t == t]
+        snapshots[f"snap_{kind.value}"] = [run_snaps[i_early], run_snaps[i_late]]
     kdv, fpu = checks["kdv_recurrence_score"], checks["fpu5_recurrence_score"]
     checks["contrast"] = fpu / kdv
     checks["pass"] = bool(kdv < fx["kdv_recurrence_bound"]
@@ -701,7 +676,7 @@ def _recurrence_study(fx: dict) -> StudyResult:
               "fixed_time_rows": rows, "fixed_time_period": period,
               "expected_first_minimum": fx["expected_first_minimum"],
               "expected_period": fx["expected_period"], "pass": bool(
-                  rows and abs(rows[0][1] - fx["expected_first_minimum"]) <= tol
+                  abs(rows[0][1] - fx["expected_first_minimum"]) <= tol
                   and abs(period - fx["expected_period"]) <= tol)}
     return StudyResult(snapshots, checks, scan.difference_table())
 

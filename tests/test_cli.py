@@ -247,6 +247,18 @@ class TestCli:
         table = np.loadtxt(rec_out / "difference_vs_t.dat")
         assert table.shape[1] == 3
 
+    def test_recurrence_rejects_a_t_fix_without_a_later_snapshot(
+            self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)  # snapshots at t = 0, 0.5, 1
+        out = tmp_path / "sim"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        assert main(["recurrence", str(out / "manifest.json"), "--t-fix",
+                     "0.5", "--skip", "0.75",
+                     "--out", str(tmp_path / "rec")]) == 2
+        err = capsys.readouterr().err
+        assert "t_fix 0.5 " in err and "skip 0.75" in err
+        assert not (tmp_path / "rec").exists()
+
     def test_recurrence_reads_files_beside_the_manifest(self, tmp_path,
                                                         monkeypatch):
         cfg = self.write_config(tmp_path)

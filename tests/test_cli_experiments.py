@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpu5 import EXPERIMENTS, STUDIES, EquationKind
+from fpu5 import (EXPERIMENTS, STUDIES, DomainError, EquationKind, Grid,
+                  InitialCondition, ModelParams, SimulationConfig, Snapshot,
+                  run, run_batch)
 from fpu5.cli import main
 
 SMALL = {
@@ -137,21 +139,60 @@ def test_validate_rejects_other_runs(old, new, message, tmp_path, capsys):
 ])
 def test_gardner_passes_when_the_score_first_crosses_by_deform_by(
         fpu5_scores, deform_time, passes, monkeypatch):
-    # the rule of acceptance criterion 07, not the score nearest deform_by
+    # the rule of acceptance criterion 07, not the score nearest deform_by;
+    # each fake snapshot carries its preset score
     import fpu5.experiments as exps
+    scores = {EquationKind.GARDNER: [0.0, 1e-3, 2e-3],
+              EquationKind.FPU5: fpu5_scores}
 
-    def fake_experiment(**kwargs):
-        def result(scores):
-            scores = np.array(scores)
-            return {"times": 0.25 * np.arange(len(scores)), "scores": scores,
-                    "mass_drift": 0.0}
-        return {EquationKind.GARDNER: result([0.0, 1e-3, 2e-3]),
-                EquationKind.FPU5: result(fpu5_scores)}
+    def fake_run_batch(configs):
+        return [[Snapshot(0.25 * i, np.full(4, score))
+                 for i, score in enumerate(scores[c.kind])] for c in configs]
 
-    monkeypatch.setattr(exps, "gardner_soliton_experiment", fake_experiment)
+    monkeypatch.setattr(exps, "run_batch", fake_run_batch)
+    monkeypatch.setattr(exps, "shape_score_series",
+                        lambda snapshots, grid: np.array([s.u[0] for s in snapshots]))
     checks = STUDIES["gardner"](SMALL["gardner"]).checks
     assert checks["fpu5_deform_time"] == deform_time
     assert checks["pass"] is passes
+
+
+@pytest.mark.parametrize("name, ic, kinds", [
+    ("gardner", InitialCondition("gardner_soliton", c0=1.0),
+     [EquationKind.GARDNER, EquationKind.FPU5]),
+    ("zabusky-kruskal", InitialCondition("cosine"),
+     [EquationKind.KDV, EquationKind.FPU5]),
+])
+def test_contrast_study_steps_its_arms_in_one_batch_as_single_runs(
+        name, ic, kinds, monkeypatch):
+    import fpu5.experiments as exps
+    fx = SMALL[name]
+    batches = []
+
+    def counted(configs):
+        batches.append([c.kind for c in configs])
+        return run_batch(configs)
+
+    monkeypatch.setattr(exps, "run_batch", counted)
+    arms = STUDIES[name](fx).arms
+    assert batches == [kinds]
+    assert list(arms) == kinds
+    for kind, arm in arms.items():
+        alone = run(SimulationConfig(
+            kind=kind, params=ModelParams(fx["delta"], fx["mu"]),
+            grid=Grid(fx["length"], fx["n"]), t_end=fx["t_end"],
+            dt=fx[f"dt_{kind.value}"],
+            snapshot_interval=fx["snapshot_interval"], initial_condition=ic))
+        assert [s.t for s in arm["snapshots"]] == [s.t for s in alone]
+        assert all(a.u.tobytes() == b.u.tobytes()
+                   for a, b in zip(arm["snapshots"], alone))
+
+
+def test_zabusky_kruskal_rejects_an_empty_recurrence_window():
+    # window (0.1, 0.25) lies past a run cut to t_end = 0.05
+    fx = {**SMALL["zabusky-kruskal"], "t_end": 0.05}
+    with pytest.raises(DomainError, match=r"\(0.1, 0.25\).*t_end = 0.05"):
+        STUDIES["zabusky-kruskal"](fx)
 
 
 # every subcommand, with "{cfg}" a KINK_CONFIG file and "{sim}" the manifest

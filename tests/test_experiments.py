@@ -489,7 +489,16 @@ class TestRecurrenceScan:
         assert all(r[1] > r[0] and r[2] > 0.0 for r in rows)
         assert period > 0.0
         # the last snapshot has nothing after it
-        assert recurrence_table(snaps, [snaps[-1].t], skip=0.0) == ([], None)
+        with pytest.raises(DomainError):
+            recurrence_table(snaps, [snaps[-1].t], skip=0.0)
+
+    def test_fixed_time_table_rejects_t_fix_without_candidates(self):
+        # a missing row would leave the period averaging fewer gaps than asked
+        snaps = [Snapshot(t=float(i), u=np.full(8, float(i))) for i in range(10)]
+        with pytest.raises(DomainError, match="t_fix 9 .*skip 0"):
+            recurrence_table(snaps, [3.0, 9.0], skip=0.0)
+        with pytest.raises(DomainError, match="t_fix 7 .*skip 2.5"):
+            recurrence_table(snaps, [7.0], skip=2.5)
 
 
 class TestKinkValidation:

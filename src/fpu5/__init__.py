@@ -1,13 +1,13 @@
 """Pseudospectral laboratory for the fifth-order continuum equations of the
-alpha+beta FPU chain: dealiased IF-RK4 integration of the wave equations,
-closed-form solution generators with residual verifiers, the pole-balance
-and Fuchs-index computation, and the recurrence experiments."""
+alpha+beta FPU chain: dealiased IF-RK4 or ETDRK4 integration of the wave
+equations, closed-form solution generators with residual verifiers, the
+pole-balance and Fuchs-index computation, and the recurrence experiments."""
 
 from .errors import BlowUpError, ConfigError, DomainError, PoleError
 from .params import (EquationKind, ModelParams, PhysicalChainParams,
                      kink_speed, physical_to_model, velocity_curve)
-from .spectral import (Grid, IntegratingFactorRK4, default_time_step,
-                       spectral_derivative)
+from .spectral import (ETDRK4, Grid, IntegratingFactorRK4, Scheme,
+                       default_time_step, spectral_derivative)
 from .equations import (conservation_flux, full_rhs, linear_symbol,
                         make_nonlinear_operator, nonlinear_rhs)
 from .weierstrass import WeierstrassP, degenerate_p, real_period, weierstrass_p

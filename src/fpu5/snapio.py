@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .experiments import InitialCondition, SimulationConfig, Snapshot
 from .params import EquationKind, ModelParams
-from .spectral import Grid
+from .spectral import Grid, Scheme
 
 FLOAT_FMT = "%.16e"
 
@@ -111,6 +111,7 @@ _CONFIG_KEYS = {
     "ic_k": float,
     "ic_c0": float,
     "ic_path": str,
+    "scheme": str,
 }
 _REQUIRED = ("kind", "delta", "mu", "L", "N", "t_end")
 _IC_PARAM_KEYS = {"kdv5_soliton": "ic_k", "gardner_soliton": "ic_c0",
@@ -147,11 +148,8 @@ def parse_config(text: str) -> SimulationConfig:
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {text_value!r}") from None
 
-    try:
-        kind = EquationKind(values["kind"])
-    except ValueError:
-        names = ", ".join(k.value for k in EquationKind)
-        raise ConfigError(f"kind must be one of: {names}") from None
+    kind = _choice(EquationKind, "kind", values["kind"])
+    scheme = _choice(Scheme, "scheme", values.get("scheme", Scheme.IFRK4.value))
 
     n = values["N"]
     if n < 8 or n & (n - 1):
@@ -172,7 +170,16 @@ def parse_config(text: str) -> SimulationConfig:
     return SimulationConfig(
         kind=kind, params=params, grid=grid, t_end=values["t_end"],
         dt=values.get("dt"), snapshot_interval=values.get("snapshot_interval"),
-        initial_condition=ic)
+        scheme=scheme, initial_condition=ic)
+
+
+def _choice(enum, key: str, value: str):
+    """The member of enum named by value; ConfigError listing the choices."""
+    try:
+        return enum(value)
+    except ValueError:
+        names = ", ".join(member.value for member in enum)
+        raise ConfigError(f"{key} must be one of: {names}") from None
 
 
 def config_to_dict(config: SimulationConfig) -> dict:
@@ -187,6 +194,7 @@ def config_to_dict(config: SimulationConfig) -> dict:
         "t_end": config.t_end,
         "dt": config.dt,
         "snapshot_interval": config.snapshot_interval,
+        "scheme": config.scheme.value,
         "initial_condition": ic.name,
     }
     for attr in ("k", "c0", "path"):

@@ -1,4 +1,5 @@
-"""Periodic grid, the half-spectrum convention, dealiased derivatives, IF-RK4.
+"""Periodic grid, the half-spectrum convention, dealiased derivatives, and the
+two exponential RK4 steppers, IF-RK4 and ETDRK4.
 
 Transform convention: every spectral quantity lives on the real-FFT half
 spectrum, modes 0..N/2 (length N//2 + 1).  A field u goes to
@@ -6,7 +7,7 @@ spectrum, modes 0..N/2 (length N//2 + 1).  A field u goes to
 in mode 0, and comes back through ``np.fft.irfft(u_hat, N)``, which carries
 the 1/N factor.  ``Grid.k`` and ``Grid.dealias`` are per-mode arrays of
 that length; the Nyquist entry of ``k`` is -pi N / L, the sign numpy's full
-``fftfreq`` gives it.  ``IntegratingFactorRK4`` is indifferent to shape: a
+``fftfreq`` gives it.  Both steppers are indifferent to shape: a
 ``(B, N//2 + 1)`` state steps B rows at once.
 
 ``rfft_into`` and ``irfft_into`` are the half-spectrum transforms of the
@@ -18,6 +19,8 @@ large part of a 110-250 µs step at N = 128..512.
 """
 from __future__ import annotations
 
+from enum import Enum
+
 import numpy as np
 # numpy's private FFT gufunc module, present since numpy 2.0 (the package's
 # floor): the wrapper np.fft.rfft/irfft calls these same gufuncs
@@ -27,6 +30,9 @@ from .errors import DomainError
 from .params import EquationKind, ModelParams, effective_mu
 
 _DT_SAFETY = 0.5  # default_time_step's dt times the fastest explicit rate
+
+# points on the circle |r - dt L| = 1 whose mean gives the ETDRK4 coefficients
+_CONTOUR_POINTS = 64
 
 
 class Grid:
@@ -113,6 +119,17 @@ def spectral_derivative(grid: Grid, u: np.ndarray, order: int = 1,
                         grid.n)
 
 
+def _checked_symbol(symbol, dt: float) -> np.ndarray:
+    """The constructor checks both steppers share: dt > 0 and a purely
+    imaginary symbol (dispersive, no growth or decay)."""
+    if not dt > 0:
+        raise DomainError("dt must be positive")
+    symbol = np.asarray(symbol)
+    if np.max(np.abs(symbol.real)) != 0.0:
+        raise DomainError("linear symbol must be purely imaginary")
+    return symbol
+
+
 class IntegratingFactorRK4:
     """IF-RK4 stepper with the integrating-factor exponentials precomputed.
 
@@ -121,11 +138,7 @@ class IntegratingFactorRK4:
     """
 
     def __init__(self, symbol: np.ndarray, nonlinear, dt: float):
-        if not dt > 0:
-            raise DomainError("dt must be positive")
-        symbol = np.asarray(symbol)
-        if np.max(np.abs(symbol.real)) != 0.0:
-            raise DomainError("linear symbol must be purely imaginary")
+        symbol = _checked_symbol(symbol, dt)
         self.dt = float(dt)
         self.nonlinear = nonlinear
         self.e_half = np.exp(symbol * (0.5 * self.dt))
@@ -177,6 +190,108 @@ class IntegratingFactorRK4:
         np.divide(a, six, out=a)
         np.add(result, a, out=result)
         return result
+
+
+class ETDRK4:
+    """Exponential time differencing RK4 (Cox & Matthews, JCP 176, 2002).
+
+    Same contract as ``IntegratingFactorRK4``: the symbol must be purely
+    imaginary, ``step`` returns a fresh array and writes into neither its
+    input nor an array the nonlinear callable returned.  With z = dt L per
+    mode, E = exp(z) and E_half = exp(z/2) are taken directly, so the zero
+    mode has E = 1 exactly; the phi-function coefficients
+
+        Q  = dt (exp(z/2) - 1) / z
+        f1 = dt (-4 - z + exp(z) (4 - 3z + z^2)) / z^3
+        f2 = dt (2 + z + exp(z) (z - 2)) / z^3
+        f3 = dt (-4 - 3z - z^2 + exp(z) (4 - z)) / z^3
+
+    cancel badly for small |z|, so each is the mean of its formula over
+    _CONTOUR_POINTS points on the circle |r - z| = 1 (Kassam & Trefethen,
+    SISC 26, 2005).  The circle is the full one: z is imaginary, so the
+    real part of a half-circle mean, which serves a real symbol, would be
+    wrong here.  The points are summed one at a time, so the set-up keeps
+    O(symbol.size) memory; a (B, N//2 + 1) symbol gets per-row values.
+    """
+
+    def __init__(self, symbol: np.ndarray, nonlinear, dt: float):
+        symbol = _checked_symbol(symbol, dt)
+        self.dt = float(dt)
+        self.nonlinear = nonlinear
+        z = symbol * self.dt
+        self.e_half = np.exp(0.5 * z)
+        self.e_full = np.exp(z)
+        q, f1, f2, f3 = (np.zeros(z.shape, dtype=complex) for _ in range(4))
+        # midpoints of M equal arcs: no point lands on r = 0 for an
+        # imaginary z, since exp(i pi (2j - 1) / M) is never +-i
+        angles = np.pi * (2.0 * np.arange(1, _CONTOUR_POINTS + 1) - 1.0) \
+            / _CONTOUR_POINTS
+        for root in np.exp(1j * angles):
+            r = z + root
+            # exp(r) as exp(z) exp(root): no rounding of r in the exponent
+            er = self.e_full * np.exp(root)
+            r3 = r * r * r
+            q += (self.e_half * np.exp(0.5 * root) - 1.0) / r
+            f1 += (-4.0 - r + er * (4.0 - 3.0 * r + r * r)) / r3
+            f2 += (2.0 + r + er * (r - 2.0)) / r3
+            f3 += (-4.0 - 3.0 * r - r * r + er * (4.0 - r)) / r3
+        scale = self.dt / _CONTOUR_POINTS
+        self.q, self.f1, self.f2, self.f3 = (c * scale for c in (q, f1, f2, f3))
+        # the doubled coefficients the step multiplies by
+        self._q2 = 2.0 * self.q
+        self._f2x2 = 2.0 * self.f2
+
+    def step(self, u_hat: np.ndarray) -> np.ndarray:
+        """One step from u_hat; returns the new state as a fresh array.
+
+        The Cox-Matthews stages, with N the nonlinear callable:
+
+            a = E_half u + Q N(u),   b = E_half u + Q N(a),
+            c = E_half a + Q (2 N(b) - N(u)),
+            u' = E u + f1 N(u) + 2 f2 (N(a) + N(b)) + f3 N(c).
+
+        Each tendency is folded into the result sum, and into the stages
+        that need it, before the next call, and only arrays made in this
+        step are written; a stage handed to the callable is overwritten
+        only once its tendency has been used.
+        """
+        e_half = self.e_half
+        q = self.q
+        n = self.nonlinear
+        nv = n(u_hat)
+        work = np.multiply(u_hat, e_half)                 # E_half u
+        q_nv = np.multiply(q, nv)
+        stage = np.add(work, q_nv)                        # a
+        result = np.multiply(self.f1, nv)
+        na = n(stage)
+        stage_b = np.multiply(q, na)
+        np.add(work, stage_b, out=stage_b)                # b
+        np.multiply(self._f2x2, na, out=work)
+        np.add(result, work, out=result)
+        nb = n(stage_b)
+        np.multiply(self._f2x2, nb, out=work)
+        np.add(result, work, out=result)
+        np.multiply(stage, e_half, out=stage)
+        np.multiply(self._q2, nb, out=work)
+        np.add(stage, work, out=stage)
+        np.subtract(stage, q_nv, out=stage)               # c
+        nc = n(stage)
+        np.multiply(self.f3, nc, out=work)
+        np.add(result, work, out=result)
+        np.multiply(u_hat, self.e_full, out=work)
+        np.add(result, work, out=result)
+        return result
+
+
+class Scheme(Enum):
+    """Time-stepping scheme of a run, and the stepper class behind it."""
+
+    IFRK4 = "ifrk4"
+    ETDRK4 = "etdrk4"
+
+    @property
+    def stepper(self):
+        return {Scheme.IFRK4: IntegratingFactorRK4, Scheme.ETDRK4: ETDRK4}[self]
 
 
 def default_time_step(grid: Grid, params: ModelParams, kind: EquationKind,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpu5 import (BlowUpError, DomainError, EquationKind, Grid,
-                  InitialCondition, IntegratingFactorRK4, ModelParams,
+                  InitialCondition, ModelParams, Scheme,
                   SimulationConfig, err_metric, kink_validation,
                   linear_symbol, make_nonlinear_operator, mass_drift,
                   recurrence_scan, recurrence_table, run, run_batch,
@@ -94,7 +94,10 @@ class TestRun:
         assert err.value.last_snapshot is not None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_blow_up_found_by_replay_matches_per_step_check(self):
+    @pytest.mark.parametrize("scheme, dt, t_end", [(Scheme.IFRK4, 0.008, 2.0),
+                                                   (Scheme.ETDRK4, 0.02, 4.0)])
+    def test_blow_up_found_by_replay_matches_per_step_check(self, scheme, dt,
+                                                            t_end):
         # run() checks finiteness once per snapshot and replays a bad
         # interval; a loop that checks after every step must agree on the
         # step, the time and the last finite snapshot
@@ -102,7 +105,7 @@ class TestRun:
             kind=EquationKind.FPU5, params=ModelParams(delta=2.0, mu=0.0),
             grid=Grid(40.0, 64),
             initial_condition=InitialCondition("kdv5_soliton", k=1.0),
-            dt=0.008, t_end=2.0, snapshot_interval=0.08)
+            dt=dt, t_end=t_end, snapshot_interval=10 * dt, scheme=scheme)
         step, t, last, steps_per = per_step_blow_up(config)
         assert steps_per >= 10
         assert step > steps_per and step % steps_per != 0
@@ -178,7 +181,7 @@ def per_step_blow_up(config):
     snap_dt = config.t_end / n_snap
     steps_per = max(1, int(np.ceil(snap_dt / config.dt * (1.0 - 1e-9))))
     dt = snap_dt / steps_per
-    stepper = IntegratingFactorRK4(
+    stepper = config.scheme.stepper(
         linear_symbol(config.kind, config.params, config.grid),
         make_nonlinear_operator(config.kind, config.params, config.grid), dt)
     u_hat = np.fft.rfft(u0)
@@ -200,11 +203,11 @@ def same_snapshots(a, b):
         x.t == y.t and np.array_equal(x.u, y.u) for x, y in zip(a, b))
 
 
-# one row: delta, mu, soliton wavenumber, dt; two dt values so that some
-# rows of a batch share a schedule and some do not
+# one row: delta, mu, soliton wavenumber, dt, scheme; two dt values and two
+# schemes so that some rows of a batch share a group and some do not
 batch_rows = st.lists(
     st.tuples(st.floats(0.3, 1.0), st.floats(0.0, 0.5), st.floats(0.3, 1.0),
-              st.sampled_from([2e-3, 1e-3])),
+              st.sampled_from([2e-3, 1e-3]), st.sampled_from(list(Scheme))),
     min_size=1, max_size=4)
 
 
@@ -216,9 +219,9 @@ class TestRunBatch:
         grid = Grid(40.0, n)
         configs = [SimulationConfig(
             kind=kind, params=ModelParams(delta, mu), grid=grid, t_end=0.02,
-            dt=dt, snapshot_interval=0.01,
+            dt=dt, snapshot_interval=0.01, scheme=scheme,
             initial_condition=InitialCondition("kdv5_soliton", k=k))
-            for delta, mu, k, dt in rows]
+            for delta, mu, k, dt, scheme in rows]
         batched = run_batch(configs)
         assert len(batched) == len(configs)
         for config, snaps in zip(configs, batched):
@@ -260,9 +263,9 @@ class TestTranslationEquivariance:
         grid = Grid(40.0, n)
         plain = [SimulationConfig(
             kind=kind, params=ModelParams(delta, mu), grid=grid, t_end=0.02,
-            dt=dt, snapshot_interval=0.01,
+            dt=dt, snapshot_interval=0.01, scheme=scheme,
             initial_condition=InitialCondition("kdv5_soliton", k=k))
-            for delta, mu, k, dt in rows]
+            for delta, mu, k, dt, scheme in rows]
         with tempfile.TemporaryDirectory() as tmp:
             rolled = []
             for i, config in enumerate(plain):
@@ -445,6 +448,15 @@ class TestRecurrenceScan:
         snaps, _, _ = self.make_translating_snapshots()
         with pytest.raises(DomainError):
             recurrence_scan(snaps, t_fix=0.0, skip=-1.0)
+
+    def test_scan_rejects_t_fix_without_candidates(self):
+        # an empty report would read as a scan that found no recurrence
+        snaps = [Snapshot(t=float(i), u=np.full(8, float(i))) for i in range(10)]
+        with pytest.raises(DomainError, match="t_fix 9 .*skip 1"):
+            recurrence_scan(snaps, 9.0, skip=1.0)
+        with pytest.raises(DomainError, match="t_fix 7 .*skip 2.5"):
+            recurrence_scan(snaps, 7.0, skip=2.5)
+        assert recurrence_scan(snaps, 7.0, skip=2.0).times.tolist() == [9.0]
 
     def test_too_few_minima_gives_no_period(self):
         snaps, _, _ = self.make_translating_snapshots(n_snaps=25)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpu5 import (EXPERIMENTS, DomainError, EquationKind, Grid,
+from fpu5 import (ETDRK4, EXPERIMENTS, DomainError, EquationKind, Grid,
                   InitialCondition, IntegratingFactorRK4, ModelParams,
                   SimulationConfig, default_time_step, linear_symbol,
                   make_nonlinear_operator, spectral_derivative)
@@ -202,6 +202,9 @@ class TestDerivative:
         assert np.max(np.abs(d2)) > 1.0  # even orders keep it
 
 
+STEPPERS = [IntegratingFactorRK4, ETDRK4]
+
+
 class TestIfRk4:
     def test_pure_advection_is_exact(self, grid):
         symbol = 1j * grid.k  # u_t = u_x, so u(x, t) = u0(x + t)
@@ -224,16 +227,19 @@ class TestIfRk4:
             u_hat = stepper.step(u_hat)
         assert np.max(np.abs(np.abs(u_hat) - before)) < 1e-13 * np.max(before)
 
-    def test_real_symbol_rejected(self, grid):
+    @pytest.mark.parametrize("stepper", STEPPERS)
+    def test_real_symbol_rejected(self, grid, stepper):
         with pytest.raises(DomainError):
-            IntegratingFactorRK4(np.ones(grid.n, dtype=complex),
-                                 lambda v: v, 0.1)
+            stepper(np.ones(grid.n, dtype=complex), lambda v: v, 0.1)
 
-    def test_nonpositive_dt_rejected(self, grid):
+    @pytest.mark.parametrize("stepper", STEPPERS)
+    def test_nonpositive_dt_rejected(self, grid, stepper):
         with pytest.raises(DomainError):
-            IntegratingFactorRK4(1j * grid.k, lambda v: v, 0.0)
+            stepper(1j * grid.k, lambda v: v, 0.0)
 
-    def test_step_writes_into_neither_its_input_nor_the_tendency(self, grid):
+    @pytest.mark.parametrize("make_stepper", STEPPERS)
+    def test_step_writes_into_neither_its_input_nor_the_tendency(
+            self, grid, make_stepper):
         # a callable that hands its argument back, and one that returns the
         # same cached array every call: both arrays must survive the step
         rng = np.random.default_rng(5)
@@ -242,7 +248,7 @@ class TestIfRk4:
         cached = np.fft.rfft(rng.standard_normal(grid.n))
         u_before, cached_before = u_hat.copy(), cached.copy()
         for nonlinear in (lambda v: v, lambda v: cached):
-            stepper = IntegratingFactorRK4(symbol, nonlinear, 0.01)
+            stepper = make_stepper(symbol, nonlinear, 0.01)
             first = stepper.step(u_hat)
             assert np.array_equal(u_hat, u_before)
             assert np.array_equal(cached, cached_before)
@@ -268,10 +274,11 @@ class TestIfRk4:
                 + (a * e_full + 2.0 * (b + c) * e_half + d) / 6.0
             assert stepper.step(u_hat).tobytes() == expected.tobytes()
 
-    def test_fourth_order_convergence(self):
-        # smooth data on the full fifth-order equation; halving dt should
-        # shrink the global error by about 16
-        from fpu5 import linear_symbol, make_nonlinear_operator
+    @pytest.mark.parametrize("make_stepper", STEPPERS)
+    def test_fourth_order_convergence(self, make_stepper):
+        # smooth data on the full fifth-order equation, the problem of
+        # acceptance criterion 09; halving dt should shrink the global error
+        # by about 16
         g = Grid(2.0 * np.pi, 16)
         params = ModelParams(delta=0.6, mu=0.5)
         u0 = 0.5 * np.sin(g.x) + 0.3 * np.cos(2 * g.x)
@@ -280,7 +287,7 @@ class TestIfRk4:
 
         def integrate(dt, t_end=2.0):
             n = int(round(t_end / dt))
-            stepper = IntegratingFactorRK4(symbol, nonlin, t_end / n)
+            stepper = make_stepper(symbol, nonlin, t_end / n)
             u_hat = np.fft.rfft(u0)
             for _ in range(n):
                 u_hat = stepper.step(u_hat)
@@ -290,6 +297,86 @@ class TestIfRk4:
         e1 = np.max(np.abs(integrate(1e-2) - ref))
         e2 = np.max(np.abs(integrate(5e-3) - ref))
         assert 12.0 < e1 / e2 < 20.0
+
+
+def phi_coefficients(z, dt):
+    """The Cox-Matthews coefficients Q, f1, f2, f3 from their closed forms,
+    in extended precision."""
+    z = np.asarray(z, dtype=np.clongdouble)
+    dt = np.longdouble(dt)
+    e = np.exp(z)
+    z3 = z * z * z
+    return (dt * (np.exp(0.5 * z) - 1) / z,
+            dt * (-4 - z + e * (4 - 3 * z + z * z)) / z3,
+            dt * (2 + z + e * (z - 2)) / z3,
+            dt * (-4 - 3 * z - z * z + e * (4 - z)) / z3)
+
+
+class TestEtdRk4:
+    def test_coefficients_match_the_closed_forms(self):
+        # the contour means against the closed forms wherever those do not
+        # cancel, |z| >= 0.5.  The error is taken relative to dt / |z|, the
+        # size of each formula's terms: Q and f2 have zeros on the imaginary
+        # axis, near which no double evaluation keeps its relative error.
+        # The real part of a half-circle mean, right for a real symbol, is
+        # 8% off here
+        dt = 1e-3
+        rng = np.random.default_rng(7)
+        z = 1j * np.concatenate([np.linspace(-2000.0, 2000.0, 40001),
+                                 rng.uniform(-3.0, 3.0, 4000)])
+        z = z[np.abs(z) >= 0.5]
+        stepper = ETDRK4(z / dt, None, dt)
+        exact = phi_coefficients(stepper.dt * (z / dt), dt)
+        got = (stepper.q, stepper.f1, stepper.f2, stepper.f3)
+        for name, value, ref in zip(("q", "f1", "f2", "f3"), got, exact):
+            err = np.max(np.abs(value - ref) * np.abs(z) / dt)
+            assert err < 1e-12, name
+        assert np.array_equal(stepper.e_full, np.exp(stepper.dt * (z / dt)))
+
+    def test_zero_mode_coefficients(self):
+        # z = 0, where the closed forms are 0/0: E = 1 exactly, Q = dt/2 and
+        # f1 = f2 = f3 = dt/6, the classical RK4 weights
+        dt = 0.01
+        stepper = ETDRK4(np.zeros(3, dtype=complex), None, dt)
+        assert np.all(stepper.e_full == 1.0) and np.all(stepper.e_half == 1.0)
+        for value, ref in zip((stepper.q, stepper.f1, stepper.f2, stepper.f3),
+                              (dt / 2, dt / 6, dt / 6, dt / 6)):
+            assert np.max(np.abs(value - ref)) < 1e-15 * ref
+
+    def test_step_is_the_cox_matthews_combination(self):
+        g = Grid(30.0, 64)
+        rows = [ModelParams(1.0, 0.5), ModelParams(0.7, 0.1)]
+        rng = np.random.default_rng(6)
+        u_hat = np.fft.rfft(rng.standard_normal((2, g.n)))
+        for kind in EquationKind:
+            n = make_nonlinear_operator(kind, rows, g)
+            s = ETDRK4(linear_symbol(kind, rows, g), n, 0.01)
+            nv = n(u_hat)
+            a = s.e_half * u_hat + s.q * nv
+            na = n(a)
+            b = s.e_half * u_hat + s.q * na
+            nb = n(b)
+            c = s.e_half * a + s.q * (2.0 * nb - nv)
+            expected = s.e_full * u_hat + s.f1 * nv \
+                + 2.0 * s.f2 * (na + nb) + s.f3 * n(c)
+            got = s.step(u_hat)
+            assert np.max(np.abs(got - expected)) \
+                < 1e-14 * np.max(np.abs(expected))
+
+    def test_mass_is_conserved_exactly(self):
+        # E = 1 on mode 0 and the tendency's mode 0 is zero, so the mean of
+        # the field is carried over bit for bit
+        g = Grid(40.0, 64)
+        params = ModelParams(delta=1.0, mu=0.3)
+        u_hat = np.fft.rfft(0.3 + np.cos(2 * np.pi * g.x / g.length))
+        stepper = ETDRK4(linear_symbol(EquationKind.FPU5, params, g),
+                         make_nonlinear_operator(EquationKind.FPU5, params, g),
+                         0.01)
+        assert stepper.e_full[0] == 1.0
+        start = u_hat[0]
+        for _ in range(50):
+            u_hat = stepper.step(u_hat)
+            assert u_hat[0] == start
 
 
 class TestDefaultTimeStep:

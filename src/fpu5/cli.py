@@ -117,8 +117,7 @@ def _cmd_validate(args) -> int:
         raise ConfigError("validate runs kind = fpu5 with initial_condition = "
                           f"kink_pair, not kind = {config.kind.value} with {ic}")
     report = kink_validation(config.params, config.grid, config.dt,
-                             config.t_end, config.snapshot_interval,
-                             scheme=config.scheme)
+                             config.t_end, config.snapshot_interval)
     _write(args.out, config_to_dict(config), StudyResult(
         report, {"max_err": report.max_err}, report.error_table()), started)
     print(f"max err {report.max_err:.3e}")

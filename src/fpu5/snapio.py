@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .experiments import InitialCondition, SimulationConfig, Snapshot
 from .params import EquationKind, ModelParams
-from .spectral import Grid, Scheme
+from .spectral import Grid
 
 FLOAT_FMT = "%.16e"
 
@@ -111,7 +111,6 @@ _CONFIG_KEYS = {
     "ic_k": float,
     "ic_c0": float,
     "ic_path": str,
-    "scheme": str,
 }
 _REQUIRED = ("kind", "delta", "mu", "L", "N", "t_end")
 _IC_PARAM_KEYS = {"kdv5_soliton": "ic_k", "gardner_soliton": "ic_c0",
@@ -149,7 +148,6 @@ def parse_config(text: str) -> SimulationConfig:
             raise ConfigError(f"bad value for {key!r}: {text_value!r}") from None
 
     kind = _choice(EquationKind, "kind", values["kind"])
-    scheme = _choice(Scheme, "scheme", values.get("scheme", Scheme.IFRK4.value))
 
     n = values["N"]
     if n < 8 or n & (n - 1):
@@ -170,7 +168,7 @@ def parse_config(text: str) -> SimulationConfig:
     return SimulationConfig(
         kind=kind, params=params, grid=grid, t_end=values["t_end"],
         dt=values.get("dt"), snapshot_interval=values.get("snapshot_interval"),
-        scheme=scheme, initial_condition=ic)
+        initial_condition=ic)
 
 
 def _choice(enum, key: str, value: str):
@@ -194,7 +192,6 @@ def config_to_dict(config: SimulationConfig) -> dict:
         "t_end": config.t_end,
         "dt": config.dt,
         "snapshot_interval": config.snapshot_interval,
-        "scheme": config.scheme.value,
         "initial_condition": ic.name,
     }
     for attr in ("k", "c0", "path"):

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpu5 import (ConfigError, DomainError, Grid, Scheme, Snapshot,
-                  config_to_dict, parse_config, read_snapshot, run)
+from fpu5 import (ConfigError, DomainError, Grid, Snapshot, parse_config,
+                  read_snapshot)
 from fpu5.cli import main
 from fpu5.snapio import write_snapshot, write_snapshots
 
@@ -33,13 +33,6 @@ class TestParseConfig:
         assert config.snapshot_interval is None
         assert config.initial_condition.name == "cosine"
         assert config.grid.n == 64
-        assert config.scheme is Scheme.IFRK4
-        assert config_to_dict(config)["scheme"] == "ifrk4"
-
-    def test_scheme_key(self):
-        config = parse_config(MINIMAL + "scheme = etdrk4\n")
-        assert config.scheme is Scheme.ETDRK4
-        assert config_to_dict(config)["scheme"] == "etdrk4"
 
     def test_comments_and_blank_lines(self):
         config = parse_config("# leading comment\n\n" + SOLITON_RUN
@@ -191,29 +184,6 @@ class TestCli:
         main(["simulate", str(cfg), "--out", str(out2)])
         for name in ("snap_0000.dat", "snap_0001.dat", "snap_0002.dat"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_simulate_honours_the_scheme(self, tmp_path):
-        # the files hold the run of the parsed config under its scheme, and
-        # the two schemes give different snapshots
-        text = SOLITON_RUN.replace("kind = gardner", "kind = fpu5")
-        for scheme in Scheme:
-            cfg = self.write_config(tmp_path, f"{text}scheme = {scheme.value}\n")
-            out = tmp_path / scheme.value
-            assert main(["simulate", str(cfg), "--out", str(out)]) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["config"]["scheme"] == scheme.value
-            expected = run(parse_config(cfg.read_text()))
-            got = [read_snapshot(p)[0] for p in manifest["files"]]
-            assert len(got) == len(expected) == 3
-            assert all(np.array_equal(a.u, b.u) for a, b in zip(got, expected))
-        assert (tmp_path / "ifrk4" / "snap_0002.dat").read_bytes() \
-            != (tmp_path / "etdrk4" / "snap_0002.dat").read_bytes()
-
-    def test_unknown_scheme_exits_2(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path, MINIMAL + "scheme = euler\n")
-        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "scheme must be one of: ifrk4, etdrk4" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
 
     def test_simulate_zero_horizon_single_file(self, tmp_path):
         cfg = self.write_config(

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from fpu5 import (EXPERIMENTS, STUDIES, DomainError, EquationKind, Grid,
-                  InitialCondition, ModelParams, Scheme, SimulationConfig,
-                  Snapshot, kink_validation, run, run_batch)
+                  InitialCondition, ModelParams, SimulationConfig, Snapshot,
+                  kink_validation, run, run_batch)
 from fpu5.cli import main
 
 SMALL = {
     "kink-validation": dict(
-        delta=0.6, mu=2.0, length=32.0, n=128, dt=5e-4, scheme="etdrk4",
+        delta=0.6, mu=2.0, length=32.0, n=128, dt=5e-4,
         t_end=0.5, snapshot_interval=0.25, err_bound=6e-3),
     "soliton-perturbation": dict(
         delta=2.0, k=1.0, mus=(0.0, 0.05), length=46.75, n=64,
@@ -112,21 +112,9 @@ def test_validate_cli(tmp_path):
     assert manifest["checks"]["max_err"] < 1e-3
     errs = np.loadtxt(out / "err_vs_t.dat")[:, 1]
     assert manifest["checks"]["max_err"] == errs.max()
-
-
-@pytest.mark.parametrize("line, scheme", [
-    ("", Scheme.IFRK4), ("scheme = etdrk4\n", Scheme.ETDRK4)])
-def test_validate_runs_the_config_scheme(line, scheme, tmp_path):
-    # a config file without the key keeps IF-RK4, though kink_validation
-    # itself defaults to the frozen study's ETDRK4
-    cfg = tmp_path / "v.cfg"
-    cfg.write_text(KINK_CONFIG + line)
-    out = tmp_path / "val"
-    assert main(["validate", str(cfg), "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["scheme"] == scheme.value
+    # validate is kink_validation on the file's grid and schedule
     expected = kink_validation(ModelParams(0.6, 2.0), Grid(32.0, 128), 5e-4,
-                               0.5, 0.25, scheme=scheme)
+                               0.5, 0.25)
     assert manifest["checks"]["max_err"] == expected.max_err
 
 

@@ -85,26 +85,29 @@ def make_nonlinear_operator(kind: EquationKind,
     irfft_into = spectral.irfft_into
     rfft_into = spectral.rfft_into
 
-    def fifth_order(f, lead):
+    def fifth_order(f, row):
         # w = mu u u - u and the tendency
         #   w (ux + d2 uxxx) + d2 ux ((4 mu u - 2) uxx + mu ux ux),
         # every product and sum taken in the order written; adjacent rows
         # of t that meet the same operation are done in one call
-        t = np.empty((7,) + lead + (n,))
-        mu4 = 4.0 * mu
+        t = np.empty((7,) + row)
+        mu_both = np.full((2,) + row, mu, dtype=float)
+        d2 = np.full(row, delta2, dtype=float)
+        mu4 = np.full(row, 4.0 * mu, dtype=float)
+        two = np.full(row, 2.0, dtype=float)
         u, ux, uxx, uxxx = f
         u_ux = f[:2]
         d2ux, w, muxux, j, b, g, d2uxxx = t
         mu_pair, d2ux_w, j_b = t[1:3], t[:2], t[3:5]
 
         def tendency():
-            np.multiply(mu, u_ux, out=mu_pair)          # mu u, mu ux
-            np.multiply(delta2, ux, out=d2ux)
-            np.multiply(delta2, uxxx, out=d2uxxx)
+            np.multiply(mu_both, u_ux, out=mu_pair)     # mu u, mu ux
+            np.multiply(d2, ux, out=d2ux)
+            np.multiply(d2, uxxx, out=d2uxxx)
             np.multiply(mu4, u, out=g)
             np.multiply(mu_pair, u_ux, out=mu_pair)     # mu u u, mu ux ux
             np.subtract(w, u, out=w)
-            np.subtract(g, 2.0, out=g)
+            np.subtract(g, two, out=g)
             np.multiply(g, uxx, out=g)
             np.add(ux, d2uxxx, out=b)
             np.add(g, muxux, out=j)
@@ -113,13 +116,14 @@ def make_nonlinear_operator(kind: EquationKind,
 
         return tendency
 
-    def third_order(f, lead):
+    def third_order(f, row):
         # (mu u u - u) ux
-        w = np.empty(lead + (n,))
+        w = np.empty(row)
+        mu_row = np.full(row, mu, dtype=float)
         u, ux = f
 
         def tendency():
-            np.multiply(mu, u, out=w)
+            np.multiply(mu_row, u, out=w)
             np.multiply(w, u, out=w)
             np.subtract(w, u, out=w)
             return np.multiply(w, ux, out=w)
@@ -131,19 +135,28 @@ def make_nonlinear_operator(kind: EquationKind,
 
         Arrays are stacked row first, so f[r] is u or one of its
         derivatives.  Every view is made here once: making one costs about
-        half an elementwise pass at N = 512.
+        half an elementwise pass at N = 512.  So is every constant operand
+        (the derivative multipliers, the dealias mask, mu, delta^2, 4 mu
+        and 2), copied out to the shape and dtype of the output it meets:
+        numpy sets up a broadcast, a scalar or a float-to-complex cast anew
+        on every call, at up to the cost of the call's own arithmetic.
+        Operands keep their order in the plain expression, since numpy's
+        complex multiply need not give x*y and y*x the same bits.
         """
         lead = shape[:-1]
-        mult_rows = mult.reshape((len(mult),) + (1,) * len(lead) + (h,))
+        row = lead + (n,)
+        mult_rows = np.full((len(mult),) + shape,
+                            mult.reshape((len(mult),) + (1,) * len(lead) + (h,)))
+        mask_full = np.full(shape, mask, dtype=complex)
         prod = np.empty((len(mult),) + shape, dtype=complex)
-        f = np.empty((len(mult),) + lead + (n,))
-        tendency = (fifth_order if fifth else third_order)(f, lead)
+        f = np.empty((len(mult),) + row)
+        tendency = (fifth_order if fifth else third_order)(f, row)
 
         def apply(u_hat):
             np.multiply(u_hat, mult_rows, out=prod)
             irfft_into(prod, f)
             out = rfft_into(tendency(), np.empty(shape, dtype=complex))
-            out *= mask
+            np.multiply(out, mask_full, out=out)
             # kept apart from the mask: folding it in can flip a zero's sign
             out[..., 0] = 0.0
             return out

@@ -54,7 +54,8 @@ def _write_snapshot(path, snapshot: Snapshot, grid: Grid, body: str) -> None:
 def read_snapshot(path):
     """Return (Snapshot, (n, length)) parsed from a snapshot file.
 
-    Only the u column is parsed; x is implied by N and L.
+    Only the u column is parsed; x is implied by N and L.  Exactly N data
+    rows must follow the header; blank lines after them are allowed.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -70,6 +71,10 @@ def read_snapshot(path):
         raise ConfigError(f"{path}: bad snapshot header {header!r}") from None
     if len(rows) < n:
         raise ConfigError(f"{path}: truncated after {len(rows)} rows")
+    for i, row in enumerate(rows[n:], start=n):
+        if row.strip():
+            raise ConfigError(f"{path}: extra row {i + 1} (line {i + 2}), "
+                              f"header gives N={n}: {row!r}")
     us = np.empty(n)
     try:
         for i, row in enumerate(rows[:n]):

@@ -143,9 +143,13 @@ class IntegratingFactorRK4:
         self.nonlinear = nonlinear
         self.e_half = np.exp(symbol * (0.5 * self.dt))
         self.e_full = self.e_half * self.e_half
-        # the step's scalars as complex128: numpy would convert a Python
-        # float to this same value on every call, at a cost per call
-        self._scalars = tuple(np.complex128(v) for v in (self.dt, 0.5, 2.0, 6.0))
+        # the step's scalars dt, 1/2, 2 and 6 as complex arrays of the
+        # symbol's shape, each used in its scalar's place: a scalar operand
+        # costs numpy a set-up on every call, and a full array in the same
+        # place gives the same bits (the complex product need not commute
+        # bit for bit, so the place matters)
+        self._scalars = tuple(np.full(self.e_half.shape, v, dtype=complex)
+                              for v in (self.dt, 0.5, 2.0, 6.0))
 
     def step(self, u_hat: np.ndarray) -> np.ndarray:
         """One step from u_hat; returns the new state as a fresh array.

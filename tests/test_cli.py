@@ -97,6 +97,10 @@ class TestSnapshotIO:
         assert length == grid.length
         assert back.t == snap.t
         assert np.array_equal(back.u, snap.u)
+        # blank lines after the N rows are not data
+        with open(path, "a") as fh:
+            fh.write("\n \n")
+        assert np.array_equal(read_snapshot(path)[0].u, snap.u)
 
     def test_manifest_lists_files_and_times(self, tmp_path):
         grid = Grid(10.0, 16)
@@ -136,6 +140,9 @@ class TestSnapshotIO:
         ("0.0\t1.0\n0.0 1.0\n0.0\t1.0\n", "malformed row 2"),
         ("0.0\t1.0\t2.0\n0.0\t1.0\n0.0\t1.0\n", "malformed row 1"),
         ("0.0\t1.0\n0.0\t1.0\n0.0\tnan-ish\n", "malformed row 3"),
+        ("0.0\t1.0\n" * 5, r"extra row 4 \(line 5\), header gives N=3"),
+        ("0.0\t1.0\n" * 3 + "\n0.0\t1.0\n",
+         r"extra row 5 \(line 6\), header gives N=3"),
     ])
     def test_bad_body_raises_config_error(self, tmp_path, body, message):
         path = tmp_path / "bad.dat"

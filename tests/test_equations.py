@@ -189,7 +189,8 @@ class TestOperatorFactory:
     def test_bit_identical_to_the_plain_expression(self):
         # the operator works in place on its own arrays; its result must be
         # that of the tendency written as one numpy expression, zero signs
-        # included, for one row and for a batch of rows
+        # included, for one row, for a batch of rows, and for a stack of
+        # rows fed to an operator built from one parameter set
         g = Grid(20.0, 64)
         h = g.n // 2 + 1
         rows = [ModelParams(1.0, 0.2), ModelParams(0.6, 0.0), ModelParams(1.4, 0.7)]
@@ -224,6 +225,9 @@ class TestOperatorFactory:
             for p, v, row in zip(rows, u_hat, expected):
                 single = make_nonlinear_operator(kind, p, g)(v)
                 assert single.tobytes() == row.tobytes()
+            stacked = make_nonlinear_operator(kind, rows[0], g)(u_hat)
+            for v, row in zip(u_hat, stacked):
+                assert row.tobytes() == plain(kind, rows[0], v).tobytes()
 
     def test_work_arrays_never_leak_between_calls(self):
         # one operator fed single rows and stacks of three in turn gives what

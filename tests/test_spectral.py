@@ -255,24 +255,28 @@ class TestIfRk4:
             assert np.array_equal(stepper.step(u_hat), first)
 
     def test_step_is_the_textbook_combination_bit_for_bit(self):
-        # the in-place step against the IF-RK4 formula written out, on a
-        # batch of two rows for every kind; tobytes also compares zero signs
+        # the in-place step against the IF-RK4 formula written out, for every
+        # kind, on a batch of two rows and on one (h,) row, the shape of the
+        # single-row studies; tobytes also compares zero signs
         g = Grid(30.0, 64)
-        rows = [ModelParams(1.0, 0.5), ModelParams(0.7, 0.1)]
         rng = np.random.default_rng(6)
-        u_hat = np.fft.rfft(rng.standard_normal((2, g.n)))
         dt = 0.01
-        for kind in EquationKind:
-            n = make_nonlinear_operator(kind, rows, g)
-            stepper = IntegratingFactorRK4(linear_symbol(kind, rows, g), n, dt)
-            e_half, e_full = stepper.e_half, stepper.e_full
-            a = dt * n(u_hat)
-            b = dt * n((u_hat + 0.5 * a) * e_half)
-            c = dt * n(u_hat * e_half + 0.5 * b)
-            d = dt * n(u_hat * e_full + c * e_half)
-            expected = u_hat * e_full \
-                + (a * e_full + 2.0 * (b + c) * e_half + d) / 6.0
-            assert stepper.step(u_hat).tobytes() == expected.tobytes()
+        for params, shape in [
+                ([ModelParams(1.0, 0.5), ModelParams(0.7, 0.1)], (2, g.n)),
+                (ModelParams(1.0, 0.5), (g.n,))]:
+            u_hat = np.fft.rfft(rng.standard_normal(shape))
+            for kind in EquationKind:
+                n = make_nonlinear_operator(kind, params, g)
+                stepper = IntegratingFactorRK4(
+                    linear_symbol(kind, params, g), n, dt)
+                e_half, e_full = stepper.e_half, stepper.e_full
+                a = dt * n(u_hat)
+                b = dt * n((u_hat + 0.5 * a) * e_half)
+                c = dt * n(u_hat * e_half + 0.5 * b)
+                d = dt * n(u_hat * e_full + c * e_half)
+                expected = u_hat * e_full \
+                    + (a * e_full + 2.0 * (b + c) * e_half + d) / 6.0
+                assert stepper.step(u_hat).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("make_stepper", STEPPERS)
     def test_fourth_order_convergence(self, make_stepper):

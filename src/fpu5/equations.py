@@ -15,10 +15,8 @@ import numpy as np
 
 from . import spectral
 from .errors import BlowUpError
-from .params import EquationKind, ModelParams, effective_mu
+from .params import FIFTH_ORDER, EquationKind, ModelParams, effective_mu
 from .spectral import Grid, derivative_multiplier, spectral_derivative
-
-FIFTH_ORDER = (EquationKind.FPU5, EquationKind.KDV5)
 
 
 def _per_row(values, batched: bool):
@@ -212,17 +210,22 @@ def full_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
     return _physical(grid, u, lambda u_hat: lam * u_hat + op(u_hat))
 
 
-def conservation_flux(params: ModelParams, grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Flux F(u) of the fifth-order equation, so that du/dt = -dF/dx.
+def flux(params: ModelParams, u, ux, uxx, uxxxx):
+    """Flux F of the fifth-order equation, du/dt = -dF/dx, from samples of
+    u and its derivatives:
 
     F = u^2/2 - mu u^3/3 + delta^2 u_xx + delta^2 (u u_xx + u_x^2/2)
         - delta^2 mu (u^2 u_xx + u u_x^2) + (2/5) delta^4 u_xxxx
     """
-    u = _require_finite(grid.check_field(u), "flux fed a non-finite field")
-    ux, uxx, uxxxx = (spectral_derivative(grid, u, m) for m in (1, 2, 4))
     mu = params.mu
     d2 = params.delta**2
     return (0.5 * u * u - mu * u**3 / 3.0 + d2 * uxx
             + d2 * (u * uxx + 0.5 * ux * ux)
             - d2 * mu * (u * u * uxx + u * ux * ux)
             + 0.4 * d2 * d2 * uxxxx)
+
+
+def conservation_flux(params: ModelParams, grid: Grid, u: np.ndarray) -> np.ndarray:
+    """``flux`` of a periodic field, its derivatives taken spectrally."""
+    u = _require_finite(grid.check_field(u), "flux fed a non-finite field")
+    return flux(params, u, *(spectral_derivative(grid, u, m) for m in (1, 2, 4)))

@@ -1,6 +1,7 @@
 """Simulation runner, error metrics, the canned studies, and recurrence scan."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +12,7 @@ from .errors import BlowUpError, DomainError
 from .params import EquationKind, ModelParams
 from .solutions import (GardnerSoliton, KdV5Soliton, KinkSolution,
                         gardner_soliton, kdv5_soliton, kink_eval)
-from .spectral import Grid, Scheme, default_time_step
+from .spectral import ETDRK4, Grid, IntegratingFactorRK4, default_time_step
 
 IC_NAMES = ("kink_pair", "kdv5_soliton", "gardner_soliton", "cosine",
             "from_file")
@@ -62,16 +63,16 @@ class SimulationConfig:
     initial_condition: InitialCondition
     dt: float | None = None
     snapshot_interval: float | None = None
-    scheme: Scheme = Scheme.IFRK4
+    scheme: type = IntegratingFactorRK4   # or ETDRK4: the stepper class
 
     def __post_init__(self):
-        if self.t_end < 0:
-            raise DomainError("t_end must be nonnegative")
-        if self.dt is not None and not self.dt > 0:
-            raise DomainError("dt must be positive")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise DomainError("t_end must be finite and nonnegative")
+        for name in ("dt", "snapshot_interval"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and positive")
         if self.snapshot_interval is not None:
-            if not self.snapshot_interval > 0:
-                raise DomainError("snapshot_interval must be positive")
             if self.dt is not None and self.snapshot_interval < self.dt:
                 raise DomainError("snapshot_interval must be at least dt")
 
@@ -182,7 +183,7 @@ def run(config: SimulationConfig) -> list[Snapshot]:
 def run_batch(configs: list[SimulationConfig]) -> list[list[Snapshot]]:
     """Integrate several configurations; one snapshot list per config.
 
-    Rows that share equation kind, time-stepping scheme, grid (L and N) and
+    Rows that share equation kind, stepper class, grid (L and N) and
     resolved schedule (snapshot interval, steps per snapshot, snapshot
     count, hence dt) step together as one (B, N//2 + 1) half-spectrum
     state, with delta and mu set per row.  Other rows run as groups of
@@ -216,7 +217,7 @@ def _step_group(kind, scheme, grid, params, snapshots, rows, snap_dt,
     dt = snap_dt / steps_per
     symbol = linear_symbol(kind, params, grid)
     nonlinear = make_nonlinear_operator(kind, params, grid)
-    stepper = scheme.stepper(symbol, nonlinear, dt)
+    stepper = scheme(symbol, nonlinear, dt)
 
     u_hat = np.fft.rfft(np.stack([s[0].u for s in snapshots]))
     # overflow is diagnosed through the explicit finiteness check, so the
@@ -409,7 +410,7 @@ def kink_validation(params: ModelParams, grid: Grid, dt: float | None,
         raise DomainError("kink validation requires mu > 0")
     config = SimulationConfig(
         kind=EquationKind.FPU5, params=params, grid=grid, t_end=t_end,
-        dt=dt, snapshot_interval=snapshot_interval, scheme=Scheme.ETDRK4,
+        dt=dt, snapshot_interval=snapshot_interval, scheme=ETDRK4,
         initial_condition=InitialCondition("kink_pair"))
     snapshots = run(config)
     kink = KinkSolution(params, branch=1, z0=0.25 * grid.length)

@@ -48,11 +48,27 @@ class FuchsResult:
     reason: str
 
 
-def _check_params(params: ModelParams):
+def _derivative_factor(n: int) -> Fraction:
+    """(-1)^n n!: v^(n) = (-1)^n n! a0 z^(-1-n) for v = a0/z."""
+    return Fraction((-1) ** n * math.factorial(n))
+
+
+def _substitute_pole(params: ModelParams):
+    """Substitute v = a0/z into each ``_TERMS`` monomial, exactly.
+
+    A term with derivative orders (n_1, ..., n_d) becomes c a0^d
+    z^-(d + n_1 + ... + n_d), with c its prefactor times
+    prod_i (-1)^n_i n_i!.  Returns the (orders, c) of each term and the
+    balance's a0^2 = 16 d^2 / (5 mu).
+    """
     if not params.mu > 0:
         raise DomainError("the balance requires mu > 0")
-    if not params.delta > 0:
-        raise DomainError("the balance requires delta > 0")
+    mu_f = Fraction(params.mu)
+    d_f = Fraction(params.delta)
+    terms = [(orders, pref(mu_f, d_f)
+              * math.prod(_derivative_factor(n) for n in orders))
+             for pref, orders in _TERMS]
+    return terms, Fraction(16, 5) * d_f**2 / mu_f
 
 
 def _balance_pole_order() -> int:
@@ -74,24 +90,13 @@ def _balance_pole_order() -> int:
 
 def leading_balance(params: ModelParams) -> LeadingBalance:
     """Pole order and the two branch coefficients of v ~ a0 / z."""
-    _check_params(params)
+    terms, a0_sq = _substitute_pole(params)
     p = _balance_pole_order()
-    # with p = 1: v^(n) base coefficient is (-1)^n n! a0, so the quartic term
-    # contributes -(mu d^2/2) a0^4 and the quadratic ones ((12-4)/5) d^4 a0^2
-    mu_f = Fraction(params.mu)
-    d_f = Fraction(params.delta)
-    quartic = Fraction(0)
-    quadratic = Fraction(0)
-    for pref, orders in _TERMS:
-        coef = pref(mu_f, d_f)
-        for n in orders:
-            coef *= Fraction((-1) ** n * math.factorial(n))
-        if len(orders) == 4:
-            quartic += coef
-        else:
-            quadratic += coef
-    a0_sq = -quadratic / quartic
-    assert a0_sq == Fraction(16, 5) * d_f**2 / mu_f
+    # with p = 1 the quartic term contributes -(mu d^2/2) a0^4 and the
+    # quadratic ones ((12-4)/5) d^4 a0^2
+    quartic = sum(c for orders, c in terms if len(orders) == 4)
+    quadratic = sum(c for orders, c in terms if len(orders) == 2)
+    assert -quadratic / quartic == a0_sq
     a0 = math.sqrt(a0_sq)
     return LeadingBalance(pole_order=p, coefficients=(a0, -a0))
 
@@ -106,51 +111,35 @@ def _falling_factor_poly(n: int) -> list[Fraction]:
     return poly
 
 
-def _indicial_polynomial(params: ModelParams, branch: int) -> list[Fraction]:
+def _indicial_polynomial(terms, a0_sq: Fraction, branch: int) -> list[Fraction]:
     """Monic indicial polynomial for one a0 branch, exact rationals."""
-    mu_f = Fraction(params.mu)
-    d_f = Fraction(params.delta)
-    a0_sq = Fraction(16, 5) * d_f**2 / mu_f
-    total: list[Fraction] = []
-    z_exponent_shift = None
-    for pref, orders in _TERMS:
-        shift = len(orders) + sum(orders)  # z-power is j - shift for each term
-        if z_exponent_shift is None:
-            z_exponent_shift = shift
-        elif shift != z_exponent_shift:
-            raise AssertionError("terms do not share a common z power")
-        base = pref(mu_f, d_f)
-        for i, n in enumerate(orders):
-            coef = base
-            for m_idx, n_other in enumerate(orders):
-                if m_idx != i:
-                    coef *= Fraction((-1) ** n_other * math.factorial(n_other))
-            a0_power = len(orders) - 1
-            if a0_power % 2 == 0:
-                raise AssertionError("expected an odd leftover power of a0")
-            coef *= a0_sq ** ((a0_power - 1) // 2)
-            if branch < 0:
-                coef = -coef  # odd a0 power flips with the branch sign
-            poly = [coef * c for c in _falling_factor_poly(n)]
-            if len(poly) > len(total):
-                total += [Fraction(0)] * (len(poly) - len(total))
-            for idx, c in enumerate(poly):
-                total[idx] += c
+    # the z-power of each term is j - (d + n_1 + ... + n_d)
+    if len({len(orders) + sum(orders) for orders, _ in terms}) != 1:
+        raise AssertionError("terms do not share a common z power")
+    total = [Fraction(0)] * (1 + max(max(orders) for orders, _ in terms))
+    for orders, term_coef in terms:
+        a0_power = len(orders) - 1
+        if a0_power % 2 == 0:
+            raise AssertionError("expected an odd leftover power of a0")
+        # the odd a0 power flips with the branch sign
+        base = term_coef * a0_sq ** ((a0_power - 1) // 2) * branch
+        for n in orders:
+            # the perturbed factor gives the falling factorial in place of
+            # its (-1)^n n!
+            coef = base / _derivative_factor(n)
+            for idx, c in enumerate(_falling_factor_poly(n)):
+                total[idx] += coef * c
     while total and total[-1] == 0:
         total.pop()
-    lead = total[-1]
-    monic = [c / lead for c in reversed(total)]
-    return monic
+    return [c / total[-1] for c in reversed(total)]
 
 
 def fuchs_indices(params: ModelParams) -> FuchsResult:
     """Indicial polynomial and its roots; mu and delta must cancel exactly."""
-    _check_params(params)
-    monic_plus = _indicial_polynomial(params, +1)
-    monic_minus = _indicial_polynomial(params, -1)
-    if monic_plus != monic_minus:
+    terms, a0_sq = _substitute_pole(params)
+    monic = _indicial_polynomial(terms, a0_sq, +1)
+    if _indicial_polynomial(terms, a0_sq, -1) != monic:
         raise AssertionError("the two a0 branches disagree on the indices")
-    monic = monic_plus
     if len(monic) != 4:
         raise AssertionError("indicial polynomial should have degree 3")
     # universal resonance at j = -1, checked identically
@@ -194,15 +183,5 @@ def leading_coefficient_residual(params: ModelParams) -> Fraction:
     Zero by construction of the balance; exposed so tests can assert it
     identically rather than numerically.
     """
-    _check_params(params)
-    mu_f = Fraction(params.mu)
-    d_f = Fraction(params.delta)
-    a0_sq = Fraction(16, 5) * d_f**2 / mu_f
-    total = Fraction(0)
-    for pref, orders in _TERMS:
-        coef = pref(mu_f, d_f)
-        for n in orders:
-            coef *= Fraction((-1) ** n * math.factorial(n))
-        coef *= a0_sq ** (len(orders) // 2)
-        total += coef
-    return total
+    terms, a0_sq = _substitute_pole(params)
+    return sum(c * a0_sq ** (len(orders) // 2) for orders, c in terms)

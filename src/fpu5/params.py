@@ -1,6 +1,7 @@
 """Model parameters, the chain-to-model mapping, and the equation registry."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,10 +55,14 @@ class ModelParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise DomainError("delta must be positive")
-        if self.mu < 0:
-            raise DomainError("mu must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise DomainError("delta must be finite and positive")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise DomainError("mu must be finite and nonnegative")
+
+
+# the kinds whose linear symbol and tendency carry the fifth-order block
+FIFTH_ORDER = (EquationKind.FPU5, EquationKind.KDV5)
 
 
 def effective_mu(kind: EquationKind, params: ModelParams) -> float:

@@ -7,6 +7,7 @@ reproduces the doubles bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,9 @@ def _write_snapshot(path, snapshot: Snapshot, grid: Grid, body: str) -> None:
 def read_snapshot(path):
     """Return (Snapshot, (n, length)) parsed from a snapshot file.
 
-    Only the u column is parsed; x is implied by N and L.  Exactly N data
-    rows must follow the header; blank lines after them are allowed.
+    Only the u column is parsed; x is implied by N and L.  The header needs
+    N >= 1, a finite t and a finite L > 0.  Exactly N data rows must follow
+    it; blank lines after them are allowed.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -69,6 +71,10 @@ def read_snapshot(path):
         length = float(fields["L"])
     except (KeyError, ValueError):
         raise ConfigError(f"{path}: bad snapshot header {header!r}") from None
+    if not (n >= 1 and math.isfinite(t) and math.isfinite(length)
+            and length > 0):
+        raise ConfigError(f"{path}: bad snapshot header {header!r}: need N >= 1, "
+                          "a finite t and a finite L > 0")
     if len(rows) < n:
         raise ConfigError(f"{path}: truncated after {len(rows)} rows")
     for i, row in enumerate(rows[n:], start=n):

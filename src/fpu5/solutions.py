@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .equations import flux
 from .errors import DomainError, PoleError
 from .params import ModelParams, kink_speed
 from .weierstrass import WeierstrassP, POLE_THRESHOLD
@@ -161,8 +162,6 @@ class EllipticSolution:
 
 def elliptic_coeffs(params: ModelParams, g3: float, z0: float = 0.0) -> EllipticSolution:
     """Fill every derived constant of the elliptic solution."""
-    if not params.delta > 0:
-        raise DomainError("elliptic solution requires delta > 0")
     return EllipticSolution(params=params, g3=float(g3), z0=float(z0))
 
 
@@ -298,15 +297,9 @@ def kdv5_soliton(s: KdV5Soliton, x, t: float = 0.0):
 # ----------------------------------------------------- residual verifiers
 
 def residual_first_integral(v, v1, v2, v4, c0, c1, params: ModelParams) -> float:
-    """Max |C1 - C0 v + v^2/2 - mu v^3/3 + d^2 v'' + d^2 v'^2/2 + d^2 v v''
-    - mu d^2 v v'^2 - mu d^2 v^2 v'' + (2/5) d^4 v''''| over the samples."""
-    mu = params.mu
-    d2 = params.delta**2
+    """Max |C1 - C0 v + F| over the samples, F the equation's ``flux``."""
     v, v1, v2, v4 = (np.asarray(a, dtype=float) for a in (v, v1, v2, v4))
-    expr = (c1 - c0 * v + 0.5 * v * v - mu * v**3 / 3.0 + d2 * v2
-            + 0.5 * d2 * v1 * v1 + d2 * v * v2 - mu * d2 * v * v1 * v1
-            - mu * d2 * v * v * v2 + 0.4 * d2 * d2 * v4)
-    return float(np.max(np.abs(expr)))
+    return float(np.max(np.abs(c1 - c0 * v + flux(params, v, v1, v2, v4))))
 
 
 def residual_second_integral(v, v1, v2, v3, c0, c1, c2, params: ModelParams) -> float:

@@ -19,7 +19,7 @@ large part of a 110-250 µs step at N = 128..512.
 """
 from __future__ import annotations
 
-from enum import Enum
+import math
 
 import numpy as np
 # numpy's private FFT gufunc module, present since numpy 2.0 (the package's
@@ -27,7 +27,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import DomainError
-from .params import EquationKind, ModelParams, effective_mu
+from .params import FIFTH_ORDER, EquationKind, ModelParams, effective_mu
 
 _DT_SAFETY = 0.5  # default_time_step's dt times the fastest explicit rate
 
@@ -43,8 +43,8 @@ class Grid:
     """
 
     def __init__(self, length: float, n: int):
-        if not length > 0:
-            raise DomainError("grid length must be positive")
+        if not (math.isfinite(length) and length > 0):
+            raise DomainError("grid length must be finite and positive")
         n = int(n)
         if n < 8 or n & (n - 1):
             raise DomainError("N must be a power of two and at least 8")
@@ -287,17 +287,6 @@ class ETDRK4:
         return result
 
 
-class Scheme(Enum):
-    """Time-stepping scheme of a run, and the stepper class behind it."""
-
-    IFRK4 = "ifrk4"
-    ETDRK4 = "etdrk4"
-
-    @property
-    def stepper(self):
-        return {Scheme.IFRK4: IntegratingFactorRK4, Scheme.ETDRK4: ETDRK4}[self]
-
-
 def default_time_step(grid: Grid, params: ModelParams, kind: EquationKind,
                       u0: np.ndarray) -> float:
     """Step-size heuristic from the explicitly treated terms.
@@ -313,7 +302,7 @@ def default_time_step(grid: Grid, params: ModelParams, kind: EquationKind,
     mu = effective_mu(kind, params)
     advective = (amp + mu * amp * amp) * k_active
     rate = advective
-    if kind in (EquationKind.FPU5, EquationKind.KDV5):
+    if kind in FIFTH_ORDER:
         stiff = params.delta**2 * (amp + mu * amp * amp) * k_active**3
         rate = max(rate, stiff)
     return _DT_SAFETY / rate

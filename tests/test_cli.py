@@ -151,13 +151,16 @@ class TestSnapshotIO:
             read_snapshot(path)
         assert str(path) in str(err.value)
 
-    @pytest.mark.parametrize("header", ["t=0.0 N=3 L=1.0", "# t=0.0 L=1.0",
-                                        "# t=zero N=3 L=1.0", "# t"])
+    @pytest.mark.parametrize("header", [
+        "t=0.0 N=3 L=1.0", "# t=0.0 L=1.0", "# t=zero N=3 L=1.0", "# t",
+        "# t=0.0 N=-2 L=1.0", "# t=0.0 N=0 L=1.0", "# t=nan N=3 L=1.0",
+        "# t=0.0 N=3 L=-1.0", "# t=0.0 N=3 L=inf"])
     def test_bad_header_raises_config_error(self, tmp_path, header):
         path = tmp_path / "bad.dat"
         path.write_text(header + "\n" + "0.0\t1.0\n" * 3)
-        with pytest.raises(ConfigError, match="header"):
+        with pytest.raises(ConfigError, match="snapshot header") as err:
             read_snapshot(path)
+        assert str(path) in str(err.value)
 
     def test_zero_snapshot_format(self, tmp_path):
         grid = Grid(10.0, 16)
@@ -301,6 +304,17 @@ class TestCli:
                      "--out", str(tmp_path / "rec")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(manifest) in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("t_end", "nan"), ("t_end", "inf"), ("dt", "inf"),
+        ("snapshot_interval", "inf"), ("mu", "nan"), ("mu", "inf"),
+        ("delta", "inf"), ("L", "inf")])
+    def test_non_finite_run_input_exits_2(self, tmp_path, capsys, key, value):
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in SOLITON_RUN.splitlines()]
+        cfg = self.write_config(tmp_path, "\n".join(lines) + "\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as err:

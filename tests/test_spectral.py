@@ -256,13 +256,15 @@ class TestIfRk4:
 
     def test_step_is_the_textbook_combination_bit_for_bit(self):
         # the in-place step against the IF-RK4 formula written out, for every
-        # kind, on a batch of two rows and on one (h,) row, the shape of the
-        # single-row studies; tobytes also compares zero signs
+        # kind, on a batch of two rows, on the (1, h) batch of one row that
+        # the run loop steps for a single-row study, and on one (h,) row;
+        # tobytes also compares zero signs
         g = Grid(30.0, 64)
         rng = np.random.default_rng(6)
         dt = 0.01
         for params, shape in [
                 ([ModelParams(1.0, 0.5), ModelParams(0.7, 0.1)], (2, g.n)),
+                ([ModelParams(1.0, 0.5)], (1, g.n)),
                 (ModelParams(1.0, 0.5), (g.n,))]:
             u_hat = np.fft.rfft(rng.standard_normal(shape))
             for kind in EquationKind:

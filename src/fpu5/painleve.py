@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError
 from .params import ModelParams
 

@@ -31,11 +31,12 @@ from .solutions import (EllipticSolution, GardnerSoliton, KdV5Soliton,
 from .spectral import Grid
 
 
-def _write(out: str, config: dict, result: StudyResult, started: float,
+def _write(args, config: dict, result: StudyResult,
            grid: Grid | None = None) -> list[str]:
-    """Write result's tables and snapshot series (on grid) under out, then
-    manifest.json listing exactly those files; returns the listed paths."""
-    out = Path(out)
+    """Write result's tables and snapshot series (on grid) under args.out,
+    then manifest.json listing exactly those files and the time since
+    args.started; returns the listed paths."""
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for name, (header, rows) in result.tables.items():
@@ -48,24 +49,22 @@ def _write(out: str, config: dict, result: StudyResult, started: float,
         files += write_snapshots(snapshots, grid, str(out / prefix)).files
     files.sort()
     manifest = RunManifest(config=config, version=__version__,
-                           wall_time=time.monotonic() - started,
+                           wall_time=time.monotonic() - args.started,
                            files=files, checks=result.checks)
     (out / "manifest.json").write_text(manifest.to_json() + "\n")
     return files
 
 
-def _cmd_simulate(args) -> int:
-    started = time.monotonic()
+def _cmd_simulate(args) -> None:
     config = parse_config(Path(args.config).read_text())
     snapshots = run(config)
     checks = {"mass_drift": mass_drift(snapshots),
               "snapshot_times": [float(s.t) for s in snapshots]}
-    files = _write(args.out, config_to_dict(config),
+    files = _write(args, config_to_dict(config),
                    StudyResult(snapshots, checks, snapshots={"snap": snapshots}),
-                   started, config.grid)
+                   config.grid)
     print(f"wrote {len(files)} snapshots to {Path(args.out)} "
           f"(mass drift {checks['mass_drift']:.3e})")
-    return 0
 
 
 def _exact_profile(args, grid: Grid):
@@ -95,21 +94,19 @@ def _exact_profile(args, grid: Grid):
         {"speed": -s.speed, "crest": s.crest}
 
 
-def _cmd_exact(args) -> int:
-    started = time.monotonic()
+def _cmd_exact(args) -> None:
     grid = Grid(args.length, args.n)
     u, info = _exact_profile(args, grid)
     snap = Snapshot(t=args.t, u=np.asarray(u, dtype=float))
-    echo = {k: v for k, v in vars(args).items() if k != "func"}
+    echo = {k: v for k, v in vars(args).items()
+            if k not in ("func", "started")}
     checks = {**info, "snapshot_times": [float(snap.t)]}
-    files = _write(args.out, echo, StudyResult(
-        snap, checks, snapshots={f"exact_{args.family}": [snap]}), started, grid)
+    files = _write(args, echo, StudyResult(
+        snap, checks, snapshots={f"exact_{args.family}": [snap]}), grid)
     print(f"wrote {files[0]}")
-    return 0
 
 
-def _cmd_validate(args) -> int:
-    started = time.monotonic()
+def _cmd_validate(args) -> None:
     config = parse_config(Path(args.config).read_text())
     ic = config.initial_condition.name
     if config.kind is not EquationKind.FPU5 or ic != "kink_pair":
@@ -117,10 +114,9 @@ def _cmd_validate(args) -> int:
                           f"kink_pair, not kind = {config.kind.value} with {ic}")
     report = kink_validation(config.params, config.grid, config.dt,
                              config.t_end, config.snapshot_interval)
-    _write(args.out, config_to_dict(config), StudyResult(
-        report, {"max_err": report.max_err}, report.error_table()), started)
+    _write(args, config_to_dict(config), StudyResult(
+        report, {"max_err": report.max_err}, report.error_table()))
     print(f"max err {report.max_err:.3e}")
-    return 0
 
 
 def _read_series(manifest_path: str) -> tuple[list[Snapshot], tuple[int, float]]:
@@ -148,25 +144,22 @@ def _read_series(manifest_path: str) -> tuple[list[Snapshot], tuple[int, float]]
     return snapshots, grids[0]
 
 
-def _cmd_recurrence(args) -> int:
-    started = time.monotonic()
+def _cmd_recurrence(args) -> None:
     snapshots, (n, length) = _read_series(args.manifest)
     report = recurrence_scan(snapshots, t_fix=args.t_fix, skip=args.skip)
     rows, period_rows = recurrence_table(snapshots, [args.t_fix], skip=args.skip)
     checks = {"t_fix": report.t_fix, "minima_times": report.minima_times,
               "period": report.period, "fixed_time_rows": rows,
               "fixed_time_period": period_rows, "grid": {"N": n, "L": length}}
-    _write(args.out, {"manifest": args.manifest, "t_fix": args.t_fix,
-                      "skip": args.skip},
-           StudyResult(report, checks, report.difference_table()), started)
+    _write(args, {"manifest": args.manifest, "t_fix": args.t_fix,
+                  "skip": args.skip},
+           StudyResult(report, checks, report.difference_table()))
     print(f"scan minima: {report.minima_times}")
     print(f"mean-gap period: {report.period}")
     print(f"fixed-time rows: {rows} -> period {period_rows}")
-    return 0
 
 
-def _cmd_painleve(args) -> int:
-    started = time.monotonic()
+def _cmd_painleve(args) -> None:
     params = ModelParams(delta=args.delta, mu=args.mu)
     balance = leading_balance(params)
     result = fuchs_indices(params)
@@ -185,32 +178,27 @@ def _cmd_painleve(args) -> int:
               "indicial_polynomial": coeffs,
               "indices": [[r.real, r.imag] for r in result.indices],
               "passes": result.passes, "reason": result.reason}
-    _write(args.out, {"mu": args.mu, "delta": args.delta},
-           StudyResult((balance, result), checks), started)
-    return 0
+    _write(args, {"mu": args.mu, "delta": args.delta},
+           StudyResult((balance, result), checks))
 
 
-def _cmd_velocity_curve(args) -> int:
-    started = time.monotonic()
+def _cmd_velocity_curve(args) -> None:
     table = velocity_curve(args.mu_min, args.mu_max, args.n)
     for mu, speed in table:
         print(f"{mu:.6f}\t{speed:.6f}")
-    _write(args.out, {"mu_min": args.mu_min, "mu_max": args.mu_max,
-                      "n": args.n},
+    _write(args, {"mu_min": args.mu_min, "mu_max": args.mu_max,
+                  "n": args.n},
            StudyResult(table, {"rows": len(table)},
-                       {"velocity_curve.dat": ("mu\tC0", table)}), started)
-    return 0
+                       {"velocity_curve.dat": ("mu\tC0", table)}))
 
 
-def _cmd_experiment(args) -> int:
-    started = time.monotonic()
+def _cmd_experiment(args) -> None:
     fx = EXPERIMENTS[args.name]
     result = STUDIES[args.name](fx)
-    _write(args.out, {"experiment": args.name, **fx}, result, started,
+    _write(args, {"experiment": args.name, **fx}, result,
            Grid(fx["length"], fx["n"]))
     for key, value in result.checks.items():
         print(f"{key}: {value}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate a run configuration")
     p.add_argument("config")
-    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("exact", help="tabulate a closed-form solution")
@@ -238,53 +225,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--length", type=float, default=40.0)
     p.add_argument("--n", type=int, default=512)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("validate", help="kink validation for a configuration")
     p.add_argument("config")
-    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("recurrence", help="recurrence scan over stored snapshots")
     p.add_argument("manifest")
     p.add_argument("--t-fix", type=float, required=True, dest="t_fix")
     p.add_argument("--skip", type=float, default=0.0)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_recurrence)
 
     p = sub.add_parser("painleve", help="pole balance and Fuchs indices")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_painleve)
 
     p = sub.add_parser("velocity-curve", help="kink speed as a function of mu")
     p.add_argument("--mu-min", type=float, required=True, dest="mu_min")
     p.add_argument("--mu-max", type=float, required=True, dest="mu_max")
     p.add_argument("-n", type=int, default=50)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_velocity_curve)
 
     p = sub.add_parser("experiment", help="run a canned study")
     p.add_argument("name", choices=sorted(EXPERIMENTS))
-    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_experiment)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default="out")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.started = time.monotonic()
     try:
-        return args.func(args)
+        args.func(args)
     except ValueError as exc:  # ConfigError, DomainError and PoleError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BlowUpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

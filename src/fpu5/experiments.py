@@ -14,8 +14,9 @@ from .solutions import (GardnerSoliton, KdV5Soliton, KinkSolution,
                         gardner_soliton, kdv5_soliton, kink_eval)
 from .spectral import ETDRK4, Grid, IntegratingFactorRK4, default_time_step
 
-IC_NAMES = ("kink_pair", "kdv5_soliton", "gardner_soliton", "cosine",
-            "from_file")
+# each initial condition -> the InitialCondition field it takes, if any
+IC_PARAMS = {"kink_pair": None, "kdv5_soliton": "k", "gardner_soliton": "c0",
+             "cosine": None, "from_file": "path"}
 
 # domain length shared by the soliton-perturbation and recurrence studies;
 # chosen so the surviving solitary wave laps the ring in the observed
@@ -33,7 +34,7 @@ _SHIFT_BLOCK = 64
 _MINIMUM_WINDOW = 5  # snapshots in recurrence_scan's local-minimum window
 
 
-@dataclass
+@dataclass(frozen=True)
 class InitialCondition:
     """Tagged choice of starting profile; only the matching field is used."""
 
@@ -43,11 +44,11 @@ class InitialCondition:
     path: str | None = None     # from_file snapshot path
 
     def __post_init__(self):
-        if self.name not in IC_NAMES:
+        if self.name not in IC_PARAMS:
             raise DomainError(f"unknown initial condition {self.name!r}")
-        needs = {"kdv5_soliton": "k", "gardner_soliton": "c0",
-                 "from_file": "path"}
-        for ic, attr in needs.items():
+        for ic, attr in IC_PARAMS.items():
+            if attr is None:
+                continue
             if self.name == ic and getattr(self, attr) is None:
                 raise DomainError(f"initial condition {ic} needs {attr}")
             if self.name != ic and getattr(self, attr) is not None:
@@ -146,14 +147,17 @@ def build_initial_condition(config: SimulationConfig) -> np.ndarray:
         s = GardnerSoliton(params=config.params, c0=ic.c0)
         return gardner_soliton(s, grid.x - 0.5 * grid.length)
     if ic.name == "cosine":
+        half = 0.5 * grid.length  # cos(pi x) has period 2
+        if abs(half - round(half)) > 1e-9 * half:
+            raise DomainError("initial condition cosine, cos(pi x), needs an "
+                              f"even integer L, not L = {grid.length}")
         return np.cos(np.pi * grid.x)
-    if ic.name == "from_file":
-        from .snapio import read_snapshot
-        snap, (n, length) = read_snapshot(ic.path)
-        if n != grid.n or abs(length - grid.length) > 1e-12 * grid.length:
-            raise DomainError("snapshot geometry does not match the run grid")
-        return snap.u
-    raise DomainError(f"unknown initial condition {ic.name!r}")
+    # from_file, the one name left in IC_PARAMS
+    from .snapio import read_snapshot
+    snap, (n, length) = read_snapshot(ic.path)
+    if n != grid.n or abs(length - grid.length) > 1e-12 * grid.length:
+        raise DomainError("snapshot geometry does not match the run grid")
+    return snap.u
 
 
 def _schedule(config: SimulationConfig, u0: np.ndarray) -> tuple[float, int, int]:
@@ -276,13 +280,10 @@ def err_metric(u_analytic: np.ndarray, u_calc: np.ndarray, mask=None) -> float:
     if u_analytic.shape != u_calc.shape:
         raise ValueError("fields must share a grid")
     if mask is not None:
-        mask = np.asarray(mask)
-        if mask.dtype == bool and not mask.any():
-            raise ValueError("empty mask")
-        if mask.dtype != bool and mask.size == 0:
-            raise ValueError("empty mask")
         u_analytic = u_analytic[mask]
         u_calc = u_calc[mask]
+        if u_calc.size == 0:
+            raise ValueError("empty mask")
     denom = float(np.max(np.abs(u_calc)))
     if denom == 0.0:
         raise ValueError("err metric undefined for an all-zero reference")

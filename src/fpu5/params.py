@@ -103,8 +103,8 @@ def velocity_curve(mu_min: float, mu_max: float, n: int) -> np.ndarray:
     Returns an (n, 2) array of (mu, speed) rows.  A single sample is allowed
     only when the interval is a point.
     """
-    if not (0 < mu_min <= mu_max):
-        raise DomainError("need 0 < mu_min <= mu_max")
+    if not (0 < mu_min <= mu_max < math.inf):
+        raise DomainError("need 0 < mu_min <= mu_max, both finite")
     if n < 1 or (n == 1 and mu_min != mu_max):
         raise DomainError("need n >= 2 samples on a nondegenerate interval")
     mus = np.linspace(mu_min, mu_max, n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .experiments import InitialCondition, SimulationConfig, Snapshot
+from .experiments import IC_PARAMS, InitialCondition, SimulationConfig, Snapshot
 from .params import EquationKind, ModelParams
 from .spectral import Grid
 
@@ -47,6 +47,9 @@ def _body_format(grid: Grid) -> str:
 
 
 def _write_snapshot(path, snapshot: Snapshot, grid: Grid, body: str) -> None:
+    if not math.isfinite(snapshot.t):
+        raise DomainError(f"{path}: snapshot time must be finite, not "
+                          f"t = {snapshot.t}")
     with open(path, "w") as fh:
         fh.write(f"# t={FLOAT_FMT % snapshot.t} N={grid.n} L={FLOAT_FMT % grid.length}\n")
         fh.write(body % tuple(np.asarray(snapshot.u).tolist()))
@@ -124,8 +127,6 @@ _CONFIG_KEYS = {
     "ic_path": str,
 }
 _REQUIRED = ("kind", "delta", "mu", "L", "N", "t_end")
-_IC_PARAM_KEYS = {"kdv5_soliton": "ic_k", "gardner_soliton": "ic_c0",
-                  "from_file": "ic_path"}
 
 
 def parse_config(text: str) -> SimulationConfig:
@@ -168,11 +169,11 @@ def parse_config(text: str) -> SimulationConfig:
 
     ic_name = values.get("initial_condition", "cosine")
     ic_kwargs = {}
-    for name, key in _IC_PARAM_KEYS.items():
-        if key in values:
+    for name, attr in IC_PARAMS.items():
+        key = f"ic_{attr}"
+        if attr is not None and key in values:
             if ic_name != name:
                 raise ConfigError(f"{key} only applies to initial_condition = {name}")
-            attr = key[3:]
             ic_kwargs[attr] = values[key]
     ic = InitialCondition(ic_name, **ic_kwargs)
 
@@ -205,7 +206,7 @@ def config_to_dict(config: SimulationConfig) -> dict:
         "snapshot_interval": config.snapshot_interval,
         "initial_condition": ic.name,
     }
-    for attr in ("k", "c0", "path"):
-        if getattr(ic, attr) is not None:
-            out[f"ic_{attr}"] = getattr(ic, attr)
+    attr = IC_PARAMS[ic.name]
+    if attr is not None:
+        out[f"ic_{attr}"] = getattr(ic, attr)
     return out

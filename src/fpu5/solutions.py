@@ -6,6 +6,7 @@ code.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,8 @@ class KinkSolution:
             raise DomainError("kink requires mu > 0")
         if self.branch not in (1, -1):
             raise DomainError("branch must be +1 or -1")
+        if not math.isfinite(self.z0):
+            raise DomainError("kink z0 must be finite")
 
     @property
     def steepness(self) -> float:
@@ -131,6 +134,8 @@ class EllipticSolution:
         mu, delta = self.params.mu, self.params.delta
         if not mu > 0:
             raise DomainError("elliptic solution requires mu > 0")
+        if not (math.isfinite(self.g3) and math.isfinite(self.z0)):
+            raise DomainError("elliptic g3 and z0 must be finite")
         g3 = self.g3
         den = 15.0 + 28.0 * mu
         d6 = delta**6
@@ -183,24 +188,21 @@ def elliptic_eval(s: EllipticSolution, z, on_pole: str = "raise"):
     """
     z = np.atleast_1d(np.asarray(z, dtype=float)) - s.z0
     w = WeierstrassP(s.g2, s.g3)
-    bad = w.pole_distance(z) < POLE_THRESHOLD
+    distance = w.pole_distance(z)
+    bad = distance < POLE_THRESHOLD
     if bad.any() and on_pole == "raise":
         raise PoleError("elliptic profile evaluated at a pole of p",
-                        distance=float(np.min(w.pole_distance(z))))
+                        distance=float(np.min(distance)))
     out = np.full(z.shape, np.nan)
     good = ~bad
     if good.any():
         p, pp = w(z[good])
         den = s.c_coef + p
         near_zero = np.abs(den) < POLE_THRESHOLD * (1.0 + np.abs(p))
-        if near_zero.any():
-            if on_pole == "raise":
-                raise PoleError("elliptic profile evaluated at a zero of C + p")
-            vals = np.where(near_zero, np.nan,
-                            s.h_level + s.b_coef * pp / np.where(near_zero, 1.0, den))
-        else:
-            vals = s.h_level + s.b_coef * pp / den
-        out[good] = vals
+        if near_zero.any() and on_pole == "raise":
+            raise PoleError("elliptic profile evaluated at a zero of C + p")
+        out[good] = np.where(near_zero, np.nan,
+                             s.h_level + s.b_coef * pp / np.where(near_zero, 1.0, den))
     return out if out.size > 1 else float(out[0])
 
 
@@ -271,8 +273,8 @@ class KdV5Soliton:
     delta: float
 
     def __post_init__(self):
-        if not (self.k > 0 and self.delta > 0):
-            raise DomainError("soliton needs k > 0 and delta > 0")
+        if not (0 < self.k < math.inf and self.delta > 0):
+            raise DomainError("soliton needs a finite k > 0 and delta > 0")
 
     @property
     def speed(self) -> float:

@@ -316,6 +316,22 @@ class TestCli:
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{cfg}"],  # initial_condition = kdv5_soliton, ic_k = inf
+        ["exact", "kdv5", "--k", "inf", "--n", "16"],
+        ["exact", "kink", "--z0", "nan", "--n", "16"],
+        ["exact", "elliptic", "--g3", "inf", "--n", "16"],
+        ["exact", "kink", "--t", "inf", "--n", "16"],
+    ], ids=["ic_k", "kdv5-k", "kink-z0", "elliptic-g3", "kink-t"])
+    def test_non_finite_closed_form_input_exits_2(self, tmp_path, capsys, argv):
+        cfg = self.write_config(tmp_path, MINIMAL + "dt = 0.005\n"
+                                "initial_condition = kdv5_soliton\nic_k = inf\n")
+        out = tmp_path / "out"
+        assert main([arg.format(cfg=cfg) for arg in argv]
+                    + ["--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.dat"))
+
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

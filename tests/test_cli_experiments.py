@@ -230,7 +230,11 @@ def test_one_manifest_lists_what_the_command_wrote(command, tmp_path,
             for arg in COMMANDS[command]]
     assert main(argv + ["--out", str(out)]) == 0
     assert [p.name for p in out.glob("*.json")] == ["manifest.json"]
-    files = json.loads((out / "manifest.json").read_text())["files"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert np.isfinite(manifest["wall_time_seconds"])
+    assert manifest["wall_time_seconds"] >= 0
+    assert not {"func", "started"} & set(manifest["config"])
+    files = manifest["files"]
     assert all(Path(f).is_file() for f in files)
     assert files == sorted(str(p) for p in out.iterdir()
                            if p not in (out / "manifest.json", stray))

@@ -51,6 +51,19 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             small_config(dt=0.1, snapshot_interval=0.05)
 
+    def test_cosine_needs_an_even_integer_length(self):
+        # cos(pi x) is periodic on [0, L) only for an even integer L; at
+        # L = 46.75 its periodic extension jumps by 1.7 at the seam
+        for length in (46.75, 3.0, 2.5):
+            config = small_config(grid=Grid(length, 64), t_end=0.0,
+                                  initial_condition=InitialCondition("cosine"))
+            with pytest.raises(DomainError, match=f"L = {length}"):
+                run(config)
+        for length in (2.0, 40.0, 0.1 * 3 * 20):  # the last is 6 + 1 ulp
+            config = small_config(grid=Grid(length, 64), t_end=0.0,
+                                  initial_condition=InitialCondition("cosine"))
+            assert np.array_equal(run(config)[0].u, np.cos(np.pi * config.grid.x))
+
 
 class TestRun:
     def test_zero_horizon_returns_initial_state(self):

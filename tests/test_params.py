@@ -98,3 +98,5 @@ class TestVelocityCurve:
             velocity_curve(0.5, 0.4, 5)
         with pytest.raises(DomainError):
             velocity_curve(0.1, 1.0, 1)
+        with pytest.raises(DomainError, match="both finite"):
+            velocity_curve(0.1, np.inf, 5)

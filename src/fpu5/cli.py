@@ -24,7 +24,7 @@ from .experiments import (EXPERIMENTS, STUDIES, Snapshot, StudyResult,
 from .params import EquationKind, ModelParams, velocity_curve
 from .painleve import fuchs_indices, leading_balance
 from .snapio import (FLOAT_FMT, RunManifest, config_to_dict, parse_config,
-                     read_snapshot, write_snapshots)
+                     read_snapshot, snapshot_paths, write_snapshots)
 from .solutions import (EllipticSolution, GardnerSoliton, KdV5Soliton,
                         KinkSolution, elliptic_eval, elliptic_g3_for_speed,
                         gardner_soliton, kdv5_soliton, kink_eval)
@@ -37,6 +37,9 @@ def _write(args, config: dict, result: StudyResult,
     then manifest.json listing exactly those files and the time since
     args.started; returns the listed paths."""
     out = Path(args.out)
+    # a series write_snapshots would refuse is refused before --out exists
+    for prefix, snapshots in result.snapshots.items():
+        snapshot_paths(snapshots, str(out / prefix))
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for name, (header, rows) in result.tables.items():

@@ -78,7 +78,8 @@ def make_nonlinear_operator(kind: EquationKind,
     mult = np.stack([np.ones(h, dtype=complex)]
                     + [derivative_multiplier(grid, m) for m in orders])
     mask = grid.dealias
-    mu = _per_row([effective_mu(kind, p) for p in rows], batched)
+    mus = [effective_mu(kind, p) for p in rows]
+    mu = _per_row(mus, batched)
     delta2 = _per_row([p.delta**2 for p in rows], batched)
     irfft_into = spectral.irfft_into
     rfft_into = spectral.rfft_into
@@ -120,13 +121,19 @@ def make_nonlinear_operator(kind: EquationKind,
         mu_row = np.full(row, mu, dtype=float)
         u, ux = f
 
+        def mu_zero_tendency():
+            # with mu = 0 in every row, (mu u) u - u is mu - u bit for bit
+            # for every finite u, the zero signs of mu and u included
+            np.subtract(mu_row, u, out=w)
+            return np.multiply(w, ux, out=w)
+
         def tendency():
             np.multiply(mu_row, u, out=w)
             np.multiply(w, u, out=w)
             np.subtract(w, u, out=w)
             return np.multiply(w, ux, out=w)
 
-        return tendency
+        return tendency if any(mus) else mu_zero_tendency
 
     def kernel(shape):
         """The operator for inputs of one shape, its work arrays bound.

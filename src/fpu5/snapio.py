@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ class RunManifest:
 
 
 def write_snapshot(path, snapshot: Snapshot, grid: Grid) -> None:
+    _check_times([path], [snapshot])
     _write_snapshot(path, snapshot, grid, _body_format(grid))
 
 
@@ -46,10 +48,14 @@ def _body_format(grid: Grid) -> str:
     return "".join(f"{FLOAT_FMT % x}\t{FLOAT_FMT}\n" for x in grid.x.tolist())
 
 
+def _check_times(paths, snapshots) -> None:
+    for path, snapshot in zip(paths, snapshots):
+        if not math.isfinite(snapshot.t):
+            raise DomainError(f"{path}: snapshot time must be finite, not "
+                              f"t = {snapshot.t}")
+
+
 def _write_snapshot(path, snapshot: Snapshot, grid: Grid, body: str) -> None:
-    if not math.isfinite(snapshot.t):
-        raise DomainError(f"{path}: snapshot time must be finite, not "
-                          f"t = {snapshot.t}")
     with open(path, "w") as fh:
         fh.write(f"# t={FLOAT_FMT % snapshot.t} N={grid.n} L={FLOAT_FMT % grid.length}\n")
         fh.write(body % tuple(np.asarray(snapshot.u).tolist()))
@@ -60,7 +66,7 @@ def read_snapshot(path):
 
     Only the u column is parsed; x is implied by N and L.  The header needs
     N >= 1, a finite t and a finite L > 0.  Exactly N data rows must follow
-    it; blank lines after them are allowed.
+    it, each with a finite u; blank lines after them are allowed.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -92,25 +98,39 @@ def read_snapshot(path):
     except ValueError:
         raise ConfigError(
             f"{path}: malformed row {i + 1} (line {i + 2}): {row!r}") from None
+    bad = np.flatnonzero(~np.isfinite(us))
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigError(f"{path}: non-finite u in row {i + 1} (line {i + 2}): "
+                          f"{rows[i]!r}")
     return Snapshot(t=t, u=us), (n, length)
 
 
-def write_snapshots(snapshots, grid: Grid, path_prefix) -> RunManifest:
-    """Write one file per snapshot; the returned manifest lists them."""
-    from . import __version__
+def snapshot_paths(snapshots, path_prefix) -> list[str]:
+    """The files ``write_snapshots`` writes for a series, checked before any
+    is made: DomainError for an empty series or a non-finite time."""
     if not snapshots:
         raise DomainError("no snapshots to write")
+    paths = [f"{path_prefix}_{i:04d}.dat" for i in range(len(snapshots))]
+    _check_times(paths, snapshots)
+    return paths
+
+
+def write_snapshots(snapshots, grid: Grid, path_prefix) -> RunManifest:
+    """Write one file per snapshot; the returned manifest lists them.  A
+    series that ``snapshot_paths`` refuses leaves no file behind."""
+    from . import __version__
+    paths = snapshot_paths(snapshots, path_prefix)
     body = _body_format(grid)
-    paths = []
-    for i, snap in enumerate(snapshots):
-        path = f"{path_prefix}_{i:04d}.dat"
+    for path, snap in zip(paths, snapshots):
         _write_snapshot(path, snap, grid, body)
-        paths.append(path)
     return RunManifest(config={}, version=__version__, wall_time=0.0,
                        files=paths)
 
 
 # ------------------------------------------------------------ run config
+
+_IC_FIELD_TYPES = typing.get_type_hints(InitialCondition)
 
 _CONFIG_KEYS = {
     "kind": str,
@@ -122,9 +142,10 @@ _CONFIG_KEYS = {
     "dt": float,
     "snapshot_interval": float,
     "initial_condition": str,
-    "ic_k": float,
-    "ic_c0": float,
-    "ic_path": str,
+    # ic_<field> for each field an initial condition takes, parsed as the
+    # field's annotation says: float | None -> float
+    **{f"ic_{attr}": typing.get_args(_IC_FIELD_TYPES[attr])[0]
+       for attr in IC_PARAMS.values() if attr is not None},
 }
 _REQUIRED = ("kind", "delta", "mu", "L", "N", "t_end")
 

@@ -7,6 +7,7 @@ import pytest
 from fpu5 import (ConfigError, DomainError, Grid, Snapshot, parse_config,
                   read_snapshot)
 from fpu5.cli import main
+from fpu5.experiments import IC_PARAMS
 from fpu5.snapio import write_snapshot, write_snapshots
 
 MINIMAL = """\
@@ -75,6 +76,18 @@ class TestParseConfig:
             parse_config(MINIMAL + "ic_g3 = 0.15\n")
         with pytest.raises(DomainError, match="unknown initial condition"):
             parse_config(MINIMAL + "initial_condition = elliptic\n")
+
+    @pytest.mark.parametrize("ic, attr", [(ic, attr) for ic, attr in IC_PARAMS.items()
+                                          if attr is not None])
+    def test_each_ic_field_is_a_key_of_its_own_condition_only(self, ic, attr):
+        key = f"ic_{attr}"
+        config = parse_config(MINIMAL + f"initial_condition = {ic}\n{key} = 0.5\n")
+        assert str(getattr(config.initial_condition, attr)) == "0.5"
+        for other in IC_PARAMS:
+            if other != ic:
+                with pytest.raises(ConfigError, match=f"{key} only applies"):
+                    parse_config(MINIMAL + f"initial_condition = {other}\n"
+                                 f"{key} = 0.5\n")
 
     def test_line_numbers_in_errors(self):
         try:
@@ -159,6 +172,17 @@ class TestSnapshotIO:
         path = tmp_path / "bad.dat"
         path.write_text(header + "\n" + "0.0\t1.0\n" * 3)
         with pytest.raises(ConfigError, match="snapshot header") as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_raises_config_error(self, tmp_path, value):
+        rows = ["0.0\t1.0"] * 8
+        rows[3] = f"3.0\t{value}"
+        path = tmp_path / "bad.dat"
+        path.write_text("# t=0.0 N=8 L=8.0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ConfigError, match=r"non-finite u in row 4 \(line 5\)") \
+                as err:
             read_snapshot(path)
         assert str(path) in str(err.value)
 
@@ -331,6 +355,27 @@ class TestCli:
                     + ["--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.dat"))
+
+    def test_initial_file_with_a_nan_exits_2_naming_the_row(self, tmp_path,
+                                                             capsys):
+        grid = Grid(40.0, 64)
+        u = np.zeros(grid.n)
+        u[7] = np.nan
+        path = tmp_path / "start.dat"
+        write_snapshot(path, Snapshot(t=0.0, u=u), grid)
+        cfg = self.write_config(tmp_path, MINIMAL + "initial_condition = "
+                                f"from_file\nic_path = {path}\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: non-finite u in row 8 (line 9)" in err
+
+    def test_refused_snapshot_write_makes_no_out_directory(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "ek"
+        assert main(["exact", "kink", "--t", "inf", "--n", "16",
+                     "--out", str(out)]) == 2
+        assert "snapshot time must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as err:

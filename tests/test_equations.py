@@ -3,6 +3,7 @@ import pytest
 
 from fpu5 import (BlowUpError, EquationKind, Grid, ModelParams,
                   conservation_flux, full_rhs, linear_symbol, nonlinear_rhs)
+from fpu5 import spectral
 from fpu5.equations import make_nonlinear_operator
 from fpu5.spectral import derivative_multiplier
 
@@ -292,3 +293,83 @@ class TestOperatorFactory:
             for got in (batched, single):
                 assert got.shape == expected.shape
                 assert np.max(np.abs(got - expected)) < 1e-13 * scale
+
+
+# finite doubles at the edges of the number line, both signs: zeros,
+# subnormals, values whose square under- or overflows, and ordinary ones
+SPECIAL = np.array([s * v for v in (0.0, 5e-324, 1e-310, 1e154, 1.7e308, 1.0, 3.25)
+                    for s in (1.0, -1.0)])
+
+
+def plain_third_order(mu, grid, v):
+    """The third-order tendency (mu u u - u) ux of one row as one numpy
+    expression, mu a float: no shortcut for mu = 0."""
+    mult = np.stack([np.ones(grid.n // 2 + 1, dtype=complex),
+                     derivative_multiplier(grid, 1)])
+    u, ux = np.fft.irfft(v[None, :] * mult, grid.n)
+    out = np.fft.rfft((mu * u * u - u) * ux)
+    out *= grid.dealias
+    out[0] = 0.0
+    return out
+
+
+class TestMuZeroThirdOrder:
+    # at mu = 0 the operator forms w = mu - u, not (mu u) u - u; the two
+    # must agree bit for bit, or every KdV snapshot would move
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mu", [0.0, -0.0])
+    def test_identity_on_special_values(self, mu):
+        u = SPECIAL
+        zero = np.full_like(u, mu)
+        assert ((zero * u) * u - u).tobytes() == (zero - u).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind, mu", [
+        (EquationKind.KDV, 0.7), (EquationKind.GARDNER, 0.0),
+        (EquationKind.GARDNER, -0.0), (EquationKind.GARDNER, 0.3)])
+    def test_tendency_on_special_values(self, monkeypatch, kind, mu):
+        # the operator's FFTs replaced: the inverse one hands the kernel
+        # every pair of special values as (u, ux), the forward one keeps
+        # the tendency it is given, before any FFT can hide a zero's sign
+        g = Grid(20.0, 256)
+        u, ux = (np.resize(a.ravel(), g.n)
+                 for a in np.meshgrid(SPECIAL, SPECIAL, indexing="ij"))
+        seen = []
+
+        def irfft_into(u_hat, out):
+            out[0], out[1] = u, ux
+            return out
+
+        def rfft_into(tendency, out):
+            seen.append(tendency.copy())
+            out[...] = 0.0
+            return out
+
+        monkeypatch.setattr(spectral, "irfft_into", irfft_into)
+        monkeypatch.setattr(spectral, "rfft_into", rfft_into)
+        op = make_nonlinear_operator(kind, ModelParams(1.0, mu), g)
+        op(np.zeros(g.n // 2 + 1, dtype=complex))
+        m = 0.0 if kind is EquationKind.KDV else mu
+        assert seen[0].tobytes() == ((m * u * u - u) * ux).tobytes()
+
+    @pytest.mark.parametrize("kind, mus", [
+        (EquationKind.KDV, (0.0, 0.3, 1.0)),
+        (EquationKind.GARDNER, (0.0, 0.0, 0.0)),
+        (EquationKind.GARDNER, (0.0, -0.0, 0.0)),
+    ])
+    def test_batches_equal_the_plain_expression(self, kind, mus):
+        g = Grid(20.0, 64)
+        rows = [ModelParams(d, m) for d, m in zip((1.0, 0.6, 1.4), mus)]
+        rng = np.random.default_rng(21)
+        u_hat = np.fft.rfft(rng.standard_normal((len(rows), g.n)))
+        u_hat[1] = 0.0                 # a zero field: u is +0.0 everywhere
+        u_hat[2, 3:] = 0.0             # few modes: small values and zeros
+        effective = [0.0 if kind is EquationKind.KDV else p.mu for p in rows]
+        expected = np.stack([plain_third_order(m, g, v)
+                             for m, v in zip(effective, u_hat)])
+        batched = make_nonlinear_operator(kind, rows, g)(u_hat)
+        assert batched.tobytes() == expected.tobytes()
+        for p, v, row in zip(rows, u_hat, expected):
+            single = make_nonlinear_operator(kind, p, g)(v)
+            assert single.tobytes() == row.tobytes()

@@ -15,6 +15,7 @@ from fpu5 import (ETDRK4, BlowUpError, DomainError, EquationKind, Grid,
                   shape_score, write_snapshot, xcorr_mismatch)
 from fpu5.experiments import (Snapshot, _schedule, build_initial_condition,
                               min_shift_difference)
+from fpu5.spectral import derivative_multiplier
 
 
 def small_config(**overrides):
@@ -128,6 +129,34 @@ class TestRun:
         assert (err.value.step, err.value.t) == (step, t)
         assert same_snapshots([err.value.last_snapshot], [last])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [EquationKind.KDV, EquationKind.GARDNER])
+    def test_mu_zero_blow_up_matches_the_general_formula(self, kind):
+        # the operator shortens (mu u) u - u to mu - u when mu = 0; a loop
+        # stepped by the general formula, built here, must fail at the same
+        # step, at the same time and after the same last snapshot
+        config = small_config(
+            kind=kind, params=ModelParams(delta=2.0, mu=0.0),
+            initial_condition=InitialCondition("kdv5_soliton", k=1.0),
+            dt=0.3, t_end=20.0, snapshot_interval=3.0)
+        grid = config.grid
+        mult = np.stack([np.ones(grid.n // 2 + 1, dtype=complex),
+                         derivative_multiplier(grid, 1)])
+
+        def general(u_hat):
+            u, ux = np.fft.irfft(u_hat[None, :] * mult, grid.n)
+            out = np.fft.rfft((0.0 * u * u - u) * ux)
+            out *= grid.dealias
+            out[0] = 0.0
+            return out
+
+        step, t, last, steps_per = per_step_blow_up(config, general)
+        assert step > steps_per and step % steps_per != 0
+        with pytest.raises(BlowUpError) as err:
+            run(config)
+        assert (err.value.step, err.value.t) == (step, t)
+        assert same_snapshots([err.value.last_snapshot], [last])
+
     def test_elliptic_is_not_an_initial_condition(self):
         # its poles lie on the real line for every parameter choice, so it
         # could never start a run; `fpu5 exact elliptic` still tabulates it
@@ -187,17 +216,20 @@ class TestL2Conservation:
         assert coarse / fine >= 8.0
 
 
-def per_step_blow_up(config):
+def per_step_blow_up(config, nonlinear=None):
     """(step, t, last snapshot, steps per snapshot) of the first non-finite
-    step, from a plain loop that checks finiteness after every step."""
+    step, from a plain loop that checks finiteness after every step; the
+    package's operator steps it unless another is given."""
     u0 = build_initial_condition(config)
     n_snap = int(np.ceil(config.t_end / config.snapshot_interval - 1e-9))
     snap_dt = config.t_end / n_snap
     steps_per = max(1, int(np.ceil(snap_dt / config.dt * (1.0 - 1e-9))))
     dt = snap_dt / steps_per
+    if nonlinear is None:
+        nonlinear = make_nonlinear_operator(config.kind, config.params,
+                                            config.grid)
     stepper = config.scheme(
-        linear_symbol(config.kind, config.params, config.grid),
-        make_nonlinear_operator(config.kind, config.params, config.grid), dt)
+        linear_symbol(config.kind, config.params, config.grid), nonlinear, dt)
     u_hat = np.fft.rfft(u0)
     last = Snapshot(0.0, u0)
     step = 0

@@ -63,28 +63,43 @@ def make_nonlinear_operator(kind: EquationKind,
     exact x-derivative, so its mean vanishes identically and zeroing
     removes the aliasing residue of the cubic terms.
 
-    The operator accepts u_hat of shape (..., N//2 + 1).  Built from a
-    sequence of B parameter sets it expects (B, N//2 + 1), row b stepping
-    under the b-th set.  It returns a fresh array on every call and never
-    writes into u_hat.  Its work arrays (one set per input shape, made on
-    first use) are shared by all calls, so one operator is not reentrant
-    and must not be called from two threads at once.
+    The operator takes u_hat of one shape, the shape ``linear_symbol``
+    gives for the same parameters: (N//2 + 1,) for one parameter set,
+    (B, N//2 + 1) for a sequence of B, row b stepping under the b-th set.
+    Any other shape raises ValueError.  It returns a fresh array on every
+    call and never writes into u_hat.  Its work arrays, made here once,
+    are shared by all calls, so one operator is not reentrant and must not
+    be called from two threads at once.
     """
     rows, batched = _rows(params)
     n = grid.n
     h = grid.k.size
+    shape = (len(rows), h) if batched else (h,)
+    row = shape[:-1] + (n,)
     fifth = kind in FIFTH_ORDER
     orders = (1, 2, 3) if fifth else (1,)
     mult = np.stack([np.ones(h, dtype=complex)]
                     + [derivative_multiplier(grid, m) for m in orders])
-    mask = grid.dealias
     mus = [effective_mu(kind, p) for p in rows]
     mu = _per_row(mus, batched)
     delta2 = _per_row([p.delta**2 for p in rows], batched)
     irfft_into = spectral.irfft_into
     rfft_into = spectral.rfft_into
+    # Arrays are stacked row first, so f[r] is u or one of its derivatives.
+    # Every view is made here once: making one costs about half an
+    # elementwise pass at N = 512.  So is every constant operand (the
+    # derivative multipliers, the dealias mask, mu, delta^2, 4 mu and 2),
+    # copied out to the shape and dtype of the output it meets: numpy sets
+    # up a broadcast, a scalar or a float-to-complex cast anew on every
+    # call, at up to the cost of the call's own arithmetic.  Operands keep
+    # their order in the plain expression, since numpy's complex multiply
+    # need not give x*y and y*x the same bits.
+    mult_rows = np.full((len(mult),) + shape, mult[:, None] if batched else mult)
+    mask_full = np.full(shape, grid.dealias, dtype=complex)
+    prod = np.empty((len(mult),) + shape, dtype=complex)
+    f = np.empty((len(mult),) + row)
 
-    def fifth_order(f, row):
+    if fifth:
         # w = mu u u - u and the tendency
         #   w (ux + d2 uxxx) + d2 ux ((4 mu u - 2) uxx + mu ux ux),
         # every product and sum taken in the order written; adjacent rows
@@ -112,69 +127,35 @@ def make_nonlinear_operator(kind: EquationKind,
             np.add(g, muxux, out=j)
             np.multiply(d2ux_w, j_b, out=j_b)           # d2 ux j, w b
             return np.add(b, j, out=b)
-
-        return tendency
-
-    def third_order(f, row):
+    else:
         # (mu u u - u) ux
         w = np.empty(row)
         mu_row = np.full(row, mu, dtype=float)
         u, ux = f
-
-        def mu_zero_tendency():
-            # with mu = 0 in every row, (mu u) u - u is mu - u bit for bit
-            # for every finite u, the zero signs of mu and u included
-            np.subtract(mu_row, u, out=w)
-            return np.multiply(w, ux, out=w)
-
-        def tendency():
-            np.multiply(mu_row, u, out=w)
-            np.multiply(w, u, out=w)
-            np.subtract(w, u, out=w)
-            return np.multiply(w, ux, out=w)
-
-        return tendency if any(mus) else mu_zero_tendency
-
-    def kernel(shape):
-        """The operator for inputs of one shape, its work arrays bound.
-
-        Arrays are stacked row first, so f[r] is u or one of its
-        derivatives.  Every view is made here once: making one costs about
-        half an elementwise pass at N = 512.  So is every constant operand
-        (the derivative multipliers, the dealias mask, mu, delta^2, 4 mu
-        and 2), copied out to the shape and dtype of the output it meets:
-        numpy sets up a broadcast, a scalar or a float-to-complex cast anew
-        on every call, at up to the cost of the call's own arithmetic.
-        Operands keep their order in the plain expression, since numpy's
-        complex multiply need not give x*y and y*x the same bits.
-        """
-        lead = shape[:-1]
-        row = lead + (n,)
-        mult_rows = np.full((len(mult),) + shape,
-                            mult.reshape((len(mult),) + (1,) * len(lead) + (h,)))
-        mask_full = np.full(shape, mask, dtype=complex)
-        prod = np.empty((len(mult),) + shape, dtype=complex)
-        f = np.empty((len(mult),) + row)
-        tendency = (fifth_order if fifth else third_order)(f, row)
-
-        def apply(u_hat):
-            np.multiply(u_hat, mult_rows, out=prod)
-            irfft_into(prod, f)
-            out = rfft_into(tendency(), np.empty(shape, dtype=complex))
-            np.multiply(out, mask_full, out=out)
-            # kept apart from the mask: folding it in can flip a zero's sign
-            out[..., 0] = 0.0
-            return out
-
-        return apply
-
-    kernels = {}
+        if any(mus):
+            def tendency():
+                np.multiply(mu_row, u, out=w)
+                np.multiply(w, u, out=w)
+                np.subtract(w, u, out=w)
+                return np.multiply(w, ux, out=w)
+        else:
+            def tendency():
+                # with mu = 0 in every row, (mu u) u - u is mu - u bit for
+                # bit for every finite u, the zero signs of mu and u included
+                np.subtract(mu_row, u, out=w)
+                return np.multiply(w, ux, out=w)
 
     def nonlinear(u_hat):
-        apply = kernels.get(u_hat.shape)
-        if apply is None:
-            apply = kernels[u_hat.shape] = kernel(u_hat.shape)
-        return apply(u_hat)
+        if u_hat.shape != shape:
+            raise ValueError(f"nonlinear operator built for shape {shape} "
+                             f"was given shape {u_hat.shape}")
+        np.multiply(u_hat, mult_rows, out=prod)
+        irfft_into(prod, f)
+        out = rfft_into(tendency(), np.empty(shape, dtype=complex))
+        np.multiply(out, mask_full, out=out)
+        # kept apart from the mask: folding it in can flip a zero's sign
+        out[..., 0] = 0.0
+        return out
 
     return nonlinear
 

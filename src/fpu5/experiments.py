@@ -165,11 +165,12 @@ def _schedule(config: SimulationConfig, u0: np.ndarray) -> tuple[float, int, int
 
     The steps per snapshot are the fewest whose step, the interval over
     their count, does not exceed the requested dt; a ratio within 1e-9
-    (relative) of a whole number keeps that number.
+    (relative) of a whole number keeps that number.  A run takes at least
+    one interval, however short its t_end.
     """
     dt = config.dt or default_time_step(config.grid, config.params, config.kind, u0)
     snap_dt = config.snapshot_interval or max(config.t_end / 50.0, dt)
-    n_snap = int(np.ceil(config.t_end / snap_dt - 1e-9))
+    n_snap = max(1, int(np.ceil(config.t_end / snap_dt - 1e-9)))
     snap_dt = config.t_end / n_snap
     steps_per = max(1, int(np.ceil(snap_dt / dt * (1.0 - 1e-9))))
     return snap_dt, steps_per, n_snap
@@ -445,13 +446,20 @@ def soliton_perturbation(*, delta: float, k: float, mus, grid: Grid,
             for mu, snapshots in zip(mus, run_batch(configs))}
 
 
-def _snapshot_index(times: np.ndarray, t_fix: float) -> tuple[int, float]:
+def _snapshot_index(times: np.ndarray, t_fix: float,
+                    skip: float) -> tuple[int, float]:
     """Index of the snapshot at t_fix, and the time tolerance that found it.
 
-    A stored time within 1e-9 max(1, |t_fix|) of t_fix is t_fix, so a sum
-    such as t_fix + interval that rounds an ulp away still finds its
-    snapshot; raises DomainError when no stored time is that close.
+    The one check of a recurrence request: t_fix must be finite and skip
+    finite and nonnegative.  A stored time within 1e-9 max(1, |t_fix|) of
+    t_fix is t_fix, so a sum such as t_fix + interval that rounds an ulp
+    away still finds its snapshot.  Raises DomainError for a bad t_fix or
+    skip, or when no stored time is that close.
     """
+    if not math.isfinite(t_fix):
+        raise DomainError(f"t_fix must be finite, got {t_fix:g}")
+    if not (math.isfinite(skip) and skip >= 0):
+        raise DomainError(f"skip must be finite and nonnegative, got {skip:g}")
     tol = 1e-9 * max(1.0, abs(t_fix))
     hits = np.nonzero(np.abs(times - t_fix) <= tol)[0]
     if hits.size == 0:
@@ -467,12 +475,12 @@ def recurrence_scan(snapshots: list[Snapshot], t_fix: float,
     err_metric(shift(u_fix), u(t)).  Local minima (smallest d in a centered
     window) mark near-recurrences; the period is the mean gap between
     consecutive minima, or None when fewer than two are found.  Raises
-    DomainError when no snapshot lies at or after t_fix + skip.
+    DomainError for a t_fix off the snapshot times, a non-finite t_fix, a
+    negative or non-finite skip, or when no snapshot lies at or after
+    t_fix + skip.
     """
-    if skip < 0:
-        raise DomainError("skip must be nonnegative")
     times = np.array([s.t for s in snapshots])
-    i_fix, tol = _snapshot_index(times, t_fix)
+    i_fix, tol = _snapshot_index(times, t_fix, skip)
     u_fix = snapshots[i_fix].u
     sel = [i for i, t in enumerate(times) if t >= t_fix + skip - tol]
     if not sel:
@@ -538,10 +546,11 @@ def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float):
     """Fixed-time recurrence rows: for each t_fix, the time of the smallest
     plain circular difference after the skip, the gap, and the difference.
 
-    Snapshots are in time order.  Each t_fix must be a snapshot time, found
-    as recurrence_scan finds it (DomainError otherwise); its candidates are
-    the later snapshots at or after t_fix + skip, so even skip = 0 never
-    matches the t_fix snapshot with itself.  A t_fix with no candidate
+    Snapshots are in time order.  Each t_fix must be a finite snapshot
+    time and skip finite and nonnegative, as for recurrence_scan
+    (DomainError otherwise); the candidates of a t_fix are the later
+    snapshots at or after t_fix + skip, so even skip = 0 never matches the
+    t_fix snapshot with itself.  A t_fix with no candidate
     raises DomainError, so every t_fix gives a row; the recurrence period
     estimate is the mean gap.
     Returns (rows, period) with rows of (t_fix, t_match, gap, difference).
@@ -549,7 +558,7 @@ def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float):
     times = np.array([s.t for s in snapshots])
     rows = []
     for t_fix in t_fixes:
-        i_fix, tol = _snapshot_index(times, t_fix)
+        i_fix, tol = _snapshot_index(times, t_fix, skip)
         u_fix = snapshots[i_fix].u
         sel = [i for i in range(i_fix + 1, len(times))
                if times[i] >= times[i_fix] + skip - tol]

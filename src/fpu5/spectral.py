@@ -7,8 +7,8 @@ spectrum, modes 0..N/2 (length N//2 + 1).  A field u goes to
 in mode 0, and comes back through ``np.fft.irfft(u_hat, N)``, which carries
 the 1/N factor.  ``Grid.k`` and ``Grid.dealias`` are per-mode arrays of
 that length; the Nyquist entry of ``k`` is -pi N / L, the sign numpy's full
-``fftfreq`` gives it.  Both steppers are indifferent to shape: a
-``(B, N//2 + 1)`` state steps B rows at once.
+``fftfreq`` gives it.  In both steppers the state has the symbol's shape:
+a ``(B, N//2 + 1)`` state steps B rows at once.
 
 ``rfft_into`` and ``irfft_into`` are the half-spectrum transforms of the
 stepping hot loop.  They call the pocketfft gufuncs that ``np.fft.rfft`` and

@@ -227,6 +227,14 @@ class TestCli:
         snaps = sorted(out.glob("snap_*.dat"))
         assert len(snaps) == 1
 
+    def test_simulate_horizon_far_below_the_interval(self, tmp_path):
+        cfg = self.write_config(tmp_path, MINIMAL.replace("gardner", "kdv")
+                                .replace("t_end = 1.0", "t_end = 1e-12")
+                                + "dt = 1e-3\nsnapshot_interval = 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        assert len(sorted(out.glob("snap_*.dat"))) == 2
+
     def test_painleve_output(self, tmp_path, capsys):
         out = tmp_path / "pl"
         assert main(["painleve", "--mu", "1", "--delta", "1",
@@ -291,6 +299,21 @@ class TestCli:
                      "--out", str(tmp_path / "rec")]) == 2
         err = capsys.readouterr().err
         assert "t_fix 0.5 " in err and "skip 0.75" in err
+        assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--t-fix", "-inf"), ("--t-fix", "inf"), ("--t-fix", "nan"),
+        ("--skip", "-1"), ("--skip", "inf"), ("--skip", "nan")])
+    def test_recurrence_rejects_a_bad_t_fix_or_skip(self, tmp_path, capsys,
+                                                    option, value):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "sim"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        args = {"--t-fix": "0.0", "--skip": "0.0", option: value}
+        assert main(["recurrence", str(out / "manifest.json"),
+                     *(f"{k}={v}" for k, v in args.items()),
+                     "--out", str(tmp_path / "rec")]) == 2
+        assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "rec").exists()
 
     def test_recurrence_reads_files_beside_the_manifest(self, tmp_path,

@@ -190,8 +190,8 @@ class TestOperatorFactory:
     def test_bit_identical_to_the_plain_expression(self):
         # the operator works in place on its own arrays; its result must be
         # that of the tendency written as one numpy expression, zero signs
-        # included, for one row, for a batch of rows, and for a stack of
-        # rows fed to an operator built from one parameter set
+        # included, for one row, for a batch of rows, and for a batch of
+        # rows that share one parameter set
         g = Grid(20.0, 64)
         h = g.n // 2 + 1
         rows = [ModelParams(1.0, 0.2), ModelParams(0.6, 0.0), ModelParams(1.4, 0.7)]
@@ -226,33 +226,51 @@ class TestOperatorFactory:
             for p, v, row in zip(rows, u_hat, expected):
                 single = make_nonlinear_operator(kind, p, g)(v)
                 assert single.tobytes() == row.tobytes()
-            stacked = make_nonlinear_operator(kind, rows[0], g)(u_hat)
+            stacked = make_nonlinear_operator(kind, [rows[0]] * 3, g)(u_hat)
             for v, row in zip(u_hat, stacked):
                 assert row.tobytes() == plain(kind, rows[0], v).tobytes()
 
     def test_work_arrays_never_leak_between_calls(self):
-        # one operator fed single rows and stacks of three in turn gives what
-        # a freshly built operator gives, leaves its input alone, and never
-        # alters an array it returned before
+        # an operator fed several inputs in turn, one operator for single
+        # rows and one for stacks of three, gives what a freshly built
+        # operator gives, leaves its input alone, and never alters an array
+        # it returned before
         g = Grid(20.0, 64)
-        params = ModelParams(0.8, 0.4)
         rng = np.random.default_rng(11)
-        inputs = [np.fft.rfft(rng.standard_normal(shape))
-                  for shape in [(g.n,), (3, g.n)] * 3]
-        for kind in ALL_KINDS:
-            op = make_nonlinear_operator(kind, params, g)
-            returned, copies = [], []
-            for u_hat in inputs:
-                before = u_hat.copy()
-                out = op(u_hat)
-                assert out.shape == u_hat.shape
-                assert np.array_equal(u_hat, before)
-                fresh = make_nonlinear_operator(kind, params, g)(u_hat)
-                assert np.array_equal(out, fresh)
-                returned.append(out)
-                copies.append(out.copy())
-            for out, copy in zip(returned, copies):
-                assert np.array_equal(out, copy)
+        for params, shape in [(ModelParams(0.8, 0.4), (g.n,)),
+                              ([ModelParams(0.8, 0.4)] * 3, (3, g.n))]:
+            inputs = [np.fft.rfft(rng.standard_normal(shape)) for _ in range(3)]
+            for kind in ALL_KINDS:
+                op = make_nonlinear_operator(kind, params, g)
+                returned, copies = [], []
+                for u_hat in inputs:
+                    before = u_hat.copy()
+                    out = op(u_hat)
+                    assert out.shape == u_hat.shape
+                    assert np.array_equal(u_hat, before)
+                    fresh = make_nonlinear_operator(kind, params, g)(u_hat)
+                    assert np.array_equal(out, fresh)
+                    returned.append(out)
+                    copies.append(out.copy())
+                for out, copy in zip(returned, copies):
+                    assert np.array_equal(out, copy)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_refuses_a_state_of_another_shape(self, kind):
+        # an operator is built for the shape of its parameters' symbol and
+        # names both shapes when fed another
+        g = Grid(20.0, 64)
+        h = g.n // 2 + 1
+        params = ModelParams(0.8, 0.4)
+        one_row = make_nonlinear_operator(kind, params, g)
+        three_rows = make_nonlinear_operator(kind, [params] * 3, g)
+        for op, built, shape in [(one_row, (h,), (3, h)),
+                                 (three_rows, (3, h), (h,)),
+                                 (three_rows, (3, h), (2, h))]:
+            with pytest.raises(ValueError) as info:
+                op(np.zeros(shape, dtype=complex))
+            assert str(built) in str(info.value)
+            assert str(shape) in str(info.value)
 
     def test_matches_full_spectrum_formula(self):
         # the tendency written out on the full complex spectrum, one

@@ -79,6 +79,17 @@ class TestRun:
         snaps = run(small_config())
         assert [s.t for s in snaps] == pytest.approx([0.0, 0.5, 1.0])
 
+    def test_horizon_far_below_the_interval_takes_one_interval(self):
+        # t_end / interval = 1e-12 rounds to no interval at all; the run
+        # still takes one, of length t_end, in one step
+        config = small_config(kind=EquationKind.KDV, t_end=1e-12, dt=1e-3,
+                              snapshot_interval=1.0)
+        u0 = build_initial_condition(config)
+        assert _schedule(config, u0) == (1e-12, 1, 1)
+        snaps = run(config)
+        assert [s.t for s in snaps] == [0.0, 1e-12]
+        assert np.all(np.isfinite(snaps[1].u))
+
     def test_zero_field_is_fixed_point(self, tmp_path):
         from fpu5 import write_snapshot
         grid = Grid(40.0, 64)
@@ -495,6 +506,23 @@ class TestRecurrenceScan:
         snaps, _, _ = self.make_translating_snapshots()
         with pytest.raises(DomainError):
             recurrence_scan(snaps, t_fix=0.0, skip=-1.0)
+
+    @pytest.mark.parametrize("t_fix, skip, message", [
+        (np.inf, 0.0, "t_fix must be finite"),
+        (-np.inf, 0.0, "t_fix must be finite"),
+        (np.nan, 0.0, "t_fix must be finite"),
+        (0.0, -1.0, "skip must be finite and nonnegative"),
+        (0.0, np.inf, "skip must be finite and nonnegative"),
+        (0.0, np.nan, "skip must be finite and nonnegative")])
+    def test_bad_t_fix_or_skip_rejected_by_scan_and_table(self, t_fix, skip,
+                                                          message):
+        # an infinite t_fix once made the time tolerance infinite, so it
+        # matched the first snapshot
+        snaps, _, _ = self.make_translating_snapshots()
+        with pytest.raises(DomainError, match=message):
+            recurrence_scan(snaps, t_fix=t_fix, skip=skip)
+        with pytest.raises(DomainError, match=message):
+            recurrence_table(snaps, [t_fix], skip=skip)
 
     def test_scan_rejects_t_fix_without_candidates(self):
         # an empty report would read as a scan that found no recurrence

@@ -83,8 +83,9 @@ def make_nonlinear_operator(kind: EquationKind,
     mus = [effective_mu(kind, p) for p in rows]
     mu = _per_row(mus, batched)
     delta2 = _per_row([p.delta**2 for p in rows], batched)
-    irfft_into = spectral.irfft_into
-    rfft_into = spectral.rfft_into
+    # the arrays below are made for these transforms, so their checks can go
+    irfft = spectral.irfft_unchecked
+    rfft = spectral.rfft_unchecked
     # Arrays are stacked row first, so f[r] is u or one of its derivatives.
     # Every view is made here once: making one costs about half an
     # elementwise pass at N = 512.  So is every constant operand (the
@@ -150,8 +151,8 @@ def make_nonlinear_operator(kind: EquationKind,
             raise ValueError(f"nonlinear operator built for shape {shape} "
                              f"was given shape {u_hat.shape}")
         np.multiply(u_hat, mult_rows, out=prod)
-        irfft_into(prod, f)
-        out = rfft_into(tendency(), np.empty(shape, dtype=complex))
+        irfft(prod, f)
+        out = rfft(tendency(), np.empty(shape, dtype=complex))
         np.multiply(out, mask_full, out=out)
         # kept apart from the mask: folding it in can flip a zero's sign
         out[..., 0] = 0.0

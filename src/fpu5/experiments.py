@@ -12,7 +12,8 @@ from .errors import BlowUpError, DomainError
 from .params import EquationKind, ModelParams
 from .solutions import (GardnerSoliton, KdV5Soliton, KinkSolution,
                         gardner_soliton, kdv5_soliton, kink_eval)
-from .spectral import ETDRK4, Grid, IntegratingFactorRK4, default_time_step
+from .spectral import (ETDRK4, Grid, IntegratingFactorRK4, default_time_step,
+                       irfft_into, rfft_into)
 
 # each initial condition -> the InitialCondition field it takes, if any
 IC_PARAMS = {"kink_pair": None, "kdv5_soliton": "k", "gardner_soliton": "c0",
@@ -224,7 +225,8 @@ def _step_group(kind, scheme, grid, params, snapshots, rows, snap_dt,
     nonlinear = make_nonlinear_operator(kind, params, grid)
     stepper = scheme(symbol, nonlinear, dt)
 
-    u_hat = np.fft.rfft(np.stack([s[0].u for s in snapshots]))
+    u0 = np.stack([s[0].u for s in snapshots], dtype=float)
+    u_hat = rfft_into(u0, np.empty(symbol.shape, dtype=complex))
     # overflow is diagnosed through the explicit finiteness check, so the
     # intermediate numpy warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -239,7 +241,7 @@ def _step_group(kind, scheme, grid, params, snapshots, rows, snap_dt,
                 _raise_blow_up(stepper, start, u_hat, (i_snap - 1) * steps_per,
                                steps_per, snapshots, rows)
             t = i_snap * snap_dt
-            for s, u in zip(snapshots, np.fft.irfft(u_hat, grid.n)):
+            for s, u in zip(snapshots, irfft_into(u_hat, np.empty(u0.shape))):
                 s.append(Snapshot(t, u))
 
 
@@ -652,11 +654,16 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
     the fifth-order equation scatters energy out of its modes and does not.
     Per arm, xcorr_mismatch gives ``recurrence_score``, the best match with
     u(0) inside recurrence_window, and ``figure_pair_score``, the mismatch
-    between the snapshots nearest the two figure_times."""
+    between the snapshots nearest the two figure_times.  A window that
+    holds t = 0 raises DomainError: u(0) matches itself there, which would
+    make the KdV score zero and the contrast a division by zero."""
+    lo, hi = fx["recurrence_window"]
+    if lo <= 0.0 <= hi:
+        raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds t = 0, "
+                          "where u(0) matches itself")
     runs = _contrast_runs(fx, Grid(fx["length"], fx["n"]),
                           (EquationKind.KDV, EquationKind.FPU5),
                           InitialCondition("cosine"))
-    lo, hi = fx["recurrence_window"]
     arms, checks, snapshots = {}, {}, {}
     for kind, run_snaps in runs.items():
         arms[kind] = arm = _arm(run_snaps)

@@ -199,6 +199,15 @@ def test_zabusky_kruskal_rejects_an_empty_recurrence_window():
         STUDIES["zabusky-kruskal"](fx)
 
 
+@pytest.mark.parametrize("window", [(0.0, 0.2), (-0.1, 0.05), (-0.0, 0.0)])
+def test_zabusky_kruskal_rejects_a_recurrence_window_holding_t_0(window):
+    # u(0) would match itself: a zero KdV score and a zero divisor
+    fx = {**EXPERIMENTS["zabusky-kruskal"], "t_end": 0.2,
+          "recurrence_window": window}
+    with pytest.raises(DomainError, match=r"holds t = 0"):
+        STUDIES["zabusky-kruskal"](fx)
+
+
 # every subcommand, with "{cfg}" a KINK_CONFIG file and "{sim}" the manifest
 # of a simulate run of it; --out is appended
 COMMANDS = {

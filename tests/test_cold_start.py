@@ -1,9 +1,14 @@
-"""Cold start: importing the package and stepping runs load no scipy module.
+"""Cold start: importing the package and stepping runs import no scipy
+Python module.
 
-Only the elliptic solutions need ``scipy.special`` and only shape scores need
-``scipy.optimize``; each is imported inside the function that first calls
-it.  The probe runs in a fresh interpreter, so ``sys.modules`` there holds
-exactly what the package itself loaded.
+The one scipy file they load is the pocketfft extension that
+``fpu5.spectral`` loads straight from its file, under its own dotted name
+but kept out of ``sys.modules``; ``import scipy.fft`` would cost more than
+the whole import of the package.  Only the elliptic solutions need
+``scipy.special`` and only shape scores need ``scipy.optimize``; each is
+imported inside the function that first calls it.  The probe runs in a
+fresh interpreter, so ``sys.modules`` there holds exactly what the package
+itself loaded.
 """
 import json
 import os
@@ -33,7 +38,8 @@ from fpu5 import (EquationKind, Grid, InitialCondition, ModelParams,
                   linear_symbol, make_nonlinear_operator, run)
 from fpu5.experiments import build_initial_condition
 
-seen = {"import": scipy_modules()}
+seen = {"import": scipy_modules(),
+        "binding": fpu5.spectral._pocketfft.__name__}
 params = ModelParams(delta=0.6, mu=2.0)
 grid = Grid(20.0, 32)
 for kind in EquationKind:
@@ -66,6 +72,11 @@ def seen(tmp_path_factory):
 
 
 def test_import_loads_no_scipy(seen):
+    assert seen["import"] == []
+
+
+def test_import_loads_the_pocketfft_binding_outside_sys_modules(seen):
+    assert seen["binding"] == "scipy.fft._pocketfft.pypocketfft"
     assert seen["import"] == []
 
 

@@ -355,17 +355,17 @@ class TestMuZeroThirdOrder:
                  for a in np.meshgrid(SPECIAL, SPECIAL, indexing="ij"))
         seen = []
 
-        def irfft_into(u_hat, out):
+        def irfft(u_hat, out):
             out[0], out[1] = u, ux
             return out
 
-        def rfft_into(tendency, out):
+        def rfft(tendency, out):
             seen.append(tendency.copy())
             out[...] = 0.0
             return out
 
-        monkeypatch.setattr(spectral, "irfft_into", irfft_into)
-        monkeypatch.setattr(spectral, "rfft_into", rfft_into)
+        monkeypatch.setattr(spectral, "irfft_unchecked", irfft)
+        monkeypatch.setattr(spectral, "rfft_unchecked", rfft)
         op = make_nonlinear_operator(kind, ModelParams(1.0, mu), g)
         op(np.zeros(g.n // 2 + 1, dtype=complex))
         m = 0.0 if kind is EquationKind.KDV else mu

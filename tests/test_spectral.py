@@ -95,8 +95,8 @@ class TestTransforms:
 
 
 class TestHalfSpectrumTransforms:
-    # rfft_into and irfft_into call numpy's FFT gufuncs directly; these
-    # tests fail if a numpy release moves them or changes what np.fft.rfft
+    # rfft_into and irfft_into call scipy's pocketfft binding; these tests
+    # fail if a scipy or numpy release makes it differ from what np.fft.rfft
     # and irfft compute
 
     sizes = dict(log_n=st.integers(3, 11),
@@ -130,6 +130,100 @@ class TestHalfSpectrumTransforms:
         assert irfft_into(u_hat, out) is out
         assert out.tobytes() == np.fft.irfft(u_hat, n).tobytes()
         assert u_hat.tobytes() == before.tobytes()
+
+    # the blow-up replay feeds the transforms states that hold inf and nan;
+    # the results hold the same values, with inf and nan in the same
+    # entries, but a nan may carry the other sign bit than numpy's
+    non_finite = dict(log_n=st.integers(3, 9),
+                      lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+                      count=st.integers(1, 4),
+                      seed=st.integers(0, 2**32 - 1))
+
+    @staticmethod
+    def _spoiled(rng, shape, count):
+        values = rng.standard_normal(shape)
+        flat = values.reshape(-1)
+        picks = rng.integers(0, flat.size, count)
+        flat[picks] = rng.choice([np.inf, -np.inf, np.nan], count)
+        return values
+
+    @staticmethod
+    def _nan_blind(values):
+        parts = values.view(float)
+        return np.where(np.isnan(parts), np.nan, parts).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(**non_finite)
+    def test_rfft_into_matches_np_rfft_on_non_finite_input(self, log_n, lead,
+                                                           count, seed):
+        n = 2**log_n
+        u = self._spoiled(np.random.default_rng(seed), lead + (n,), count)
+        out = rfft_into(u, np.empty(lead + (n // 2 + 1,), dtype=complex))
+        assert self._nan_blind(out) == self._nan_blind(np.fft.rfft(u))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(**non_finite)
+    def test_irfft_into_matches_np_irfft_on_non_finite_input(self, log_n, lead,
+                                                             count, seed):
+        n = 2**log_n
+        rng = np.random.default_rng(seed)
+        shape = lead + (n // 2 + 1,)
+        u_hat = (self._spoiled(rng, shape, count)
+                 + 1j * self._spoiled(rng, shape, count))
+        out = irfft_into(u_hat, np.empty(lead + (n,)))
+        assert self._nan_blind(out) == self._nan_blind(np.fft.irfft(u_hat, n))
+
+    @pytest.mark.parametrize("u, out", [
+        (np.zeros(64, dtype=complex), np.empty(33, dtype=complex)),
+        (np.zeros(64), np.empty(33)),
+        (np.zeros(64, dtype=np.float32), np.empty(33, dtype=complex)),
+        (np.zeros(63), np.empty(32, dtype=complex)),
+        (np.zeros(0), np.empty(1, dtype=complex)),
+        (np.zeros(64), np.empty(32, dtype=complex)),
+        (np.zeros(64), np.empty(34, dtype=complex)),
+        (np.zeros((3, 64)), np.empty((2, 33), dtype=complex)),
+        (np.zeros((3, 64)), np.empty(33, dtype=complex)),
+        (np.zeros(64), np.empty((1, 33), dtype=complex)),
+        (list(np.zeros(64)), np.empty(33, dtype=complex)),
+    ])
+    def test_rfft_into_refuses_a_mismatched_pair(self, u, out):
+        before = out.copy()
+        with pytest.raises(ValueError):
+            rfft_into(u, out)
+        assert out.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("u_hat, out", [
+        (np.zeros(33), np.empty(64)),
+        (np.zeros(33, dtype=complex), np.empty(64, dtype=complex)),
+        (np.zeros(33, dtype=np.complex64), np.empty(64)),
+        (np.zeros(32, dtype=complex), np.empty(63)),
+        (np.zeros(33, dtype=complex), np.empty(62)),
+        (np.zeros(33, dtype=complex), np.empty(66)),
+        (np.zeros((3, 33), dtype=complex), np.empty((2, 64))),
+        (np.zeros((3, 33), dtype=complex), np.empty(64)),
+        (np.zeros(33, dtype=complex), np.empty((2, 64))),
+    ])
+    def test_irfft_into_refuses_a_mismatched_pair(self, u_hat, out):
+        before = out.copy()
+        with pytest.raises(ValueError):
+            irfft_into(u_hat, out)
+        assert out.tobytes() == before.tobytes()
+
+    def test_a_short_out_view_leaves_the_buffer_after_it_alone(self):
+        # the binding trusts the shape of out: handed a view too short for
+        # the spectrum, it would write on into the entries after the view
+        rng = np.random.default_rng(3)
+        spectrum_buffer = np.full(40, 7.0 + 7.0j)
+        with pytest.raises(ValueError):
+            rfft_into(rng.standard_normal(64), spectrum_buffer[:32])
+        assert np.all(spectrum_buffer == 7.0 + 7.0j)
+        field_buffer = np.full(3 * 64 + 8, 7.0)
+        with pytest.raises(ValueError):
+            irfft_into(np.fft.rfft(rng.standard_normal((3, 64))),
+                       field_buffer[:3 * 60].reshape(3, 60))
+        assert np.all(field_buffer == 7.0)
 
 
 def kept_modes(g):

@@ -174,8 +174,9 @@ def _physical(grid: Grid, u: np.ndarray, spectral_rhs) -> np.ndarray:
     """
     u = _require_finite(grid.check_field(u),
                         "nonlinear tendency fed a non-finite field")
-    return _require_finite(np.fft.irfft(spectral_rhs(np.fft.rfft(u)), grid.n),
-                           "nonlinear tendency became non-finite")
+    return _require_finite(
+        spectral.irfft(spectral_rhs(spectral.rfft(u)), grid.n),
+        "nonlinear tendency became non-finite")
 
 
 def nonlinear_rhs(kind: EquationKind, params: ModelParams, grid: Grid,

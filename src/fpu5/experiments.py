@@ -7,13 +7,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import spectral
 from .equations import linear_symbol, make_nonlinear_operator
 from .errors import BlowUpError, DomainError
 from .params import EquationKind, ModelParams
 from .solutions import (GardnerSoliton, KdV5Soliton, KinkSolution,
                         gardner_soliton, kdv5_soliton, kink_eval)
-from .spectral import (ETDRK4, Grid, IntegratingFactorRK4, default_time_step,
-                       irfft_into, rfft_into)
+from .spectral import ETDRK4, Grid, IntegratingFactorRK4, default_time_step
 
 # each initial condition -> the InitialCondition field it takes, if any
 IC_PARAMS = {"kink_pair": None, "kdv5_soliton": "k", "gardner_soliton": "c0",
@@ -226,7 +226,7 @@ def _step_group(kind, scheme, grid, params, snapshots, rows, snap_dt,
     stepper = scheme(symbol, nonlinear, dt)
 
     u0 = np.stack([s[0].u for s in snapshots], dtype=float)
-    u_hat = rfft_into(u0, np.empty(symbol.shape, dtype=complex))
+    u_hat = spectral.rfft(u0)
     # overflow is diagnosed through the explicit finiteness check, so the
     # intermediate numpy warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -241,7 +241,7 @@ def _step_group(kind, scheme, grid, params, snapshots, rows, snap_dt,
                 _raise_blow_up(stepper, start, u_hat, (i_snap - 1) * steps_per,
                                steps_per, snapshots, rows)
             t = i_snap * snap_dt
-            for s, u in zip(snapshots, irfft_into(u_hat, np.empty(u0.shape))):
+            for s, u in zip(snapshots, spectral.irfft(u_hat, grid.n)):
                 s.append(Snapshot(t, u))
 
 
@@ -302,7 +302,8 @@ def xcorr_mismatch(reference: np.ndarray, u: np.ndarray) -> float:
     """
     reference = np.asarray(reference, dtype=float)
     u = np.asarray(u, dtype=float)
-    corr = np.fft.irfft(np.fft.rfft(u) * np.conj(np.fft.rfft(reference)), u.size)
+    corr = spectral.irfft(spectral.rfft(u) * np.conj(spectral.rfft(reference)),
+                          u.size)
     norm = np.sqrt(np.sum(reference**2) * np.sum(u**2))
     if norm == 0.0:
         raise ValueError("correlation undefined for an all-zero field")
@@ -374,11 +375,11 @@ def shape_score(reference: np.ndarray, u: np.ndarray, grid: Grid) -> float:
     from scipy.optimize import minimize_scalar
 
     coarse, s0 = min_shift_difference(reference, u)
-    ref_hat = np.fft.rfft(reference)
+    ref_hat = spectral.rfft(np.asarray(reference, dtype=float))
     denom = float(np.max(np.abs(u)))
 
     def objective(shift):
-        shifted = np.fft.irfft(ref_hat * np.exp(-1j * grid.k * shift), grid.n)
+        shifted = spectral.irfft(ref_hat * np.exp(-1j * grid.k * shift), grid.n)
         return float(np.max(np.abs(shifted - u))) / denom
 
     x0 = s0 * grid.dx
@@ -589,6 +590,16 @@ def _score_checks(arms: dict, tags: list[str]) -> tuple[dict, dict]:
     return checks, tables
 
 
+def _nearest_snapshot(times: np.ndarray, t: float, t_end: float) -> int:
+    """Index of the snapshot nearest the study time t; DomainError when t
+    lies beyond the last one (by over 1e-9 max(1, |t|)), which would stand
+    in for a time the run to t_end never reached."""
+    if not t <= times[-1] + 1e-9 * max(1.0, abs(t)):
+        raise DomainError(f"study time {t:g} lies beyond the last snapshot "
+                          f"of the run to t_end = {t_end:g}")
+    return int(np.argmin(np.abs(times - t)))
+
+
 def _kink_validation_study(fx: dict) -> StudyResult:
     report = kink_validation(
         ModelParams(fx["delta"], fx["mu"]), Grid(fx["length"], fx["n"]),
@@ -605,7 +616,8 @@ def _soliton_perturbation_study(fx: dict) -> StudyResult:
         snapshot_interval=fx["snapshot_interval"])
     checks, tables = _score_checks(arms, [f"mu_{mu:g}" for mu in arms])
     clean, perturbed = arms[fx["mus"][0]], arms[fx["mus"][1]]
-    i_late = int(np.argmin(np.abs(perturbed["times"] - fx["destruction_by"])))
+    i_late = _nearest_snapshot(perturbed["times"], fx["destruction_by"],
+                               fx["t_end"])
     checks["pass"] = bool(
         clean["scores"].max() < fx["invariance_bound"]
         and perturbed["scores"][i_late] > fx["destruction_threshold"])
@@ -656,7 +668,8 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
     u(0) inside recurrence_window, and ``figure_pair_score``, the mismatch
     between the snapshots nearest the two figure_times.  A window that
     holds t = 0 raises DomainError: u(0) matches itself there, which would
-    make the KdV score zero and the contrast a division by zero."""
+    make the KdV score zero and the contrast a division by zero.  So does a
+    figure time beyond the run, which would score the last snapshot."""
     lo, hi = fx["recurrence_window"]
     if lo <= 0.0 <= hi:
         raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds t = 0, "
@@ -675,7 +688,7 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
         window_scores = [xcorr_mismatch(run_snaps[0].u, run_snaps[i].u)
                          for i in in_window]
         j = int(np.argmin(window_scores))
-        i_early, i_late = (int(np.argmin(np.abs(times - t)))
+        i_early, i_late = (_nearest_snapshot(times, t, fx["t_end"])
                            for t in fx["figure_times"])
         arm.update(
             recurrence_score=window_scores[j],

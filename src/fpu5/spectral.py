@@ -2,29 +2,27 @@
 two exponential RK4 steppers, IF-RK4 and ETDRK4.
 
 Transform convention: every spectral quantity lives on the real-FFT half
-spectrum, modes 0..N/2 (length N//2 + 1).  A field u goes to
-``np.fft.rfft(u)``, unnormalized, so a constant field c has coefficient N*c
-in mode 0, and comes back through ``np.fft.irfft(u_hat, N)``, which carries
-the 1/N factor.  ``Grid.k`` and ``Grid.dealias`` are per-mode arrays of
-that length; the Nyquist entry of ``k`` is -pi N / L, the sign numpy's full
-``fftfreq`` gives it.  In both steppers the state has the symbol's shape:
-a ``(B, N//2 + 1)`` state steps B rows at once.
+spectrum, modes 0..N/2 (length N//2 + 1).  A field u goes to ``rfft(u)``,
+unnormalized, so a constant field c has coefficient N*c in mode 0, and
+comes back through ``irfft(u_hat, N)``, which carries the 1/N factor.
+``Grid.k`` and ``Grid.dealias`` are per-mode arrays of that length; the
+Nyquist entry of ``k`` is -pi N / L, the sign numpy's full ``fftfreq``
+gives it.  In both steppers the state has the symbol's shape: a
+``(B, N//2 + 1)`` state steps B rows at once.
 
-``rfft_into`` and ``irfft_into`` are the half-spectrum transforms with an
-output array.  They call ``r2c`` and ``c2r`` of scipy's pybind11 build of
-pocketfft, the C++ code that ``np.fft.rfft`` and ``np.fft.irfft`` also end
-in, with the same normalisation, so for an even n their results are
-bit-identical to those functions'.  Fed inf or nan, they give the same
-values, with inf and nan in the same entries, though a nan may carry the
-other sign bit: one in about 40 random non-finite ``irfft`` inputs.  The
-binding's fixed cost per call is lower than that of numpy's pocketfft
-gufunc: an ``irfft`` of shape (2, 256) costs about 4.5 µs against 7 µs, an
-``rfft`` of (256,) 3.3 µs against 5 µs.  The binding trusts the shape of
-``out`` and writes past the end of a mis-shaped one, so both helpers check
-dtypes and shapes first and raise ValueError.  ``rfft_unchecked`` and
-``irfft_unchecked`` skip that check, 0.5-1 µs a call; they are for the
-nonlinear operator, which makes its arrays, shapes and dtypes fixed, once
-when it is built.
+``rfft`` and ``irfft`` are the package's one transform pair; only the
+nonlinear operator, which makes its arrays once with their shapes and
+dtypes fixed, calls ``rfft_unchecked`` and ``irfft_unchecked`` instead,
+which write into its arrays and skip the input check (0.5-1 µs a call).
+All four call ``r2c`` and ``c2r`` of scipy's pybind11 build of pocketfft,
+the C++ code ``np.fft.rfft`` and ``np.fft.irfft`` also end in, with the
+same normalisation, so for an even n the results are bit-identical to
+those functions'.  Fed inf or nan, they give the same values, though a
+nan may carry the other sign bit: one in about 40 random non-finite
+``irfft`` inputs.  The binding's fixed cost per call is lower than that of
+numpy's gufunc: an ``rfft`` of (256,) costs about 4 µs against 10 µs.  It
+reads past the end of a spectrum shorter than n//2 + 1 and writes past
+the end of a short output, hence the checks.
 
 The extension is loaded from its file under scipy's install directory,
 under its own dotted name but without importing any scipy Python module:
@@ -76,8 +74,11 @@ class Grid:
     def __repr__(self):
         return f"Grid(length={self.length!r}, n={self.n})"
 
-    def check_field(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u)
+    def check_field(self, u) -> np.ndarray:
+        """u as a float64 array of shape (N,), or ValueError."""
+        if np.iscomplexobj(u):
+            raise ValueError("a field is real, not complex")
+        u = np.asarray(u, dtype=float)
         if u.shape != (self.n,):
             raise ValueError(f"field has shape {u.shape}, grid expects ({self.n},)")
         return u
@@ -131,60 +132,42 @@ _FLOAT = np.dtype(float)
 _COMPLEX = np.dtype(complex)
 
 
-def _check_pair(field, spectrum):
-    """Raise ValueError unless field (float64, even last axis n) and
-    spectrum (complex128, the same leading shape, last axis n//2 + 1) are
-    the two sides of one half-spectrum transform."""
-    if not (isinstance(field, np.ndarray) and isinstance(spectrum, np.ndarray)
-            and field.dtype == _FLOAT and spectrum.dtype == _COMPLEX):
-        raise ValueError(
-            "a half-spectrum transform pairs a float64 field with a "
-            "complex128 spectrum, not %s with %s"
-            % tuple(getattr(x, "dtype", type(x).__name__)
-                    for x in (field, spectrum)))
-    shape = field.shape
-    n = shape[-1] if shape else 0
-    if n < 2 or n % 2:
-        raise ValueError(f"transform length must be even and positive, not {n}")
-    if spectrum.shape != shape[:-1] + (n // 2 + 1,):
-        raise ValueError(f"a field of shape {shape} has a half spectrum of "
-                         f"shape {shape[:-1] + (n // 2 + 1,)}, "
-                         f"not {spectrum.shape}")
+def rfft(u: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft(u)`` along the last axis, as a new complex128 array.
+
+    u must be a float64 array with an even last axis, or ValueError."""
+    if not (isinstance(u, np.ndarray) and u.dtype == _FLOAT and u.ndim
+            and u.shape[-1] >= 2 and u.shape[-1] % 2 == 0):
+        raise ValueError("rfft takes a float64 array with an even last axis, "
+                         f"not {getattr(u, 'dtype', type(u).__name__)} "
+                         f"{np.shape(u)}")
+    return _r2c(u, _LAST_AXIS, True, 0, None, 1)
 
 
-def rfft_into(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.fft.rfft(u)`` along the last axis, written into and returning out.
+def irfft(u_hat: np.ndarray, n: int) -> np.ndarray:
+    """``np.fft.irfft(u_hat, n)`` along the last axis, as a new float64 array.
 
-    u is float64 with an even last axis n; out is complex128 with the same
-    leading shape and last axis n//2 + 1.  Any other dtype, length or shape
-    raises ValueError before out is touched.  u is left unchanged.
-    """
-    _check_pair(u, out)
-    return rfft_unchecked(u, out)
-
-
-def irfft_into(u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.fft.irfft(u_hat, n)`` with n = ``out.shape[-1]``, into out.
-
-    out is float64 with an even last axis n; u_hat is complex128 with the
-    same leading shape and last axis n//2 + 1.  Any other dtype, length or
-    shape raises ValueError before out is touched.  As for irfft, the
-    imaginary parts of modes 0 and n/2 are ignored and u_hat is left
-    unchanged.
-    """
-    _check_pair(out, u_hat)
-    return irfft_unchecked(u_hat, out)
+    n must be an even int of at least 2 and u_hat a complex128 array whose
+    last axis is exactly n//2 + 1, or ValueError: the binding would read
+    past the end of a shorter spectrum."""
+    if not (isinstance(u_hat, np.ndarray) and u_hat.dtype == _COMPLEX
+            and isinstance(n, (int, np.integer)) and n >= 2 and n % 2 == 0
+            and u_hat.shape[-1:] == (n // 2 + 1,)):
+        raise ValueError(f"irfft to an even length n >= 2 takes a complex128 "
+                         f"array with n//2 + 1 modes, not n = {n!r} and "
+                         f"{getattr(u_hat, 'dtype', type(u_hat).__name__)} "
+                         f"{np.shape(u_hat)}")
+    return _c2r(u_hat, _LAST_AXIS, n, False, 2, None, 1)
 
 
 def rfft_unchecked(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``rfft_into`` without its checks: out must already be right, or the
-    transform writes past its end."""
+    """``rfft`` into out, unchecked: a mis-shaped out is written past its end."""
     return _r2c(u, _LAST_AXIS, True, 0, out, 1)
 
 
 def irfft_unchecked(u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``irfft_into`` without its checks: out must already be right, or the
-    transform writes past its end."""
+    """``irfft`` to n = ``out.shape[-1]`` into out, unchecked: a mis-shaped
+    out is written past its end."""
     return _c2r(u_hat, _LAST_AXIS, out.shape[-1], False, 2, out, 1)
 
 
@@ -214,9 +197,8 @@ def spectral_derivative(grid: Grid, u: np.ndarray, order: int = 1,
     """
     u = grid.check_field(u)
     mirrored = np.roll(u[::-1], 1)
-    u_hat = 0.5 * (np.fft.rfft(u) + np.conj(np.fft.rfft(mirrored)))
-    return np.fft.irfft(derivative_multiplier(grid, order, dealias) * u_hat,
-                        grid.n)
+    u_hat = 0.5 * (rfft(u) + np.conj(rfft(mirrored)))
+    return irfft(derivative_multiplier(grid, order, dealias) * u_hat, grid.n)
 
 
 def _checked_symbol(symbol, dt: float) -> np.ndarray:

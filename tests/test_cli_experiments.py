@@ -199,6 +199,19 @@ def test_zabusky_kruskal_rejects_an_empty_recurrence_window():
         STUDIES["zabusky-kruskal"](fx)
 
 
+@pytest.mark.parametrize("name, cut, match", [
+    # both figure times would map to the last snapshot and score it
+    # against itself
+    ("zabusky-kruskal", {"t_end": 0.2, "recurrence_window": (0.1, 0.2)},
+     r"study time 1.14 .* t_end = 0.2"),
+    # the t = 1 score would stand in for the verdict at destruction_by = 17
+    ("soliton-perturbation", {"t_end": 1.0}, r"study time 17 .* t_end = 1$"),
+], ids=["zabusky-kruskal", "soliton-perturbation"])
+def test_a_study_time_beyond_the_run_is_refused(name, cut, match):
+    with pytest.raises(DomainError, match=match):
+        STUDIES[name]({**EXPERIMENTS[name], **cut})
+
+
 @pytest.mark.parametrize("window", [(0.0, 0.2), (-0.1, 0.05), (-0.0, 0.0)])
 def test_zabusky_kruskal_rejects_a_recurrence_window_holding_t_0(window):
     # u(0) would match itself: a zero KdV score and a zero divisor

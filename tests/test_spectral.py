@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from fpu5 import (ETDRK4, EXPERIMENTS, DomainError, EquationKind, Grid,
                   InitialCondition, IntegratingFactorRK4, ModelParams,
-                  SimulationConfig, default_time_step, linear_symbol,
-                  make_nonlinear_operator, spectral_derivative)
+                  SimulationConfig, conservation_flux, default_time_step,
+                  full_rhs, linear_symbol, make_nonlinear_operator,
+                  nonlinear_rhs, run, shape_score, spectral_derivative,
+                  xcorr_mismatch)
 from fpu5.experiments import build_initial_condition
-from fpu5.spectral import derivative_multiplier, irfft_into, rfft_into
+from fpu5.spectral import derivative_multiplier, irfft, rfft
 
 
 @pytest.fixture
@@ -57,20 +59,15 @@ class TestGrid:
             spectral_derivative(grid, np.zeros(32))
 
 
-def half_spectrum(u):
-    return rfft_into(u, np.empty(u.shape[:-1] + (u.shape[-1] // 2 + 1,),
-                                 dtype=complex))
-
-
 class TestTransforms:
     def test_constant_field_is_dc_only(self, grid):
-        u_hat = half_spectrum(np.ones(grid.n))
+        u_hat = rfft(np.ones(grid.n))
         assert u_hat[0] == pytest.approx(grid.n)
         assert np.max(np.abs(u_hat[1:])) < 1e-12 * grid.n
 
     def test_pure_tone_two_modes(self, grid):
         # the half spectrum holds the pair of modes -1 and +1 as mode 1
-        u_hat = half_spectrum(np.sin(2 * np.pi * grid.x / grid.length))
+        u_hat = rfft(np.sin(2 * np.pi * grid.x / grid.length))
         nonzero = np.nonzero(np.abs(u_hat) > 1e-9 * grid.n)[0]
         assert nonzero.tolist() == [1]
         assert grid.k[1] == pytest.approx(2 * np.pi / grid.length)
@@ -78,7 +75,7 @@ class TestTransforms:
     def test_round_trip(self, grid):
         rng = np.random.default_rng(0)
         u = rng.standard_normal(grid.n)
-        back = irfft_into(half_spectrum(u), np.empty(grid.n))
+        back = irfft(rfft(u), grid.n)
         assert np.max(np.abs(back - u)) < 1e-12 * np.max(np.abs(u))
 
     def test_parseval(self, grid):
@@ -88,16 +85,16 @@ class TestTransforms:
         weight[[0, -1]] = 1.0
         for _ in range(5):
             u = rng.standard_normal(grid.n)
-            u_hat = half_spectrum(u)
+            u_hat = rfft(u)
             physical = np.sum(u * u)
             spectral = np.sum(weight * np.abs(u_hat) ** 2) / grid.n
             assert spectral == pytest.approx(physical, rel=1e-12)
 
 
 class TestHalfSpectrumTransforms:
-    # rfft_into and irfft_into call scipy's pocketfft binding; these tests
-    # fail if a scipy or numpy release makes it differ from what np.fft.rfft
-    # and irfft compute
+    # rfft and irfft call scipy's pocketfft binding; these tests fail if a
+    # scipy or numpy release makes it differ from what np.fft.rfft and
+    # irfft compute
 
     sizes = dict(log_n=st.integers(3, 11),
                  lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
@@ -106,18 +103,18 @@ class TestHalfSpectrumTransforms:
 
     @settings(max_examples=60, deadline=None)
     @given(**sizes)
-    def test_rfft_into_is_np_rfft_byte_for_byte(self, log_n, lead, scale, seed):
+    def test_rfft_is_np_rfft_byte_for_byte(self, log_n, lead, scale, seed):
         n = 2**log_n
         u = scale * np.random.default_rng(seed).standard_normal(lead + (n,))
         before = u.copy()
-        out = np.empty(lead + (n // 2 + 1,), dtype=complex)
-        assert rfft_into(u, out) is out
+        out = rfft(u)
+        assert out.dtype == complex
         assert out.tobytes() == np.fft.rfft(u).tobytes()
         assert u.tobytes() == before.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(**sizes)
-    def test_irfft_into_is_np_irfft_byte_for_byte(self, log_n, lead, scale, seed):
+    def test_irfft_is_np_irfft_byte_for_byte(self, log_n, lead, scale, seed):
         # random complex input, so modes 0 and N/2 carry imaginary parts
         # that a real field's spectrum could not have; irfft ignores them
         n = 2**log_n
@@ -126,10 +123,23 @@ class TestHalfSpectrumTransforms:
         u_hat = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         assert np.all(u_hat[..., [0, -1]].imag != 0.0)
         before = u_hat.copy()
-        out = np.empty(lead + (n,))
-        assert irfft_into(u_hat, out) is out
+        out = irfft(u_hat, n)
+        assert out.dtype == float
         assert out.tobytes() == np.fft.irfft(u_hat, n).tobytes()
         assert u_hat.tobytes() == before.tobytes()
+
+    def test_strided_input_is_transformed_byte_for_byte(self):
+        # a column of a 2-D array and a [::2] view, on each side
+        rng = np.random.default_rng(4)
+        fields = rng.standard_normal((256, 3))
+        spectra = rng.standard_normal((129, 3)) + 1j * rng.standard_normal((129, 3))
+        for u in (fields[:, 1], fields[::2, 2]):
+            assert not u.flags.c_contiguous
+            assert rfft(u).tobytes() == np.fft.rfft(u).tobytes()
+        for u_hat, n in ((spectra[:, 1], 256), (spectra[::2, 0], 128)):
+            assert not u_hat.flags.c_contiguous
+            assert (irfft(u_hat, n).tobytes()
+                    == np.fft.irfft(u_hat, n).tobytes())
 
     # the blow-up replay feeds the transforms states that hold inf and nan;
     # the results hold the same values, with inf and nan in the same
@@ -155,75 +165,65 @@ class TestHalfSpectrumTransforms:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(**non_finite)
-    def test_rfft_into_matches_np_rfft_on_non_finite_input(self, log_n, lead,
-                                                           count, seed):
+    def test_rfft_matches_np_rfft_on_non_finite_input(self, log_n, lead,
+                                                      count, seed):
         n = 2**log_n
         u = self._spoiled(np.random.default_rng(seed), lead + (n,), count)
-        out = rfft_into(u, np.empty(lead + (n // 2 + 1,), dtype=complex))
-        assert self._nan_blind(out) == self._nan_blind(np.fft.rfft(u))
+        assert self._nan_blind(rfft(u)) == self._nan_blind(np.fft.rfft(u))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(**non_finite)
-    def test_irfft_into_matches_np_irfft_on_non_finite_input(self, log_n, lead,
-                                                             count, seed):
+    def test_irfft_matches_np_irfft_on_non_finite_input(self, log_n, lead,
+                                                        count, seed):
         n = 2**log_n
         rng = np.random.default_rng(seed)
         shape = lead + (n // 2 + 1,)
         u_hat = (self._spoiled(rng, shape, count)
                  + 1j * self._spoiled(rng, shape, count))
-        out = irfft_into(u_hat, np.empty(lead + (n,)))
-        assert self._nan_blind(out) == self._nan_blind(np.fft.irfft(u_hat, n))
+        assert (self._nan_blind(irfft(u_hat, n))
+                == self._nan_blind(np.fft.irfft(u_hat, n)))
 
-    @pytest.mark.parametrize("u, out", [
-        (np.zeros(64, dtype=complex), np.empty(33, dtype=complex)),
-        (np.zeros(64), np.empty(33)),
-        (np.zeros(64, dtype=np.float32), np.empty(33, dtype=complex)),
-        (np.zeros(63), np.empty(32, dtype=complex)),
-        (np.zeros(0), np.empty(1, dtype=complex)),
-        (np.zeros(64), np.empty(32, dtype=complex)),
-        (np.zeros(64), np.empty(34, dtype=complex)),
-        (np.zeros((3, 64)), np.empty((2, 33), dtype=complex)),
-        (np.zeros((3, 64)), np.empty(33, dtype=complex)),
-        (np.zeros(64), np.empty((1, 33), dtype=complex)),
-        (list(np.zeros(64)), np.empty(33, dtype=complex)),
-    ])
-    def test_rfft_into_refuses_a_mismatched_pair(self, u, out):
-        before = out.copy()
+    @pytest.mark.parametrize("u", [
+        np.zeros(64, dtype=complex),
+        np.zeros(64, dtype=np.float32),
+        np.zeros(64, dtype=int),
+        np.zeros(63),
+        np.zeros(0),
+        np.float64(1.0),
+        np.array(1.0),
+        list(np.zeros(64)),
+    ], ids=["complex", "float32", "int", "odd-length", "empty", "scalar",
+            "0-d", "list"])
+    def test_rfft_refuses_bad_input(self, u):
         with pytest.raises(ValueError):
-            rfft_into(u, out)
-        assert out.tobytes() == before.tobytes()
+            rfft(u)
 
-    @pytest.mark.parametrize("u_hat, out", [
-        (np.zeros(33), np.empty(64)),
-        (np.zeros(33, dtype=complex), np.empty(64, dtype=complex)),
-        (np.zeros(33, dtype=np.complex64), np.empty(64)),
-        (np.zeros(32, dtype=complex), np.empty(63)),
-        (np.zeros(33, dtype=complex), np.empty(62)),
-        (np.zeros(33, dtype=complex), np.empty(66)),
-        (np.zeros((3, 33), dtype=complex), np.empty((2, 64))),
-        (np.zeros((3, 33), dtype=complex), np.empty(64)),
-        (np.zeros(33, dtype=complex), np.empty((2, 64))),
-    ])
-    def test_irfft_into_refuses_a_mismatched_pair(self, u_hat, out):
-        before = out.copy()
+    @pytest.mark.parametrize("u_hat, n", [
+        (np.zeros(33), 64),
+        (np.zeros(33, dtype=np.complex64), 64),
+        (list(np.zeros(33, dtype=complex)), 64),
+        (np.zeros(32, dtype=complex), 63),
+        (np.zeros(33, dtype=complex), 62),
+        (np.zeros(33, dtype=complex), 66),
+        (np.zeros((3, 33), dtype=complex), 66),
+        (np.zeros(10, dtype=complex), 64),
+        (np.zeros(1, dtype=complex), 0),
+        (np.zeros(33, dtype=complex), 64.0),
+        (np.array(1.0 + 0j), 2),
+    ], ids=["float", "complex64", "list", "odd-n", "long-spectrum",
+            "short-spectrum", "short-rows", "ten-modes-for-64", "zero-n",
+            "float-n", "0-d"])
+    def test_irfft_refuses_bad_input(self, u_hat, n):
         with pytest.raises(ValueError):
-            irfft_into(u_hat, out)
-        assert out.tobytes() == before.tobytes()
+            irfft(u_hat, n)
 
-    def test_a_short_out_view_leaves_the_buffer_after_it_alone(self):
-        # the binding trusts the shape of out: handed a view too short for
-        # the spectrum, it would write on into the entries after the view
-        rng = np.random.default_rng(3)
-        spectrum_buffer = np.full(40, 7.0 + 7.0j)
-        with pytest.raises(ValueError):
-            rfft_into(rng.standard_normal(64), spectrum_buffer[:32])
-        assert np.all(spectrum_buffer == 7.0 + 7.0j)
-        field_buffer = np.full(3 * 64 + 8, 7.0)
-        with pytest.raises(ValueError):
-            irfft_into(np.fft.rfft(rng.standard_normal((3, 64))),
-                       field_buffer[:3 * 60].reshape(3, 60))
-        assert np.all(field_buffer == 7.0)
+    def test_the_transforms_return_new_arrays(self):
+        u = np.random.default_rng(5).standard_normal((2, 16))
+        u_hat = rfft(u)
+        assert u_hat.shape == (2, 9) and u_hat.flags.owndata
+        back = irfft(u_hat, 16)
+        assert back.shape == (2, 16) and back.flags.owndata
 
 
 def kept_modes(g):
@@ -511,3 +511,56 @@ class TestDefaultTimeStep:
         dt = default_time_step(config.grid, config.params, config.kind,
                                build_initial_condition(config))
         assert dt <= 1.7e-4
+
+
+class TestOneTransformPath:
+    def test_nothing_calls_numpy_fft(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.fft called")
+
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        g = Grid(40.0, 64)
+        params = ModelParams(delta=1.0, mu=0.1)
+        for scheme in STEPPERS:
+            snaps = run(SimulationConfig(
+                kind=EquationKind.FPU5, params=params, grid=g, t_end=0.02,
+                dt=0.005, snapshot_interval=0.01, scheme=scheme,
+                initial_condition=InitialCondition("gardner_soliton", c0=1.0)))
+            assert len(snaps) == 3
+        u = snaps[-1].u
+        v = np.roll(snaps[0].u, 3)
+        for kind in EquationKind:
+            assert np.all(np.isfinite(nonlinear_rhs(kind, params, g, u)))
+            assert np.all(np.isfinite(full_rhs(kind, params, g, u)))
+        for order in range(1, 6):
+            assert np.all(np.isfinite(spectral_derivative(g, u, order)))
+        assert np.all(np.isfinite(conservation_flux(params, g, u)))
+        assert 0.0 <= xcorr_mismatch(u, v) < 1.0
+        assert 0.0 <= shape_score(u, v, g) < 1.0
+
+    def test_a_complex_field_is_refused(self):
+        # np.fft.rfft refused it; a cast to float would drop its imaginary part
+        g = Grid(40.0, 64)
+        u = np.exp(1j * g.x)
+        params = ModelParams(1.0, 0.1)
+        for call in (lambda: spectral_derivative(g, u),
+                     lambda: nonlinear_rhs(EquationKind.KDV, params, g, u),
+                     lambda: conservation_flux(params, g, list(u))):
+            with pytest.raises(ValueError, match="complex"):
+                call()
+
+    def test_int_and_list_fields_give_the_float_fields_bytes(self):
+        # np.fft took these and transformed them as float64
+        g = Grid(40.0, 64)
+        rng = np.random.default_rng(6)
+        ints = rng.integers(-3, 4, g.n)
+        other = np.roll(ints, 2) + rng.integers(-1, 2, g.n)
+        floats, other_floats = ints.astype(float), other.astype(float)
+        for field in (ints, list(ints)):
+            for order in (1, 3):
+                assert (spectral_derivative(g, field, order).tobytes()
+                        == spectral_derivative(g, floats, order).tobytes())
+        for a, b in ((ints, other), (list(ints), list(other))):
+            assert xcorr_mismatch(a, b) == xcorr_mismatch(floats, other_floats)
+            assert shape_score(a, b, g) == shape_score(floats, other_floats, g)

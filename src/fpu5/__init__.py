@@ -6,8 +6,7 @@ pole-balance and Fuchs-index computation, and the recurrence experiments."""
 from .errors import BlowUpError, ConfigError, DomainError, PoleError
 from .params import (EquationKind, ModelParams, PhysicalChainParams,
                      kink_speed, physical_to_model, velocity_curve)
-from .spectral import (ETDRK4, Grid, IntegratingFactorRK4, default_time_step,
-                       spectral_derivative)
+from .spectral import ETDRK4, Grid, IntegratingFactorRK4, spectral_derivative
 from .equations import (conservation_flux, flux, full_rhs, linear_symbol,
                         make_nonlinear_operator, nonlinear_rhs)
 from .weierstrass import WeierstrassP, degenerate_p, real_period, weierstrass_p

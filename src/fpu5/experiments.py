@@ -13,7 +13,7 @@ from .errors import BlowUpError, DomainError
 from .params import EquationKind, ModelParams
 from .solutions import (GardnerSoliton, KdV5Soliton, KinkSolution,
                         gardner_soliton, kdv5_soliton, kink_eval)
-from .spectral import ETDRK4, Grid, IntegratingFactorRK4, default_time_step
+from .spectral import ETDRK4, Grid, IntegratingFactorRK4
 
 # each initial condition -> the InitialCondition field it takes, if any
 IC_PARAMS = {"kink_pair": None, "kdv5_soliton": "k", "gardner_soliton": "c0",
@@ -63,20 +63,21 @@ class SimulationConfig:
     grid: Grid
     t_end: float
     initial_condition: InitialCondition
-    dt: float | None = None
+    dt: float
     snapshot_interval: float | None = None
     scheme: type = IntegratingFactorRK4   # or ETDRK4: the stepper class
 
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise DomainError("t_end must be finite and nonnegative")
+        if self.dt is None:
+            raise DomainError("dt is required: every run names its time step")
         for name in ("dt", "snapshot_interval"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and positive")
-        if self.snapshot_interval is not None:
-            if self.dt is not None and self.snapshot_interval < self.dt:
-                raise DomainError("snapshot_interval must be at least dt")
+        if self.snapshot_interval is not None and self.snapshot_interval < self.dt:
+            raise DomainError("snapshot_interval must be at least dt")
 
 
 @dataclass
@@ -161,7 +162,7 @@ def build_initial_condition(config: SimulationConfig) -> np.ndarray:
     return snap.u
 
 
-def _schedule(config: SimulationConfig, u0: np.ndarray) -> tuple[float, int, int]:
+def _schedule(config: SimulationConfig) -> tuple[float, int, int]:
     """(snapshot interval, steps per snapshot, snapshot count) of a run.
 
     The steps per snapshot are the fewest whose step, the interval over
@@ -169,11 +170,10 @@ def _schedule(config: SimulationConfig, u0: np.ndarray) -> tuple[float, int, int
     (relative) of a whole number keeps that number.  A run takes at least
     one interval, however short its t_end.
     """
-    dt = config.dt or default_time_step(config.grid, config.params, config.kind, u0)
-    snap_dt = config.snapshot_interval or max(config.t_end / 50.0, dt)
+    snap_dt = config.snapshot_interval or max(config.t_end / 50.0, config.dt)
     n_snap = max(1, int(np.ceil(config.t_end / snap_dt - 1e-9)))
     snap_dt = config.t_end / n_snap
-    steps_per = max(1, int(np.ceil(snap_dt / dt * (1.0 - 1e-9))))
+    steps_per = max(1, int(np.ceil(snap_dt / config.dt * (1.0 - 1e-9))))
     return snap_dt, steps_per, n_snap
 
 
@@ -208,7 +208,7 @@ def run_batch(configs: list[SimulationConfig]) -> list[list[Snapshot]]:
         results.append([Snapshot(0.0, u0.copy())])
         if config.t_end > 0:
             key = (config.kind, config.scheme, config.grid.length,
-                   config.grid.n, *_schedule(config, u0))
+                   config.grid.n, *_schedule(config))
             groups.setdefault(key, []).append(i)
     for (kind, scheme, _, _, *schedule), rows in groups.items():
         _step_group(kind, scheme, configs[rows[0]].grid,
@@ -401,7 +401,7 @@ def _arm(snapshots: list[Snapshot], **analysis) -> dict:
 
 # ------------------------------------------------------------ experiments
 
-def kink_validation(params: ModelParams, grid: Grid, dt: float | None,
+def kink_validation(params: ModelParams, grid: Grid, dt: float,
                     t_end: float, snapshot_interval: float | None = None,
                     keep_snapshots: bool = False) -> ValidationReport:
     """Integrate the kink pair and compare with the travelling exact kink.
@@ -590,13 +590,18 @@ def _score_checks(arms: dict, tags: list[str]) -> tuple[dict, dict]:
     return checks, tables
 
 
-def _nearest_snapshot(times: np.ndarray, t: float, t_end: float) -> int:
-    """Index of the snapshot nearest the study time t; DomainError when t
-    lies beyond the last one (by over 1e-9 max(1, |t|)), which would stand
-    in for a time the run to t_end never reached."""
-    if not t <= times[-1] + 1e-9 * max(1.0, abs(t)):
-        raise DomainError(f"study time {t:g} lies beyond the last snapshot "
-                          f"of the run to t_end = {t_end:g}")
+def _check_study_times(study_times, t_end: float) -> None:
+    """DomainError for a study time beyond t_end (by over 1e-9 max(1, |t|)):
+    the run never reaches it, and its nearest snapshot, the last, would
+    stand in for it.  Called before stepping, so a refusal costs no step."""
+    for t in study_times:
+        if not t <= t_end + 1e-9 * max(1.0, abs(t)):
+            raise DomainError(f"study time {t:g} lies beyond the last snapshot "
+                              f"of the run to t_end = {t_end:g}")
+
+
+def _nearest_snapshot(times: np.ndarray, t: float) -> int:
+    """Index of the snapshot nearest the study time t."""
     return int(np.argmin(np.abs(times - t)))
 
 
@@ -610,14 +615,14 @@ def _kink_validation_study(fx: dict) -> StudyResult:
 
 
 def _soliton_perturbation_study(fx: dict) -> StudyResult:
+    _check_study_times([fx["destruction_by"]], fx["t_end"])
     arms = soliton_perturbation(
         delta=fx["delta"], k=fx["k"], mus=fx["mus"],
         grid=Grid(fx["length"], fx["n"]), dt=fx["dt"], t_end=fx["t_end"],
         snapshot_interval=fx["snapshot_interval"])
     checks, tables = _score_checks(arms, [f"mu_{mu:g}" for mu in arms])
     clean, perturbed = arms[fx["mus"][0]], arms[fx["mus"][1]]
-    i_late = _nearest_snapshot(perturbed["times"], fx["destruction_by"],
-                               fx["t_end"])
+    i_late = _nearest_snapshot(perturbed["times"], fx["destruction_by"])
     checks["pass"] = bool(
         clean["scores"].max() < fx["invariance_bound"]
         and perturbed["scores"][i_late] > fx["destruction_threshold"])
@@ -668,12 +673,19 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
     u(0) inside recurrence_window, and ``figure_pair_score``, the mismatch
     between the snapshots nearest the two figure_times.  A window that
     holds t = 0 raises DomainError: u(0) matches itself there, which would
-    make the KdV score zero and the contrast a division by zero.  So does a
-    figure time beyond the run, which would score the last snapshot."""
+    make the KdV score zero and the contrast a division by zero.  So do a
+    window that holds no snapshot and a figure time beyond the run, which
+    would score the last snapshot; all but a window that falls between two
+    snapshots are refused before any step."""
     lo, hi = fx["recurrence_window"]
     if lo <= 0.0 <= hi:
         raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds t = 0, "
                           "where u(0) matches itself")
+    empty = (f"recurrence_window ({lo:g}, {hi:g}) holds no snapshot of the "
+             f"run to t_end = {fx['t_end']:g}")
+    if not lo <= min(hi, fx["t_end"]):
+        raise DomainError(empty)
+    _check_study_times(fx["figure_times"], fx["t_end"])
     runs = _contrast_runs(fx, Grid(fx["length"], fx["n"]),
                           (EquationKind.KDV, EquationKind.FPU5),
                           InitialCondition("cosine"))
@@ -683,12 +695,11 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
         times = arm["times"]
         in_window = np.flatnonzero((times >= lo) & (times <= hi))
         if in_window.size == 0:
-            raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds no "
-                              f"snapshot of the run to t_end = {fx['t_end']:g}")
+            raise DomainError(empty)
         window_scores = [xcorr_mismatch(run_snaps[0].u, run_snaps[i].u)
                          for i in in_window]
         j = int(np.argmin(window_scores))
-        i_early, i_late = (_nearest_snapshot(times, t, fx["t_end"])
+        i_early, i_late = (_nearest_snapshot(times, t)
                            for t in fx["figure_times"])
         arm.update(
             recurrence_score=window_scores[j],

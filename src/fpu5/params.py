@@ -29,8 +29,8 @@ class EquationKind(Enum):
 class PhysicalChainParams:
     """Parameters of the mass chain with quadratic plus cubic coupling.
 
-    ``beta`` may be zero (quadratic-only chain); everything else must be
-    strictly positive.
+    Every field must be finite; ``beta`` may be zero (quadratic-only chain),
+    everything else must be strictly positive.
     """
 
     mass: float
@@ -40,6 +40,9 @@ class PhysicalChainParams:
     spacing: float
 
     def __post_init__(self):
+        for name in ("mass", "alpha", "beta", "gamma", "spacing"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         for name in ("mass", "alpha", "gamma", "spacing"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive")

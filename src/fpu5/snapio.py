@@ -147,7 +147,7 @@ _CONFIG_KEYS = {
     **{f"ic_{attr}": typing.get_args(_IC_FIELD_TYPES[attr])[0]
        for attr in IC_PARAMS.values() if attr is not None},
 }
-_REQUIRED = ("kind", "delta", "mu", "L", "N", "t_end")
+_REQUIRED = ("kind", "delta", "mu", "L", "N", "t_end", "dt")
 
 
 def parse_config(text: str) -> SimulationConfig:
@@ -200,7 +200,7 @@ def parse_config(text: str) -> SimulationConfig:
 
     return SimulationConfig(
         kind=kind, params=params, grid=grid, t_end=values["t_end"],
-        dt=values.get("dt"), snapshot_interval=values.get("snapshot_interval"),
+        dt=values["dt"], snapshot_interval=values.get("snapshot_interval"),
         initial_condition=ic)
 
 

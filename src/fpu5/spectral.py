@@ -39,9 +39,6 @@ import os
 import numpy as np
 
 from .errors import DomainError
-from .params import FIFTH_ORDER, EquationKind, ModelParams, effective_mu
-
-_DT_SAFETY = 0.5  # default_time_step's dt times the fastest explicit rate
 
 # points on the circle |r - dt L| = 1 whose mean gives the ETDRK4 coefficients
 _CONTOUR_POINTS = 64
@@ -367,24 +364,3 @@ class ETDRK4:
         np.multiply(u_hat, self.e_full, out=work)
         np.add(result, work, out=result)
         return result
-
-
-def default_time_step(grid: Grid, params: ModelParams, kind: EquationKind,
-                      u0: np.ndarray) -> float:
-    """Step-size heuristic from the explicitly treated terms.
-
-    The fifth-order linear term is absorbed exactly by the integrating
-    factor; what limits dt is the advection-like nonlinearity at the highest
-    retained wavenumber and, for the fifth-order equations, the u-dependent
-    third-derivative terms.  Runs may always override this value.
-    """
-    k_active = 2.0 * np.pi * (grid.n // 3) / grid.length
-    amp = float(np.max(np.abs(u0)))
-    amp = max(amp, 1e-12)
-    mu = effective_mu(kind, params)
-    advective = (amp + mu * amp * amp) * k_active
-    rate = advective
-    if kind in FIFTH_ORDER:
-        stiff = params.delta**2 * (amp + mu * amp * amp) * k_active**3
-        rate = max(rate, stiff)
-    return _DT_SAFETY / rate

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpu5 import (ConfigError, DomainError, Grid, Snapshot, parse_config,
-                  read_snapshot)
+from fpu5 import (EXPERIMENTS, ConfigError, DomainError, EquationKind, Grid,
+                  InitialCondition, IntegratingFactorRK4, ModelParams,
+                  SimulationConfig, Snapshot, parse_config, read_snapshot)
 from fpu5.cli import main
 from fpu5.experiments import IC_PARAMS
 from fpu5.snapio import write_snapshot, write_snapshots
@@ -17,10 +18,10 @@ mu = 0.1
 L = 40
 N = 64
 t_end = 1.0
+dt = 0.005
 """
 
 SOLITON_RUN = MINIMAL + """\
-dt = 0.005
 snapshot_interval = 0.5
 initial_condition = gardner_soliton
 ic_c0 = 1.0
@@ -30,7 +31,7 @@ ic_c0 = 1.0
 class TestParseConfig:
     def test_minimal_defaults(self):
         config = parse_config(MINIMAL)
-        assert config.dt is None  # engine heuristic applies at run time
+        assert config.dt == 0.005
         assert config.snapshot_interval is None
         assert config.initial_condition.name == "cosine"
         assert config.grid.n == 64
@@ -56,6 +57,11 @@ class TestParseConfig:
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="missing required"):
             parse_config("kind = kdv\ndelta = 1\nmu = 0\nL = 2\nN = 64\n")
+
+    def test_missing_dt_is_refused(self):
+        # every run names its time step; there is no default to fall back on
+        with pytest.raises(ConfigError, match="missing required key 'dt'"):
+            parse_config(MINIMAL.replace("dt = 0.005\n", ""))
 
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
@@ -230,7 +236,7 @@ class TestCli:
     def test_simulate_horizon_far_below_the_interval(self, tmp_path):
         cfg = self.write_config(tmp_path, MINIMAL.replace("gardner", "kdv")
                                 .replace("t_end = 1.0", "t_end = 1e-12")
-                                + "dt = 1e-3\nsnapshot_interval = 1\n")
+                                + "snapshot_interval = 1\n")
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--out", str(out)]) == 0
         assert len(sorted(out.glob("snap_*.dat"))) == 2
@@ -371,8 +377,8 @@ class TestCli:
         ["exact", "kink", "--t", "inf", "--n", "16"],
     ], ids=["ic_k", "kdv5-k", "kink-z0", "elliptic-g3", "kink-t"])
     def test_non_finite_closed_form_input_exits_2(self, tmp_path, capsys, argv):
-        cfg = self.write_config(tmp_path, MINIMAL + "dt = 0.005\n"
-                                "initial_condition = kdv5_soliton\nic_k = inf\n")
+        cfg = self.write_config(tmp_path, MINIMAL + "initial_condition = "
+                                "kdv5_soliton\nic_k = inf\n")
         out = tmp_path / "out"
         assert main([arg.format(cfg=cfg) for arg in argv]
                     + ["--out", str(out)]) == 2
@@ -404,6 +410,39 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code != 0
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_config_without_dt_exits_2_and_writes_nothing(self, tmp_path,
+                                                          capsys, command):
+        cfg = self.write_config(tmp_path, MINIMAL.replace("dt = 0.005\n", ""))
+        out = tmp_path / "out"
+        assert main([command, str(cfg), "--out", str(out)]) == 2
+        assert "missing required key 'dt'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zabusky_kruskal_kdv_config_without_dt_takes_no_step(
+            self, tmp_path, capsys, monkeypatch):
+        # a step picked from max|u0| (1.82e-3) blows this arm up at t = 3.94,
+        # so a run that names no dt must be refused before its first step
+        def refuse(self, u_hat):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(IntegratingFactorRK4, "step", refuse)
+        fx = EXPERIMENTS["zabusky-kruskal"]
+        cfg = self.write_config(tmp_path, (
+            f"kind = kdv\ndelta = {fx['delta']}\nmu = {fx['mu']}\n"
+            f"L = {fx['length']}\nN = {fx['n']}\nt_end = {fx['t_end']}\n"
+            f"snapshot_interval = {fx['snapshot_interval']}\n"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert "missing required key 'dt'" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(DomainError, match="dt is required"):
+            SimulationConfig(
+                kind=EquationKind.KDV, params=ModelParams(fx["delta"], fx["mu"]),
+                grid=Grid(fx["length"], fx["n"]), t_end=fx["t_end"], dt=None,
+                snapshot_interval=fx["snapshot_interval"],
+                initial_condition=InitialCondition("cosine"))
 
     def test_bad_config_exits_nonzero(self, tmp_path):
         cfg = self.write_config(tmp_path, MINIMAL.replace("N = 64", "N = 77"))

@@ -192,8 +192,19 @@ def test_contrast_study_steps_its_arms_in_one_batch_as_single_runs(
                    for a, b in zip(arm["snapshots"], alone))
 
 
-def test_zabusky_kruskal_rejects_an_empty_recurrence_window():
+def refuse_to_step(monkeypatch):
+    """Make any run_batch call fail: a refusal must come before stepping."""
+    import fpu5.experiments as exps
+
+    def refuse(configs):
+        raise AssertionError("run_batch called")
+
+    monkeypatch.setattr(exps, "run_batch", refuse)
+
+
+def test_zabusky_kruskal_rejects_an_empty_recurrence_window(monkeypatch):
     # window (0.1, 0.25) lies past a run cut to t_end = 0.05
+    refuse_to_step(monkeypatch)
     fx = {**SMALL["zabusky-kruskal"], "t_end": 0.05}
     with pytest.raises(DomainError, match=r"\(0.1, 0.25\).*t_end = 0.05"):
         STUDIES["zabusky-kruskal"](fx)
@@ -207,7 +218,9 @@ def test_zabusky_kruskal_rejects_an_empty_recurrence_window():
     # the t = 1 score would stand in for the verdict at destruction_by = 17
     ("soliton-perturbation", {"t_end": 1.0}, r"study time 17 .* t_end = 1$"),
 ], ids=["zabusky-kruskal", "soliton-perturbation"])
-def test_a_study_time_beyond_the_run_is_refused(name, cut, match):
+def test_a_study_time_beyond_the_run_is_refused(name, cut, match,
+                                                 monkeypatch):
+    refuse_to_step(monkeypatch)
     with pytest.raises(DomainError, match=match):
         STUDIES[name]({**EXPERIMENTS[name], **cut})
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpu5 import (ETDRK4, BlowUpError, DomainError, EquationKind, Grid,
-                  InitialCondition, IntegratingFactorRK4, ModelParams,
+from fpu5 import (ETDRK4, EXPERIMENTS, BlowUpError, DomainError, EquationKind,
+                  Grid, InitialCondition, IntegratingFactorRK4, ModelParams,
                   SimulationConfig, err_metric, kink_validation,
                   linear_symbol, make_nonlinear_operator, mass_drift,
                   recurrence_scan, recurrence_table, run, run_batch,
@@ -48,6 +48,12 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             small_config(t_end=-1.0)
 
+    def test_dt_is_required(self):
+        with pytest.raises(DomainError, match="dt is required"):
+            small_config(dt=None)
+        with pytest.raises(DomainError, match="dt is required"):
+            kink_validation(ModelParams(0.6, 2.0), Grid(64.0, 256), None, 1.0)
+
     def test_snapshot_interval_below_dt(self):
         with pytest.raises(DomainError):
             small_config(dt=0.1, snapshot_interval=0.05)
@@ -84,8 +90,7 @@ class TestRun:
         # still takes one, of length t_end, in one step
         config = small_config(kind=EquationKind.KDV, t_end=1e-12, dt=1e-3,
                               snapshot_interval=1.0)
-        u0 = build_initial_condition(config)
-        assert _schedule(config, u0) == (1e-12, 1, 1)
+        assert _schedule(config) == (1e-12, 1, 1)
         snaps = run(config)
         assert [s.t for s in snaps] == [0.0, 1e-12]
         assert np.all(np.isfinite(snaps[1].u))
@@ -188,7 +193,7 @@ class TestSchedule:
         (0.1, 0.1 / 3, 3), (0.07, 0.01, 7), (0.28, 0.02, 14)])
     def test_step_never_exceeds_requested_dt(self, interval, dt, steps):
         config = small_config(dt=dt, snapshot_interval=interval, t_end=interval)
-        snap_dt, steps_per, n_snap = _schedule(config, np.zeros(config.grid.n))
+        snap_dt, steps_per, n_snap = _schedule(config)
         assert (snap_dt, n_snap) == (interval, 1)
         assert steps_per == steps
         assert snap_dt / steps_per <= dt * (1 + 1e-9)
@@ -592,7 +597,8 @@ class TestKinkValidation:
     def test_zero_horizon_error_is_seam_limited(self):
         params = ModelParams(delta=0.6, mu=2.0)
         grid = Grid(64.0, 256)
-        report = kink_validation(params, grid, dt=None, t_end=0.0)
+        report = kink_validation(params, grid, t_end=0.0,
+                                 dt=EXPERIMENTS["kink-validation"]["dt"])
         assert report.max_err < 1e-6
 
     def test_short_run_small_error(self):
@@ -605,4 +611,4 @@ class TestKinkValidation:
 
     def test_requires_positive_mu(self):
         with pytest.raises(DomainError):
-            kink_validation(ModelParams(0.6, 0.0), Grid(64.0, 256), None, 1.0)
+            kink_validation(ModelParams(0.6, 0.0), Grid(64.0, 256), 1e-3, 1.0)

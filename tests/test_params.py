@@ -46,6 +46,16 @@ class TestPhysicalToModel:
         with pytest.raises(DomainError):
             PhysicalChainParams(mass=1, alpha=0, beta=1, gamma=1, spacing=1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["mass", "alpha", "beta", "gamma",
+                                      "spacing"])
+    def test_non_finite_field_rejected(self, name, value):
+        # alpha = inf would map to mu = 0, a quadratic-only chain, and
+        # mass or spacing = inf would stop on physical_to_model's assert
+        fields = dict(mass=1, alpha=1, beta=1, gamma=1, spacing=1)
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            PhysicalChainParams(**{**fields, name: value})
+
 
 class TestModelParams:
     def test_validation(self):

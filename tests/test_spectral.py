@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpu5 import (ETDRK4, EXPERIMENTS, DomainError, EquationKind, Grid,
-                  InitialCondition, IntegratingFactorRK4, ModelParams,
-                  SimulationConfig, conservation_flux, default_time_step,
-                  full_rhs, linear_symbol, make_nonlinear_operator,
-                  nonlinear_rhs, run, shape_score, spectral_derivative,
-                  xcorr_mismatch)
-from fpu5.experiments import build_initial_condition
+from fpu5 import (ETDRK4, DomainError, EquationKind, Grid, InitialCondition,
+                  IntegratingFactorRK4, ModelParams, SimulationConfig,
+                  conservation_flux, full_rhs, linear_symbol,
+                  make_nonlinear_operator, nonlinear_rhs, run, shape_score,
+                  spectral_derivative, xcorr_mismatch)
 from fpu5.spectral import derivative_multiplier, irfft, rfft
 
 
@@ -477,40 +475,6 @@ class TestEtdRk4:
         for _ in range(50):
             u_hat = stepper.step(u_hat)
             assert u_hat[0] == start
-
-
-class TestDefaultTimeStep:
-    def test_positive_and_overridable(self):
-        g = Grid(40.0, 128)
-        params = ModelParams(delta=2.0, mu=0.05)
-        u0 = np.cos(2 * np.pi * g.x / g.length)
-        dt = default_time_step(g, params, EquationKind.FPU5, u0)
-        assert dt > 0
-        # the stiff fifth-order kinds get a smaller default than the cubic one
-        dt_gardner = default_time_step(g, params, EquationKind.GARDNER, u0)
-        assert dt < dt_gardner
-
-    def test_kdv_and_kdv5_ignore_mu(self):
-        # both equations drop the cubic term, so mu must not shrink dt
-        g = Grid(40.0, 128)
-        u0 = 1.5 * np.cos(2 * np.pi * g.x / g.length)
-        for kind in (EquationKind.KDV, EquationKind.KDV5):
-            dts = {default_time_step(g, ModelParams(delta=1.0, mu=mu), kind, u0)
-                   for mu in (0.0, 0.3, 5.0)}
-            assert len(dts) == 1
-
-    def test_recurrence_default_inside_measured_stable_region(self):
-        # on the frozen recurrence config (FPU5, delta = 2, N = 128, to t = 6)
-        # dt = 1e-4 drifts L2 by 9e-10, 2e-4 by 1.8e-6 (a 2000x jump) and
-        # 3e-4 blows up at t = 2.4 (ROADMAP item 4, the second invariant)
-        fx = EXPERIMENTS["recurrence"]
-        config = SimulationConfig(
-            kind=EquationKind.FPU5, params=ModelParams(fx["delta"], fx["mu"]),
-            grid=Grid(fx["length"], fx["n"]), t_end=fx["t_end"],
-            initial_condition=InitialCondition("kdv5_soliton", k=fx["k"]))
-        dt = default_time_step(config.grid, config.params, config.kind,
-                               build_initial_condition(config))
-        assert dt <= 1.7e-4
 
 
 class TestOneTransformPath:

@@ -9,7 +9,7 @@ from .params import (EquationKind, ModelParams, PhysicalChainParams,
 from .spectral import ETDRK4, Grid, IntegratingFactorRK4, spectral_derivative
 from .equations import (conservation_flux, flux, full_rhs, linear_symbol,
                         make_nonlinear_operator, nonlinear_rhs)
-from .weierstrass import WeierstrassP, degenerate_p, real_period, weierstrass_p
+from .weierstrass import WeierstrassP, degenerate_p
 from .solutions import (EllipticSolution, GardnerSoliton, KdV5Soliton,
                         KinkSolution, elliptic_coeffs, elliptic_derivatives,
                         elliptic_eval, elliptic_g3_for_speed, gardner_soliton,

@@ -177,6 +177,17 @@ def _schedule(config: SimulationConfig) -> tuple[float, int, int]:
     return snap_dt, steps_per, n_snap
 
 
+def _snapshot_times(config: SimulationConfig) -> list[float]:
+    """The times run(config) stores, known before any step: i * snap_dt for
+    i = 0..n_snap of _schedule (only 0 when t_end is 0).  _step_group stamps
+    Snapshot.t from this list, so a study resolves its study times against
+    the very times the run stores."""
+    if not config.t_end > 0:
+        return [0.0]
+    snap_dt, _, n_snap = _schedule(config)
+    return [i * snap_dt for i in range(n_snap + 1)]
+
+
 def run(config: SimulationConfig) -> list[Snapshot]:
     """Integrate and return snapshots at 0, dt_snap, ..., t_end.
 
@@ -210,27 +221,28 @@ def run_batch(configs: list[SimulationConfig]) -> list[list[Snapshot]]:
             key = (config.kind, config.scheme, config.grid.length,
                    config.grid.n, *_schedule(config))
             groups.setdefault(key, []).append(i)
-    for (kind, scheme, _, _, *schedule), rows in groups.items():
-        _step_group(kind, scheme, configs[rows[0]].grid,
-                    [configs[i].params for i in rows],
-                    [results[i] for i in rows], rows, *schedule)
+    for rows in groups.values():
+        _step_group([configs[i] for i in rows], [results[i] for i in rows],
+                    rows)
     return results
 
 
-def _step_group(kind, scheme, grid, params, snapshots, rows, snap_dt,
-                steps_per, n_snap):
+def _step_group(configs, snapshots, rows):
     """Step the rows of one group together, appending to their snapshots."""
-    dt = snap_dt / steps_per
+    kind, grid = configs[0].kind, configs[0].grid
+    params = [config.params for config in configs]
+    snap_dt, steps_per, _ = _schedule(configs[0])
     symbol = linear_symbol(kind, params, grid)
     nonlinear = make_nonlinear_operator(kind, params, grid)
-    stepper = scheme(symbol, nonlinear, dt)
+    stepper = configs[0].scheme(symbol, nonlinear, snap_dt / steps_per)
 
     u0 = np.stack([s[0].u for s in snapshots], dtype=float)
     u_hat = spectral.rfft(u0)
+    times = _snapshot_times(configs[0])
     # overflow is diagnosed through the explicit finiteness check, so the
     # intermediate numpy warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for i_snap in range(1, n_snap + 1):
+        for i_snap in range(1, len(times)):
             start = u_hat
             for _ in range(steps_per):
                 u_hat = stepper.step(u_hat)
@@ -240,9 +252,8 @@ def _step_group(kind, scheme, grid, params, snapshots, rows, snap_dt,
             if not np.all(np.isfinite(u_hat)):
                 _raise_blow_up(stepper, start, u_hat, (i_snap - 1) * steps_per,
                                steps_per, snapshots, rows)
-            t = i_snap * snap_dt
             for s, u in zip(snapshots, spectral.irfft(u_hat, grid.n)):
-                s.append(Snapshot(t, u))
+                s.append(Snapshot(times[i_snap], u))
 
 
 def _raise_blow_up(stepper, start, end, first_step, steps_per, snapshots, rows):
@@ -431,6 +442,15 @@ def kink_validation(params: ModelParams, grid: Grid, dt: float,
                             snapshots=snapshots if keep_snapshots else None)
 
 
+def _soliton_configs(*, delta, k, mus, grid, dt, t_end,
+                     snapshot_interval) -> list[SimulationConfig]:
+    """The mu = 0 soliton under the fifth-order equation, one row per mu."""
+    return [SimulationConfig(
+        kind=EquationKind.FPU5, params=ModelParams(delta=delta, mu=mu),
+        grid=grid, t_end=t_end, dt=dt, snapshot_interval=snapshot_interval,
+        initial_condition=InitialCondition("kdv5_soliton", k=k)) for mu in mus]
+
+
 def soliton_perturbation(*, delta: float, k: float, mus, grid: Grid,
                          dt: float, t_end: float,
                          snapshot_interval: float) -> dict:
@@ -441,24 +461,23 @@ def soliton_perturbation(*, delta: float, k: float, mus, grid: Grid,
     Returns per-mu snapshot lists and shape-invariance scores against the
     initial profile.
     """
-    configs = [SimulationConfig(
-        kind=EquationKind.FPU5, params=ModelParams(delta=delta, mu=mu),
-        grid=grid, t_end=t_end, dt=dt, snapshot_interval=snapshot_interval,
-        initial_condition=InitialCondition("kdv5_soliton", k=k)) for mu in mus]
+    configs = _soliton_configs(
+        delta=delta, k=k, mus=mus, grid=grid, dt=dt, t_end=t_end,
+        snapshot_interval=snapshot_interval)
     return {mu: _arm(snapshots, scores=shape_score_series(snapshots, grid))
             for mu, snapshots in zip(mus, run_batch(configs))}
 
 
-def _snapshot_index(times: np.ndarray, t_fix: float,
-                    skip: float) -> tuple[int, float]:
-    """Index of the snapshot at t_fix, and the time tolerance that found it.
-
-    The one check of a recurrence request: t_fix must be finite and skip
-    finite and nonnegative.  A stored time within 1e-9 max(1, |t_fix|) of
-    t_fix is t_fix, so a sum such as t_fix + interval that rounds an ulp
-    away still finds its snapshot.  Raises DomainError for a bad t_fix or
-    skip, or when no stored time is that close.
-    """
+def _snapshot_index(times: np.ndarray, t_fix: float, skip: float,
+                    later: bool = False) -> tuple[int, list[int]]:
+    """Index of the snapshot at t_fix, and of its candidates: the snapshots
+    at or after t_fix + skip (``later``, for recurrence_table: after the
+    t_fix snapshot, counted from its stored time).  A stored time within
+    1e-9 max(1, |t_fix|) of t_fix is t_fix, so a sum such as t_fix + interval
+    that rounds an ulp away still finds its snapshot.  DomainError for a
+    non-finite t_fix, a negative or non-finite skip, no such stored time, or
+    no candidate.  The one check of a recurrence request; it reads only the
+    times, so a study makes it on _snapshot_times before any step."""
     if not math.isfinite(t_fix):
         raise DomainError(f"t_fix must be finite, got {t_fix:g}")
     if not (math.isfinite(skip) and skip >= 0):
@@ -467,7 +486,13 @@ def _snapshot_index(times: np.ndarray, t_fix: float,
     hits = np.nonzero(np.abs(times - t_fix) <= tol)[0]
     if hits.size == 0:
         raise DomainError("t_fix must be one of the snapshot times")
-    return int(hits[0]), tol
+    i_fix = int(hits[0])
+    start, base = (i_fix + 1, times[i_fix]) if later else (0, t_fix)
+    sel = [i for i in range(start, len(times)) if times[i] >= base + skip - tol]
+    if not sel:
+        raise DomainError(f"t_fix {t_fix:g} has no {'later ' * later}snapshot "
+                          f"at or after t_fix + skip (skip {skip:g})")
+    return i_fix, sel
 
 
 def recurrence_scan(snapshots: list[Snapshot], t_fix: float,
@@ -483,12 +508,8 @@ def recurrence_scan(snapshots: list[Snapshot], t_fix: float,
     t_fix + skip.
     """
     times = np.array([s.t for s in snapshots])
-    i_fix, tol = _snapshot_index(times, t_fix, skip)
+    i_fix, sel = _snapshot_index(times, t_fix, skip)
     u_fix = snapshots[i_fix].u
-    sel = [i for i, t in enumerate(times) if t >= t_fix + skip - tol]
-    if not sel:
-        raise DomainError(f"t_fix {t_fix:g} has no snapshot at or after "
-                          f"t_fix + skip (skip {skip:g})")
     scan_times = times[sel]
     d = np.array([min_shift_difference(u_fix, snapshots[i].u)[0]
                   for i in sel])
@@ -561,13 +582,8 @@ def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float):
     times = np.array([s.t for s in snapshots])
     rows = []
     for t_fix in t_fixes:
-        i_fix, tol = _snapshot_index(times, t_fix, skip)
+        i_fix, sel = _snapshot_index(times, t_fix, skip, later=True)
         u_fix = snapshots[i_fix].u
-        sel = [i for i in range(i_fix + 1, len(times))
-               if times[i] >= times[i_fix] + skip - tol]
-        if not sel:
-            raise DomainError(f"t_fix {t_fix:g} has no later snapshot at or "
-                              f"after t_fix + skip (skip {skip:g})")
         diffs = np.array([err_metric(u_fix, snapshots[i].u) for i in sel])
         j = int(np.argmin(diffs))
         t_match = float(times[sel][j])
@@ -590,19 +606,14 @@ def _score_checks(arms: dict, tags: list[str]) -> tuple[dict, dict]:
     return checks, tables
 
 
-def _check_study_times(study_times, t_end: float) -> None:
-    """DomainError for a study time beyond t_end (by over 1e-9 max(1, |t|)):
-    the run never reaches it, and its nearest snapshot, the last, would
-    stand in for it.  Called before stepping, so a refusal costs no step."""
-    for t in study_times:
-        if not t <= t_end + 1e-9 * max(1.0, abs(t)):
-            raise DomainError(f"study time {t:g} lies beyond the last snapshot "
-                              f"of the run to t_end = {t_end:g}")
-
-
-def _nearest_snapshot(times: np.ndarray, t: float) -> int:
-    """Index of the snapshot nearest the study time t."""
-    return int(np.argmin(np.abs(times - t)))
+def _study_index(config: SimulationConfig, t: float) -> int:
+    """Index of the snapshot of run(config) nearest the study time t, from
+    _snapshot_times before any step.  DomainError for t beyond t_end (by over
+    1e-9 max(1, |t|)), whose nearest snapshot, the last, would stand in."""
+    if not t <= config.t_end + 1e-9 * max(1.0, abs(t)):
+        raise DomainError(f"study time {t:g} lies beyond the last snapshot "
+                          f"of the run to t_end = {config.t_end:g}")
+    return int(np.argmin(np.abs(np.array(_snapshot_times(config)) - t)))
 
 
 def _kink_validation_study(fx: dict) -> StudyResult:
@@ -615,14 +626,12 @@ def _kink_validation_study(fx: dict) -> StudyResult:
 
 
 def _soliton_perturbation_study(fx: dict) -> StudyResult:
-    _check_study_times([fx["destruction_by"]], fx["t_end"])
-    arms = soliton_perturbation(
-        delta=fx["delta"], k=fx["k"], mus=fx["mus"],
-        grid=Grid(fx["length"], fx["n"]), dt=fx["dt"], t_end=fx["t_end"],
-        snapshot_interval=fx["snapshot_interval"])
+    setup = dict(grid=Grid(fx["length"], fx["n"]), **{key: fx[key] for key in (
+        "delta", "k", "mus", "dt", "t_end", "snapshot_interval")})
+    i_late = _study_index(_soliton_configs(**setup)[1], fx["destruction_by"])
+    arms = soliton_perturbation(**setup)
     checks, tables = _score_checks(arms, [f"mu_{mu:g}" for mu in arms])
     clean, perturbed = arms[fx["mus"][0]], arms[fx["mus"][1]]
-    i_late = _nearest_snapshot(perturbed["times"], fx["destruction_by"])
     checks["pass"] = bool(
         clean["scores"].max() < fx["invariance_bound"]
         and perturbed["scores"][i_late] > fx["destruction_threshold"])
@@ -631,18 +640,16 @@ def _soliton_perturbation_study(fx: dict) -> StudyResult:
     return StudyResult(arms, checks, tables, snapshots)
 
 
-def _contrast_runs(fx: dict, grid: Grid, kinds: tuple,
-                   ic: InitialCondition) -> dict:
-    """One initial profile under each equation kind, stepped by one run_batch.
-
-    Row dt is fx["dt_<kind>"]; the rows differ in kind, so each is its own
-    group and bit-identical to its single run.  Returns {kind: snapshots}.
-    """
+def _contrast_configs(fx: dict, grid: Grid, kinds: tuple,
+                      ic: InitialCondition) -> list[SimulationConfig]:
+    """One initial profile under each equation kind, for one run_batch: row
+    dt is fx["dt_<kind>"], and the rows differ in kind, so each is its own
+    group and bit-identical to its single run."""
     params = ModelParams(fx["delta"], fx["mu"])
-    return dict(zip(kinds, run_batch([SimulationConfig(
+    return [SimulationConfig(
         kind=kind, params=params, grid=grid, t_end=fx["t_end"],
         dt=fx[f"dt_{kind.value}"], snapshot_interval=fx["snapshot_interval"],
-        initial_condition=ic) for kind in kinds])))
+        initial_condition=ic) for kind in kinds]
 
 
 def _gardner_study(fx: dict) -> StudyResult:
@@ -650,10 +657,11 @@ def _gardner_study(fx: dict) -> StudyResult:
     third-order one, so it must keep its shape, while under the fifth-order
     one it must deform."""
     grid = Grid(fx["length"], fx["n"])
-    runs = _contrast_runs(fx, grid, (EquationKind.GARDNER, EquationKind.FPU5),
-                          InitialCondition("gardner_soliton", c0=fx["c0"]))
-    arms = {kind: _arm(snapshots, scores=shape_score_series(snapshots, grid))
-            for kind, snapshots in runs.items()}
+    configs = _contrast_configs(
+        fx, grid, (EquationKind.GARDNER, EquationKind.FPU5),
+        InitialCondition("gardner_soliton", c0=fx["c0"]))
+    arms = {c.kind: _arm(snapshots, scores=shape_score_series(snapshots, grid))
+            for c, snapshots in zip(configs, run_batch(configs))}
     checks, tables = _score_checks(arms, [kind.value for kind in arms])
     # the fifth-order run must first cross the threshold by deform_by
     fifth = arms[EquationKind.FPU5]
@@ -671,36 +679,34 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
     the fifth-order equation scatters energy out of its modes and does not.
     Per arm, xcorr_mismatch gives ``recurrence_score``, the best match with
     u(0) inside recurrence_window, and ``figure_pair_score``, the mismatch
-    between the snapshots nearest the two figure_times.  A window that
-    holds t = 0 raises DomainError: u(0) matches itself there, which would
-    make the KdV score zero and the contrast a division by zero.  So do a
-    window that holds no snapshot and a figure time beyond the run, which
-    would score the last snapshot; all but a window that falls between two
-    snapshots are refused before any step."""
+    between the snapshots nearest the two figure_times, all resolved from
+    _snapshot_times before any step.  DomainError refuses a window that
+    holds t = 0 (u(0) matches itself: a zero KdV score and divisor), a
+    window that holds no snapshot and a figure time beyond the run."""
     lo, hi = fx["recurrence_window"]
     if lo <= 0.0 <= hi:
         raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds t = 0, "
                           "where u(0) matches itself")
-    empty = (f"recurrence_window ({lo:g}, {hi:g}) holds no snapshot of the "
-             f"run to t_end = {fx['t_end']:g}")
-    if not lo <= min(hi, fx["t_end"]):
-        raise DomainError(empty)
-    _check_study_times(fx["figure_times"], fx["t_end"])
-    runs = _contrast_runs(fx, Grid(fx["length"], fx["n"]),
-                          (EquationKind.KDV, EquationKind.FPU5),
-                          InitialCondition("cosine"))
-    arms, checks, snapshots = {}, {}, {}
-    for kind, run_snaps in runs.items():
-        arms[kind] = arm = _arm(run_snaps)
-        times = arm["times"]
+    configs = _contrast_configs(fx, Grid(fx["length"], fx["n"]),
+                                (EquationKind.KDV, EquationKind.FPU5),
+                                InitialCondition("cosine"))
+    picks = {}
+    for config in configs:
+        times = np.array(_snapshot_times(config))
         in_window = np.flatnonzero((times >= lo) & (times <= hi))
         if in_window.size == 0:
-            raise DomainError(empty)
+            raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds no "
+                              f"snapshot of the run to t_end = {fx['t_end']:g}")
+        picks[config.kind] = in_window, [_study_index(config, t)
+                                         for t in fx["figure_times"]]
+    arms, checks, snapshots = {}, {}, {}
+    for (kind, (in_window, (i_early, i_late))), run_snaps in zip(
+            picks.items(), run_batch(configs)):
+        arms[kind] = arm = _arm(run_snaps)
+        times = arm["times"]
         window_scores = [xcorr_mismatch(run_snaps[0].u, run_snaps[i].u)
                          for i in in_window]
         j = int(np.argmin(window_scores))
-        i_early, i_late = (_nearest_snapshot(times, t)
-                           for t in fx["figure_times"])
         arm.update(
             recurrence_score=window_scores[j],
             recurrence_time=float(times[in_window[j]]),
@@ -718,11 +724,15 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
 
 
 def _recurrence_study(fx: dict) -> StudyResult:
-    snapshots = run(SimulationConfig(
-        kind=EquationKind.FPU5, params=ModelParams(fx["delta"], fx["mu"]),
-        grid=Grid(fx["length"], fx["n"]), t_end=fx["t_end"], dt=fx["dt"],
-        snapshot_interval=fx["snapshot_interval"],
-        initial_condition=InitialCondition("kdv5_soliton", k=fx["k"])))
+    (config,) = _soliton_configs(
+        delta=fx["delta"], k=fx["k"], mus=[fx["mu"]],
+        grid=Grid(fx["length"], fx["n"]), dt=fx["dt"], t_end=fx["t_end"],
+        snapshot_interval=fx["snapshot_interval"])
+    # the scan's and the table's refusals, before any step
+    times = np.array(_snapshot_times(config))
+    _snapshot_index(times, fx["t_fix"], fx["scan_skip"])
+    _snapshot_index(times, fx["t_fix"], fx["table_skip"], later=True)
+    snapshots = run(config)
     scan = recurrence_scan(snapshots, t_fix=fx["t_fix"], skip=fx["scan_skip"])
     rows, period = recurrence_table(snapshots, [fx["t_fix"]],
                                     skip=fx["table_skip"])

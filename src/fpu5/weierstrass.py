@@ -136,16 +136,6 @@ class WeierstrassP:
         return p, pp
 
 
-def weierstrass_p(z, g2: float, g3: float):
-    """p and p' at z; see WeierstrassP for the reduction used."""
-    return WeierstrassP(g2, g3)(z)
-
-
-def real_period(g2: float, g3: float) -> float:
-    """Spacing of the real poles (inf when the lattice degenerates)."""
-    return WeierstrassP(g2, g3).period
-
-
 def degenerate_p(z, g3: float):
     """Closed form of p(z; 3 g3^(2/3), g3) for g3 > 0.
 

@@ -210,6 +210,7 @@ def test_zabusky_kruskal_rejects_an_empty_recurrence_window(monkeypatch):
         STUDIES["zabusky-kruskal"](fx)
 
 
+# requests the run's schedule cannot answer, each refused before any step
 @pytest.mark.parametrize("name, cut, match", [
     # both figure times would map to the last snapshot and score it
     # against itself
@@ -217,12 +218,98 @@ def test_zabusky_kruskal_rejects_an_empty_recurrence_window(monkeypatch):
      r"study time 1.14 .* t_end = 0.2"),
     # the t = 1 score would stand in for the verdict at destruction_by = 17
     ("soliton-perturbation", {"t_end": 1.0}, r"study time 17 .* t_end = 1$"),
-], ids=["zabusky-kruskal", "soliton-perturbation"])
+    # inside the run, but between the snapshots at 0 and 0.02
+    ("zabusky-kruskal", {"t_end": 0.1, "figure_times": (0.02, 0.1),
+                         "recurrence_window": (0.001, 0.002)},
+     r"^recurrence_window \(0.001, 0.002\) holds no snapshot of the run to "
+     r"t_end = 0.1$"),
+    # interval 0.25: 0.3 is no snapshot time
+    ("recurrence", {"t_end": 1.0, "t_fix": 0.3},
+     r"^t_fix must be one of the snapshot times$"),
+    # the frozen t_fix = 5 lies past the run
+    ("recurrence", {"t_end": 1.0},
+     r"^t_fix must be one of the snapshot times$"),
+    # the scan would start at 2.5, past the run
+    ("recurrence", {"t_end": 1.0, "t_fix": 0.5},
+     r"^t_fix 0.5 has no snapshot at or after t_fix \+ skip \(skip 2\)$"),
+    # the scan fits; the fixed-time table would start at 10.5
+    ("recurrence", {"t_end": 1.0, "t_fix": 0.5, "scan_skip": 0.25},
+     r"^t_fix 0.5 has no later snapshot at or after t_fix \+ skip "
+     r"\(skip 10\)$"),
+], ids=["zabusky-kruskal", "soliton-perturbation",
+        "zabusky-kruskal-window-between-snapshots",
+        "recurrence-t_fix-off-schedule", "recurrence-t_fix-beyond-run",
+        "recurrence-scan_skip-past-run", "recurrence-table_skip-past-run"])
 def test_a_study_time_beyond_the_run_is_refused(name, cut, match,
                                                  monkeypatch):
     refuse_to_step(monkeypatch)
     with pytest.raises(DomainError, match=match):
         STUDIES[name]({**EXPERIMENTS[name], **cut})
+
+
+# each study cut to a few cheap snapshots; every t_end but kink-validation's
+# is no whole number of intervals, so the schedule shortens the interval.
+# On each horizon i * (t_end / n) and i * t_end / n differ for some i, so a
+# second copy of the time rule that rounds otherwise would show here
+SHORT = {
+    "kink-validation": {"t_end": 0.3, "snapshot_interval": 0.05},
+    "soliton-perturbation": {"t_end": 0.05, "snapshot_interval": 0.02,
+                             "destruction_by": 0.03},
+    "gardner": {"t_end": 0.13, "snapshot_interval": 0.03, "deform_by": 0.13},
+    "zabusky-kruskal": {"t_end": 0.011, "snapshot_interval": 0.004,
+                        "figure_times": (0.004, 0.011),
+                        "recurrence_window": (0.005, 0.011)},
+    "recurrence": {"t_end": 0.19, "snapshot_interval": 0.04, "t_fix": 0.038,
+                   "scan_skip": 0.03, "table_skip": 0.03},
+}
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_study_times_resolve_against_the_times_the_run_stores(name,
+                                                              monkeypatch):
+    # the times each study resolves against before stepping, the times
+    # _snapshot_times gives for each run it steps and that run's snapshot
+    # times are equal byte for byte
+    import fpu5.experiments as exps
+    resolved, stored, stepping = [], {}, []
+    real_times, real_run_batch = exps._snapshot_times, exps.run_batch
+
+    def recorded_times(config):
+        times = real_times(config)
+        if not stepping:
+            resolved.append((repr(config), np.array(times)))
+        return times
+
+    def recorded_run_batch(configs):
+        stepping.append(True)
+        results = real_run_batch(configs)
+        for config, snapshots in zip(configs, results):
+            stored[repr(config)] = np.array([s.t for s in snapshots])
+            assert stored[repr(config)].tobytes() == np.array(
+                real_times(config)).tobytes()
+        return results
+
+    monkeypatch.setattr(exps, "_snapshot_times", recorded_times)
+    monkeypatch.setattr(exps, "run_batch", recorded_run_batch)
+    fx = {**EXPERIMENTS[name], **SHORT[name]}
+    STUDIES[name](fx)
+    # kink-validation and gardner resolve no study time
+    assert bool(resolved) is (name not in ("kink-validation", "gardner"))
+    for config, times in resolved:
+        assert times.tobytes() == stored[config].tobytes()
+    for times in stored.values():
+        assert len(times) > 2 and times[-1] == pytest.approx(fx["t_end"])
+
+
+def test_experiment_cli_refuses_an_off_schedule_t_fix_before_any_step(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(EXPERIMENTS, "recurrence",
+                        {**SMALL["recurrence"], "t_fix": 0.3})
+    refuse_to_step(monkeypatch)
+    out = tmp_path / "rec"
+    assert main(["experiment", "recurrence", "--out", str(out)]) == 2
+    assert "t_fix must be one of the snapshot times" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("window", [(0.0, 0.2), (-0.1, 0.05), (-0.0, 0.0)])

@@ -13,8 +13,8 @@ from fpu5 import (ETDRK4, EXPERIMENTS, BlowUpError, DomainError, EquationKind,
                   linear_symbol, make_nonlinear_operator, mass_drift,
                   recurrence_scan, recurrence_table, run, run_batch,
                   shape_score, write_snapshot, xcorr_mismatch)
-from fpu5.experiments import (Snapshot, _schedule, build_initial_condition,
-                              min_shift_difference)
+from fpu5.experiments import (Snapshot, _schedule, _snapshot_times,
+                              build_initial_condition, min_shift_difference)
 from fpu5.spectral import derivative_multiplier
 
 
@@ -199,6 +199,14 @@ class TestSchedule:
         assert snap_dt / steps_per <= dt * (1 + 1e-9)
         if steps_per > 1:
             assert snap_dt / (steps_per - 1) > dt
+
+    # 0.7 is 1.4 intervals, so the run takes two of 0.35
+    @pytest.mark.parametrize("t_end", [0.0, 1e-12, 0.7, 1.0])
+    def test_snapshot_times_are_the_stored_times(self, t_end):
+        config = small_config(t_end=t_end)
+        stored = [s.t for s in run(config)]
+        assert np.array(_snapshot_times(config)).tobytes() == \
+            np.array(stored).tobytes()
 
 
 def l2_drift(snapshots):

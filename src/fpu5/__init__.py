@@ -11,10 +11,9 @@ from .equations import (conservation_flux, flux, full_rhs, linear_symbol,
                         make_nonlinear_operator, nonlinear_rhs)
 from .weierstrass import WeierstrassP, degenerate_p
 from .solutions import (EllipticSolution, GardnerSoliton, KdV5Soliton,
-                        KinkSolution, elliptic_coeffs, elliptic_derivatives,
-                        elliptic_eval, elliptic_g3_for_speed, gardner_soliton,
-                        kdv5_soliton, kink_derivatives, kink_eval,
-                        kink_integration_constants, kink_pole_variant,
+                        KinkSolution, elliptic_derivatives, elliptic_eval,
+                        elliptic_g3_for_speed, gardner_soliton, kdv5_soliton,
+                        kink_derivatives, kink_eval, kink_pole_variant,
                         residual_first_integral, residual_second_integral)
 from .painleve import (FuchsResult, LeadingBalance, fuchs_indices,
                        leading_balance, painleve_verdict)

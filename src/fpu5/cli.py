@@ -102,7 +102,7 @@ def _cmd_exact(args) -> None:
     u, info = _exact_profile(args, grid)
     snap = Snapshot(t=args.t, u=np.asarray(u, dtype=float))
     echo = {k: v for k, v in vars(args).items()
-            if k not in ("func", "started")}
+            if k not in ("func", "started", "command", "out")}
     checks = {**info, "snapshot_times": [float(snap.t)]}
     files = _write(args, echo, StudyResult(
         snap, checks, snapshots={f"exact_{args.family}": [snap]}), grid)

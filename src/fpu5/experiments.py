@@ -420,10 +420,8 @@ def kink_validation(params: ModelParams, grid: Grid, dt: float,
     The error is measured only on grid points where the initial profile
     agrees with the exact kink to KINK_MASK_TOL, i.e. away from the mirror
     seam.  The run steps ETDRK4, as the frozen study does; IF-RK4 blows up
-    at the study's dt.
+    at the study's dt.  The kink pair refuses mu = 0 before any step.
     """
-    if not params.mu > 0:
-        raise DomainError("kink validation requires mu > 0")
     config = SimulationConfig(
         kind=EquationKind.FPU5, params=params, grid=grid, t_end=t_end,
         dt=dt, snapshot_interval=snapshot_interval, scheme=ETDRK4,
@@ -608,9 +606,16 @@ def _score_checks(arms: dict, tags: list[str]) -> tuple[dict, dict]:
 
 def _study_index(config: SimulationConfig, t: float) -> int:
     """Index of the snapshot of run(config) nearest the study time t, from
-    _snapshot_times before any step.  DomainError for t beyond t_end (by over
-    1e-9 max(1, |t|)), whose nearest snapshot, the last, would stand in."""
-    if not t <= config.t_end + 1e-9 * max(1.0, abs(t)):
+    _snapshot_times before any step.  DomainError for a non-finite t, and
+    for t before 0 or beyond t_end (by over 1e-9 max(1, |t|)), whose nearest
+    snapshot, the first or the last, would stand in."""
+    if not math.isfinite(t):
+        raise DomainError(f"study time {t:g} must be finite")
+    tol = 1e-9 * max(1.0, abs(t))
+    if t < -tol:
+        raise DomainError(f"study time {t:g} lies before the run, which "
+                          "starts at t = 0")
+    if t > config.t_end + tol:
         raise DomainError(f"study time {t:g} lies beyond the last snapshot "
                           f"of the run to t_end = {config.t_end:g}")
     return int(np.argmin(np.abs(np.array(_snapshot_times(config)) - t)))

@@ -32,6 +32,10 @@ _TERMS = (
 )
 
 
+# how far a float Fuchs index may sit from -1, the real axis or an integer
+VERDICT_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class LeadingBalance:
     pole_order: int
@@ -156,19 +160,20 @@ def fuchs_indices(params: ModelParams) -> FuchsResult:
                        passes=passes, reason=reason)
 
 
-def painleve_verdict(indices, tol: float = 1e-9) -> tuple[bool, str]:
-    """Generic index test: besides one -1, all must be nonnegative integers."""
+def painleve_verdict(indices) -> tuple[bool, str]:
+    """Generic index test: besides one -1, all must be nonnegative integers
+    (each to within VERDICT_TOL)."""
     values = [complex(j) for j in indices]
-    universal = [j for j in values if abs(j - (-1.0)) <= tol]
+    universal = [j for j in values if abs(j - (-1.0)) <= VERDICT_TOL]
     if not universal:
         return False, "missing the universal index -1"
     rest = list(values)
     rest.remove(universal[0])
     for j in rest:
-        if abs(j.imag) > tol:
+        if abs(j.imag) > VERDICT_TOL:
             return False, "complex Fuchs indices"
         r = j.real
-        if abs(r - round(r)) > tol:
+        if abs(r - round(r)) > VERDICT_TOL:
             return False, "non-integer Fuchs index"
         if round(r) < 0:
             return False, "negative Fuchs index"

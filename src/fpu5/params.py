@@ -79,14 +79,10 @@ def physical_to_model(p: PhysicalChainParams) -> ModelParams:
     """Map chain constants to (delta, mu).
 
     delta = m c^2 / (12 gamma) with c^2 = gamma h^2 / m, which collapses to
-    h^2 / 12; both routes are computed and cross-checked.
+    h^2 / 12 and is computed in that form, so no c^2 is formed to overflow.
     """
-    c_squared = p.gamma * p.spacing**2 / p.mass
-    delta = p.mass * c_squared / (12.0 * p.gamma)
-    simplified = p.spacing**2 / 12.0
-    assert abs(delta - simplified) <= 1e-12 * simplified
     mu = 3.0 * p.beta * p.gamma / (4.0 * p.alpha**2)
-    return ModelParams(delta=delta, mu=mu)
+    return ModelParams(delta=p.spacing**2 / 12.0, mu=mu)
 
 
 def kink_speed(mu: float) -> float:

@@ -19,16 +19,6 @@ from .weierstrass import WeierstrassP, POLE_THRESHOLD
 
 # ----------------------------------------------------------------- kink
 
-def kink_integration_constants(mu: float) -> tuple[float, float, float]:
-    """(C0, C1, C2) that the kink satisfies in both travelling-wave integrals."""
-    if not mu > 0:
-        raise DomainError("kink constants require mu > 0")
-    c0 = kink_speed(mu)
-    c1 = -(15.0 + 56.0 * mu) / (360.0 * mu * mu)
-    c2 = -(3136.0 * mu**2 + 1680.0 * mu + 225.0) / (43200.0 * mu**3)
-    return c0, c1, c2
-
-
 @dataclass(frozen=True)
 class KinkSolution:
     """Monotone tanh front between the two constant states 1/(2 mu) -+ amplitude."""
@@ -65,7 +55,12 @@ class KinkSolution:
 
     @property
     def constants(self) -> tuple[float, float, float]:
-        return kink_integration_constants(self.params.mu)
+        """(C0, C1, C2) that the kink satisfies in both travelling-wave
+        integrals."""
+        mu = self.params.mu
+        c1 = -(15.0 + 56.0 * mu) / (360.0 * mu * mu)
+        c2 = -(3136.0 * mu**2 + 1680.0 * mu + 225.0) / (43200.0 * mu**3)
+        return self.speed, c1, c2
 
 
 def kink_eval(s: KinkSolution, z):
@@ -163,11 +158,6 @@ class EllipticSolution:
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "g2", g2)
-
-
-def elliptic_coeffs(params: ModelParams, g3: float, z0: float = 0.0) -> EllipticSolution:
-    """Fill every derived constant of the elliptic solution."""
-    return EllipticSolution(params=params, g3=float(g3), z0=float(z0))
 
 
 def elliptic_g3_for_speed(params: ModelParams, c0: float) -> float:

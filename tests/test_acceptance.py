@@ -9,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpu5 import (EXPERIMENTS, STUDIES, EquationKind, Grid,
-                  IntegratingFactorRK4, KinkSolution, ModelParams,
-                  WeierstrassP, degenerate_p, elliptic_coeffs,
-                  elliptic_derivatives, fuchs_indices, kink_derivatives,
-                  leading_balance, linear_symbol, make_nonlinear_operator,
+from fpu5 import (EXPERIMENTS, STUDIES, EllipticSolution, EquationKind,
+                  Grid, IntegratingFactorRK4, KinkSolution, ModelParams,
+                  WeierstrassP, degenerate_p, elliptic_derivatives,
+                  fuchs_indices, kink_derivatives, leading_balance,
+                  linear_symbol, make_nonlinear_operator,
                   mass_drift, recurrence_scan, recurrence_table,
                   residual_first_integral, residual_second_integral)
 from fpu5.experiments import Snapshot
@@ -161,7 +161,7 @@ def test_criterion_06_elliptic_solution():
     while done < 5:
         params = ModelParams(delta=rng.uniform(0.5, 1.5),
                              mu=rng.uniform(0.2, 2.0))
-        sol = elliptic_coeffs(params, rng.uniform(-0.5, 0.5))
+        sol = EllipticSolution(params, rng.uniform(-0.5, 0.5))
         w = WeierstrassP(sol.g2, sol.g3)
         period = w.period if np.isfinite(w.period) else 4.0
         z = np.linspace(0.05 * period, 0.95 * period, 600)

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpu5 import (EXPERIMENTS, ConfigError, DomainError, EquationKind, Grid,
-                  InitialCondition, IntegratingFactorRK4, ModelParams,
-                  SimulationConfig, Snapshot, parse_config, read_snapshot)
+from fpu5 import (EXPERIMENTS, ConfigError, DomainError, EquationKind,
+                  GardnerSoliton, Grid, InitialCondition, IntegratingFactorRK4,
+                  KdV5Soliton, ModelParams, SimulationConfig, Snapshot,
+                  gardner_soliton, kdv5_soliton, parse_config, read_snapshot)
 from fpu5.cli import main
 from fpu5.experiments import IC_PARAMS
 from fpu5.snapio import write_snapshot, write_snapshots
@@ -95,6 +96,14 @@ class TestParseConfig:
                     parse_config(MINIMAL + f"initial_condition = {other}\n"
                                  f"{key} = 0.5\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("delta 2.0", "expected `key = value`"),
+        ("initial_condition =", "empty value for 'initial_condition'")])
+    def test_line_without_a_value_rejected(self, line, message):
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_config(MINIMAL + line + "\n")
+        assert err.value.line == MINIMAL.count("\n") + 1
+
     def test_line_numbers_in_errors(self):
         try:
             parse_config("kind = kdv\nbogus = 1\n")
@@ -130,6 +139,11 @@ class TestSnapshotIO:
         assert [read_snapshot(p)[0].t for p in manifest.files] == [0.0, 1.0, 2.0]
         # the files are all it writes: the CLI writes the one manifest.json
         assert sorted(map(str, tmp_path.iterdir())) == manifest.files
+
+    def test_series_writer_refuses_an_empty_series(self, tmp_path):
+        with pytest.raises(DomainError, match="^no snapshots to write$"):
+            write_snapshots([], Grid(10.0, 16), str(tmp_path / "s"))
+        assert not list(tmp_path.iterdir())
 
     def test_writer_matches_per_row_format(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -269,6 +283,28 @@ class TestCli:
         snap, (n, length) = read_snapshot(out / "exact_kink_0000.dat")
         assert n == 64 and length == 32.0
         assert snap.u[32] == pytest.approx(0.25, rel=1e-12)  # 1/(2 mu) at z0
+
+    @pytest.mark.parametrize("family", ["gardner", "kdv5"])
+    def test_exact_soliton_tabulation(self, tmp_path, family):
+        # each soliton is centred at L/2 at t = 0
+        params = ModelParams(delta=1.3, mu=0.1)
+        if family == "gardner":
+            s = GardnerSoliton(params, c0=1.0)
+            profile, option, checks = gardner_soliton, ["--c0", "1"], {
+                "speed": 1.0}
+        else:
+            s = KdV5Soliton(k=0.8, delta=1.3)
+            profile, option, checks = kdv5_soliton, ["--k", "0.8"], {
+                "speed": -s.speed, "crest": s.crest}
+        out = tmp_path / family
+        assert main(["exact", family, *option, "--mu", "0.1", "--delta",
+                     "1.3", "--t", "0.75", "--length", "30", "--n", "64",
+                     "--out", str(out)]) == 0
+        snap, _ = read_snapshot(out / f"exact_{family}_0000.dat")
+        expected = profile(s, Grid(30.0, 64).x - 15.0, 0.75)
+        assert snap.t == 0.75 and snap.u.tobytes() == expected.tobytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["checks"] == {**checks, "snapshot_times": [0.75]}
 
     def test_exact_elliptic_via_speed(self, tmp_path):
         out = tmp_path / "ell"

@@ -218,6 +218,17 @@ def test_zabusky_kruskal_rejects_an_empty_recurrence_window(monkeypatch):
      r"study time 1.14 .* t_end = 0.2"),
     # the t = 1 score would stand in for the verdict at destruction_by = 17
     ("soliton-perturbation", {"t_end": 1.0}, r"study time 17 .* t_end = 1$"),
+    # the t = 0 score would stand in for the verdict
+    ("soliton-perturbation", {"t_end": 0.5, "destruction_by": -1.0},
+     r"^study time -1 lies before the run, which starts at t = 0$"),
+    ("soliton-perturbation", {"t_end": 0.5, "destruction_by": -np.inf},
+     r"^study time -inf must be finite$"),
+    ("soliton-perturbation", {"t_end": 0.5, "destruction_by": np.nan},
+     r"^study time nan must be finite$"),
+    # the t = 0 snapshot would stand in for the first figure time
+    ("zabusky-kruskal", {"t_end": 0.1, "figure_times": (-3.0, 0.1),
+                         "recurrence_window": (0.02, 0.1)},
+     r"^study time -3 lies before the run, which starts at t = 0$"),
     # inside the run, but between the snapshots at 0 and 0.02
     ("zabusky-kruskal", {"t_end": 0.1, "figure_times": (0.02, 0.1),
                          "recurrence_window": (0.001, 0.002)},
@@ -237,6 +248,8 @@ def test_zabusky_kruskal_rejects_an_empty_recurrence_window(monkeypatch):
      r"^t_fix 0.5 has no later snapshot at or after t_fix \+ skip "
      r"\(skip 10\)$"),
 ], ids=["zabusky-kruskal", "soliton-perturbation",
+        "soliton-perturbation-before-run", "soliton-perturbation-minus-inf",
+        "soliton-perturbation-nan", "zabusky-kruskal-figure-before-run",
         "zabusky-kruskal-window-between-snapshots",
         "recurrence-t_fix-off-schedule", "recurrence-t_fix-beyond-run",
         "recurrence-scan_skip-past-run", "recurrence-table_skip-past-run"])
@@ -355,7 +368,8 @@ def test_one_manifest_lists_what_the_command_wrote(command, tmp_path,
     manifest = json.loads((out / "manifest.json").read_text())
     assert np.isfinite(manifest["wall_time_seconds"])
     assert manifest["wall_time_seconds"] >= 0
-    assert not {"func", "started"} & set(manifest["config"])
+    # config echoes the run's inputs: no argparse plumbing, no --out
+    assert not {"func", "started", "command", "out"} & set(manifest["config"])
     files = manifest["files"]
     assert all(Path(f).is_file() for f in files)
     assert files == sorted(str(p) for p in out.iterdir()

@@ -106,6 +106,17 @@ class TestRun:
         snaps = run(config)
         assert max(np.max(np.abs(s.u)) for s in snaps) == 0.0
 
+    @pytest.mark.parametrize("grid", [Grid(40.0, 32), Grid(41.0, 64)],
+                             ids=["N", "L"])
+    def test_initial_file_on_another_grid_is_refused(self, tmp_path, grid):
+        path = tmp_path / "other.dat"
+        write_snapshot(path, Snapshot(t=0.0, u=np.zeros(grid.n)), grid)
+        config = small_config(
+            initial_condition=InitialCondition("from_file", path=str(path)))
+        with pytest.raises(DomainError, match="^snapshot geometry does not "
+                           "match the run grid$"):
+            run(config)
+
     def test_mass_conserved(self):
         snaps = run(small_config(kind=EquationKind.FPU5, dt=1e-3))
         assert mass_drift(snaps) < 1e-12
@@ -463,6 +474,9 @@ class TestShiftMachinery:
     def test_all_zero_field_rejected(self):
         with pytest.raises(ValueError):
             min_shift_difference(np.ones(70), np.zeros(70))
+        with pytest.raises(ValueError, match="^correlation undefined for an "
+                           "all-zero field$"):
+            xcorr_mismatch(np.ones(70), np.zeros(70))
 
     def test_memory_stays_linear_in_n(self):
         # one 4096 x 4096 float matrix of rolls alone would be 134 MB
@@ -618,5 +632,6 @@ class TestKinkValidation:
         assert np.all(report.errs >= 0)
 
     def test_requires_positive_mu(self):
-        with pytest.raises(DomainError):
+        # the kink pair refuses it while the initial condition is built
+        with pytest.raises(DomainError, match="^kink requires mu > 0$"):
             kink_validation(ModelParams(0.6, 0.0), Grid(64.0, 256), 1e-3, 1.0)

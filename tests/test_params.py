@@ -29,7 +29,13 @@ class TestPhysicalToModel:
         for _ in range(50):
             m, a, b, g, h = rng.uniform(0.05, 10.0, 5)
             out = physical_to_model(PhysicalChainParams(m, a, b, g, h))
-            assert out.delta == pytest.approx(h * h / 12.0, rel=1e-13)
+            assert out.delta == h**2 / 12.0
+
+    def test_delta_needs_no_wave_speed(self):
+        # c^2 = gamma h^2 / m overflows here; delta = h^2 / 12 does not
+        p = PhysicalChainParams(mass=1e-300, alpha=1, beta=1, gamma=1,
+                                spacing=1e5)
+        assert physical_to_model(p) == ModelParams(delta=1e10 / 12.0, mu=0.75)
 
     def test_mu_invariant_under_coupling_rescale(self):
         rng = np.random.default_rng(5)
@@ -45,13 +51,16 @@ class TestPhysicalToModel:
             PhysicalChainParams(mass=-1, alpha=1, beta=1, gamma=1, spacing=1)
         with pytest.raises(DomainError):
             PhysicalChainParams(mass=1, alpha=0, beta=1, gamma=1, spacing=1)
+        with pytest.raises(DomainError, match="^beta must be nonnegative$"):
+            PhysicalChainParams(mass=1, alpha=1, beta=-1, gamma=1, spacing=1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("name", ["mass", "alpha", "beta", "gamma",
                                       "spacing"])
     def test_non_finite_field_rejected(self, name, value):
-        # alpha = inf would map to mu = 0, a quadratic-only chain, and
-        # mass or spacing = inf would stop on physical_to_model's assert
+        # alpha = inf would map to mu = 0, a quadratic-only chain, mass =
+        # inf would not reach the mapping at all, and spacing = inf would
+        # be refused only as delta
         fields = dict(mass=1, alpha=1, beta=1, gamma=1, spacing=1)
         with pytest.raises(DomainError, match=f"^{name} must be finite$"):
             PhysicalChainParams(**{**fields, name: value})

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from fpu5 import (DomainError, GardnerSoliton, Grid,
+from fpu5 import (DomainError, EllipticSolution, GardnerSoliton, Grid,
                   KdV5Soliton, KinkSolution, ModelParams, PoleError,
-                  WeierstrassP, elliptic_coeffs, elliptic_derivatives,
-                  elliptic_eval, elliptic_g3_for_speed, gardner_soliton,
-                  kdv5_soliton, kink_derivatives, kink_eval,
-                  kink_integration_constants, kink_pole_variant,
+                  WeierstrassP, elliptic_derivatives, elliptic_eval,
+                  elliptic_g3_for_speed, gardner_soliton, kdv5_soliton,
+                  kink_derivatives, kink_eval, kink_pole_variant,
                   residual_first_integral, residual_second_integral)
 from fpu5.spectral import spectral_derivative
 
@@ -43,6 +42,11 @@ class TestKink:
         with pytest.raises(DomainError):
             KinkSolution(ModelParams(0.4, 0.0))
 
+    @pytest.mark.parametrize("branch", [0, 2, -2])
+    def test_branch_is_plus_or_minus_one(self, branch):
+        with pytest.raises(DomainError, match="^branch must be"):
+            KinkSolution(ModelParams(0.4, 1.0), branch=branch)
+
     def test_derivatives_match_finite_differences(self):
         s = KinkSolution(ModelParams(0.7, 1.1), z0=0.2)
         z = np.linspace(-2, 2, 9)
@@ -78,7 +82,7 @@ class TestKink:
 
     def test_constant_root_satisfies_first_integral(self):
         params = ModelParams(0.8, 1.2)
-        c0, c1, _ = kink_integration_constants(params.mu)
+        c0, c1, _ = KinkSolution(params).constants
         roots = np.roots([-params.mu / 3.0, 0.5, -c0, c1])
         root = roots[np.abs(roots.imag) < 1e-12][0].real
         zeros = np.zeros(5)
@@ -113,7 +117,7 @@ class TestKinkPoleVariant:
 
 class TestElliptic:
     def test_displayed_constants(self):
-        sol = elliptic_coeffs(ModelParams(delta=1.0, mu=0.5), g3=0.1)
+        sol = EllipticSolution(ModelParams(delta=1.0, mu=0.5), g3=0.1)
         assert sol.h_level == pytest.approx(1.0, rel=1e-14)
         assert sol.a_coef == 0.0
         assert sol.b_coef == pytest.approx(2.0 / np.sqrt(2.5), rel=1e-14)
@@ -121,14 +125,16 @@ class TestElliptic:
 
     def test_requires_positive_parameters(self):
         with pytest.raises(DomainError):
-            elliptic_coeffs(ModelParams(delta=1.0, mu=0.0), g3=0.1)
+            EllipticSolution(ModelParams(delta=1.0, mu=0.0), g3=0.1)
+        with pytest.raises(DomainError, match="requires mu > 0"):
+            elliptic_g3_for_speed(ModelParams(delta=1.0, mu=0.0), 5.0)
 
     def test_second_integral_residual(self):
         rng = np.random.default_rng(7)
         done = 0
         while done < 4:
             params = ModelParams(rng.uniform(0.5, 1.5), rng.uniform(0.2, 2.0))
-            sol = elliptic_coeffs(params, rng.uniform(-0.5, 0.5))
+            sol = EllipticSolution(params, rng.uniform(-0.5, 0.5))
             z = elliptic_sample_points(sol)
             if z.size < 60:
                 continue
@@ -139,7 +145,7 @@ class TestElliptic:
             done += 1
 
     def test_derivatives_match_finite_differences(self):
-        sol = elliptic_coeffs(ModelParams(1.0, 0.8), g3=0.2)
+        sol = EllipticSolution(ModelParams(1.0, 0.8), g3=0.2)
         z = elliptic_sample_points(sol, n=200, value_cap=3.0)[:20]
         h = 1e-6
         v, v1, v2, v3 = elliptic_derivatives(sol, z)
@@ -151,21 +157,21 @@ class TestElliptic:
 
     def test_first_order_pole_structure(self):
         # near a lattice pole the profile behaves as H - 2B/z
-        sol = elliptic_coeffs(ModelParams(1.0, 0.5), g3=0.15)
+        sol = EllipticSolution(ModelParams(1.0, 0.5), g3=0.15)
         z = np.array([1e-4, 2e-4, 4e-4])
         v = np.asarray(elliptic_eval(sol, z))
         approx = sol.h_level - 2.0 * sol.b_coef / z
         assert np.max(np.abs(v - approx) / np.abs(approx)) < 1e-3
 
     def test_odd_symmetry_about_lattice_point(self):
-        sol = elliptic_coeffs(ModelParams(1.0, 0.5), g3=0.15)
+        sol = EllipticSolution(ModelParams(1.0, 0.5), g3=0.15)
         z = np.linspace(0.05, 0.3, 9)
         plus = np.asarray(elliptic_eval(sol, z)) - sol.h_level
         minus = np.asarray(elliptic_eval(sol, -z)) - sol.h_level
         assert np.max(np.abs(plus + minus)) < 1e-9 * np.max(np.abs(plus))
 
     def test_periodicity(self):
-        sol = elliptic_coeffs(ModelParams(1.0, 0.5), g3=0.15)
+        sol = EllipticSolution(ModelParams(1.0, 0.5), g3=0.15)
         w = WeierstrassP(sol.g2, sol.g3)
         assert np.isfinite(w.period)
         z = elliptic_sample_points(sol, n=200)[:25]
@@ -176,7 +182,7 @@ class TestElliptic:
         assert np.max(np.abs(a[ok] - b[ok])) < 1e-7 * np.max(1 + np.abs(a[ok]))
 
     def test_pole_refusal_and_nan_mode(self):
-        sol = elliptic_coeffs(ModelParams(1.0, 0.5), g3=0.15)
+        sol = EllipticSolution(ModelParams(1.0, 0.5), g3=0.15)
         with pytest.raises(PoleError):
             elliptic_eval(sol, 0.0)
         vals = elliptic_eval(sol, np.array([0.0, 0.3]), on_pole="nan")
@@ -185,7 +191,7 @@ class TestElliptic:
     def test_g3_for_speed_inverts_speed_relation(self):
         params = ModelParams(1.0, 0.5)
         g3 = elliptic_g3_for_speed(params, 5.0)
-        sol = elliptic_coeffs(params, g3)
+        sol = EllipticSolution(params, g3)
         assert sol.c0 == pytest.approx(5.0, rel=1e-12)
 
 
@@ -233,6 +239,16 @@ class TestKdV5Soliton:
         s = KdV5Soliton(k=1.0, delta=2.0)
         assert kdv5_soliton(s, 0.0) == pytest.approx(3.5, rel=1e-14)
         assert kdv5_soliton(s, 60.0) == pytest.approx(-2.5, rel=1e-12)
+
+    @pytest.mark.parametrize("k, delta", [(1.0, 2.0), (0.3, 0.7), (2.5, 1.1)])
+    def test_tails_sit_on_the_background(self, k, delta):
+        # tanh(k z / 2)^2 rounds to 1 at |z| >= 40 / k; the profile's form
+        # of the level and background's may differ in the last bit
+        s = KdV5Soliton(k=k, delta=delta)
+        far = np.geomspace(40.0, 4000.0, 50) / k
+        z = np.concatenate([-far, far])
+        assert np.max(np.abs(kdv5_soliton(s, z) - s.background)) \
+            <= 1e-15 * abs(s.background)
 
     def test_travels_left(self):
         s = KdV5Soliton(k=1.0, delta=2.0)

@@ -1,15 +1,15 @@
 """Command-line surface: simulate, exact, validate, recurrence, painleve,
 velocity-curve, and the canned experiments.
 
-Every command builds a StudyResult, and one writer, `_write`, puts it under
---out: its tables, its snapshot files, and one manifest.json that lists
-exactly those files and holds every scalar result under "checks".  Snapshot
-files are bit-reproducible for identical configurations.
+Every command builds a StudyResult and hands it to `snapio.write_result`,
+which puts it under --out: its tables, its snapshot files, and one
+manifest.json that lists exactly those files and holds every scalar result
+under "checks".  This module parses arguments and reads a config's text;
+snapio owns every file format.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -23,39 +23,11 @@ from .experiments import (EXPERIMENTS, STUDIES, Snapshot, StudyResult,
                           recurrence_table, run)
 from .params import EquationKind, ModelParams, velocity_curve
 from .painleve import fuchs_indices, leading_balance
-from .snapio import (FLOAT_FMT, RunManifest, config_to_dict, parse_config,
-                     read_snapshot, snapshot_paths, write_snapshots)
+from .snapio import config_to_dict, parse_config, read_series, write_result
 from .solutions import (EllipticSolution, GardnerSoliton, KdV5Soliton,
                         KinkSolution, elliptic_eval, elliptic_g3_for_speed,
                         gardner_soliton, kdv5_soliton, kink_eval)
 from .spectral import Grid
-
-
-def _write(args, config: dict, result: StudyResult,
-           grid: Grid | None = None) -> list[str]:
-    """Write result's tables and snapshot series (on grid) under args.out,
-    then manifest.json listing exactly those files and the time since
-    args.started; returns the listed paths."""
-    out = Path(args.out)
-    # a series write_snapshots would refuse is refused before --out exists
-    for prefix, snapshots in result.snapshots.items():
-        snapshot_paths(snapshots, str(out / prefix))
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for name, (header, rows) in result.tables.items():
-        files.append(str(out / name))
-        with open(files[-1], "w") as fh:
-            fh.write(f"# {header}\n")
-            for row in rows:
-                fh.write("\t".join(FLOAT_FMT % v for v in row) + "\n")
-    for prefix, snapshots in result.snapshots.items():
-        files += write_snapshots(snapshots, grid, str(out / prefix)).files
-    files.sort()
-    manifest = RunManifest(config=config, version=__version__,
-                           wall_time=time.monotonic() - args.started,
-                           files=files, checks=result.checks)
-    (out / "manifest.json").write_text(manifest.to_json() + "\n")
-    return files
 
 
 def _cmd_simulate(args) -> None:
@@ -63,9 +35,10 @@ def _cmd_simulate(args) -> None:
     snapshots = run(config)
     checks = {"mass_drift": mass_drift(snapshots),
               "snapshot_times": [float(s.t) for s in snapshots]}
-    files = _write(args, config_to_dict(config),
-                   StudyResult(snapshots, checks, snapshots={"snap": snapshots}),
-                   config.grid)
+    files = write_result(
+        args.out, args.started, config_to_dict(config),
+        StudyResult(snapshots, checks, snapshots={"snap": snapshots}),
+        config.grid)
     print(f"wrote {len(files)} snapshots to {Path(args.out)} "
           f"(mass drift {checks['mass_drift']:.3e})")
 
@@ -104,7 +77,7 @@ def _cmd_exact(args) -> None:
     echo = {k: v for k, v in vars(args).items()
             if k not in ("func", "started", "command", "out")}
     checks = {**info, "snapshot_times": [float(snap.t)]}
-    files = _write(args, echo, StudyResult(
+    files = write_result(args.out, args.started, echo, StudyResult(
         snap, checks, snapshots={f"exact_{args.family}": [snap]}), grid)
     print(f"wrote {files[0]}")
 
@@ -116,47 +89,26 @@ def _cmd_validate(args) -> None:
         raise ConfigError("validate runs kind = fpu5 with initial_condition = "
                           f"kink_pair, not kind = {config.kind.value} with {ic}")
     report = kink_validation(config.params, config.grid, config.dt,
-                             config.t_end, config.snapshot_interval)
-    _write(args, config_to_dict(config), StudyResult(
-        report, {"max_err": report.max_err}, report.error_table()))
+                             config.t_end, config.snapshot_interval,
+                             keep_snapshots=True)
+    checks = {"max_err": report.max_err,
+              "mass_drift": mass_drift(report.snapshots)}
+    write_result(args.out, args.started, config_to_dict(config),
+                 StudyResult(report, checks, report.error_table()))
     print(f"max err {report.max_err:.3e}")
-
-
-def _read_series(manifest_path: str) -> tuple[list[Snapshot], tuple[int, float]]:
-    """The snapshot series a manifest lists, sorted by t, and its (N, L).
-
-    Each file is opened by name from the manifest's own directory.  Raises
-    ConfigError unless the files are one series: one grid, distinct times.
-    """
-    manifest = json.loads(Path(manifest_path).read_text())
-    files = manifest.get("files") if isinstance(manifest, dict) else None
-    if not (isinstance(files, list) and files
-            and all(isinstance(f, str) for f in files)):
-        raise ConfigError(f'{manifest_path}: no "files" list of snapshot paths')
-    folder = Path(manifest_path).parent
-    read = [read_snapshot(folder / Path(f).name) for f in files]
-    grids = sorted({geometry for _, geometry in read})
-    if len(grids) > 1:
-        raise ConfigError(
-            f"{manifest_path}: not one snapshot series; (N, L) = {grids}")
-    snapshots = sorted((snap for snap, _ in read), key=lambda s: s.t)
-    for a, b in zip(snapshots, snapshots[1:]):
-        if a.t == b.t:
-            raise ConfigError(f"{manifest_path}: not one snapshot series; "
-                              f"two snapshots at t = {a.t}")
-    return snapshots, grids[0]
+    print(f"mass drift {checks['mass_drift']:.3e}")
 
 
 def _cmd_recurrence(args) -> None:
-    snapshots, (n, length) = _read_series(args.manifest)
+    snapshots, (n, length) = read_series(args.manifest)
     report = recurrence_scan(snapshots, t_fix=args.t_fix, skip=args.skip)
     rows, period_rows = recurrence_table(snapshots, [args.t_fix], skip=args.skip)
     checks = {"t_fix": report.t_fix, "minima_times": report.minima_times,
               "period": report.period, "fixed_time_rows": rows,
               "fixed_time_period": period_rows, "grid": {"N": n, "L": length}}
-    _write(args, {"manifest": args.manifest, "t_fix": args.t_fix,
-                  "skip": args.skip},
-           StudyResult(report, checks, report.difference_table()))
+    write_result(args.out, args.started, {"manifest": args.manifest,
+                                          "t_fix": args.t_fix, "skip": args.skip},
+                 StudyResult(report, checks, report.difference_table()))
     print(f"scan minima: {report.minima_times}")
     print(f"mean-gap period: {report.period}")
     print(f"fixed-time rows: {rows} -> period {period_rows}")
@@ -181,25 +133,25 @@ def _cmd_painleve(args) -> None:
               "indicial_polynomial": coeffs,
               "indices": [[r.real, r.imag] for r in result.indices],
               "passes": result.passes, "reason": result.reason}
-    _write(args, {"mu": args.mu, "delta": args.delta},
-           StudyResult((balance, result), checks))
+    write_result(args.out, args.started, {"mu": args.mu, "delta": args.delta},
+                 StudyResult((balance, result), checks))
 
 
 def _cmd_velocity_curve(args) -> None:
     table = velocity_curve(args.mu_min, args.mu_max, args.n)
     for mu, speed in table:
         print(f"{mu:.6f}\t{speed:.6f}")
-    _write(args, {"mu_min": args.mu_min, "mu_max": args.mu_max,
-                  "n": args.n},
-           StudyResult(table, {"rows": len(table)},
-                       {"velocity_curve.dat": ("mu\tC0", table)}))
+    write_result(args.out, args.started,
+                 {"mu_min": args.mu_min, "mu_max": args.mu_max, "n": args.n},
+                 StudyResult(table, {"rows": len(table)},
+                             {"velocity_curve.dat": ("mu\tC0", table)}))
 
 
 def _cmd_experiment(args) -> None:
     fx = EXPERIMENTS[args.name]
     result = STUDIES[args.name](fx)
-    _write(args, {"experiment": args.name, **fx}, result,
-           Grid(fx["length"], fx["n"]))
+    write_result(args.out, args.started, {"experiment": args.name, **fx},
+                 result, Grid(fx["length"], fx["n"]))
     for key, value in result.checks.items():
         print(f"{key}: {value}")
 

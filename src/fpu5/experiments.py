@@ -103,9 +103,9 @@ class RecurrenceReport:
     t_fix: float
     times: np.ndarray
     differences: np.ndarray          # shift-minimized circular difference
-    plain_differences: np.ndarray | None = None  # no realignment
-    minima_times: list[float] = field(default_factory=list)
-    period: float | None = None
+    plain_differences: np.ndarray    # no realignment
+    minima_times: list[float]
+    period: float | None             # None when fewer than two minima
 
     def difference_table(self) -> dict[str, tuple[str, list]]:
         """The scan as StudyResult.tables: difference_vs_t.dat."""
@@ -625,7 +625,9 @@ def _kink_validation_study(fx: dict) -> StudyResult:
     report = kink_validation(
         ModelParams(fx["delta"], fx["mu"]), Grid(fx["length"], fx["n"]),
         fx["dt"], fx["t_end"], fx["snapshot_interval"], keep_snapshots=True)
-    checks = {"max_err": report.max_err, "err_bound": fx["err_bound"],
+    checks = {"max_err": report.max_err,
+              "mass_drift": mass_drift(report.snapshots),
+              "err_bound": fx["err_bound"],
               "pass": report.max_err < fx["err_bound"]}
     return StudyResult(report, checks, report.error_table())
 

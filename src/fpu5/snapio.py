@@ -1,20 +1,26 @@
-"""Snapshot files, run manifests, and key-value run configuration parsing.
+"""Every file format the package writes or reads, and run config parsing.
 
-Snapshot format: a `# t=<t> N=<N> L=<L>` header line followed by N rows of
-`x<TAB>u`, both printed with 17 significant digits so reading a file back
-reproduces the doubles bit for bit.
+`write_result` fills an output directory: tables (a `# <header>` line, then
+tab-separated rows), snapshot files, and manifest.json listing exactly those
+files; `read_series` reads a manifest's snapshots back.  Snapshot format: a
+`# t=<t> N=<N> L=<L>` header line followed by N rows of `x<TAB>u`, both
+printed with 17 significant digits so a read reproduces the doubles bit for
+bit.
 """
 from __future__ import annotations
 
 import json
 import math
+import time
 import typing
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .experiments import IC_PARAMS, InitialCondition, SimulationConfig, Snapshot
+from .experiments import (IC_PARAMS, InitialCondition, SimulationConfig,
+                          Snapshot, StudyResult)
 from .params import EquationKind, ModelParams
 from .spectral import Grid
 
@@ -106,7 +112,7 @@ def read_snapshot(path):
     return Snapshot(t=t, u=us), (n, length)
 
 
-def snapshot_paths(snapshots, path_prefix) -> list[str]:
+def _snapshot_paths(snapshots, path_prefix) -> list[str]:
     """The files ``write_snapshots`` writes for a series, checked before any
     is made: DomainError for an empty series or a non-finite time."""
     if not snapshots:
@@ -118,14 +124,67 @@ def snapshot_paths(snapshots, path_prefix) -> list[str]:
 
 def write_snapshots(snapshots, grid: Grid, path_prefix) -> RunManifest:
     """Write one file per snapshot; the returned manifest lists them.  A
-    series that ``snapshot_paths`` refuses leaves no file behind."""
+    series that ``_snapshot_paths`` refuses leaves no file behind."""
     from . import __version__
-    paths = snapshot_paths(snapshots, path_prefix)
+    paths = _snapshot_paths(snapshots, path_prefix)
     body = _body_format(grid)
     for path, snap in zip(paths, snapshots):
         _write_snapshot(path, snap, grid, body)
     return RunManifest(config={}, version=__version__, wall_time=0.0,
                        files=paths)
+
+
+def write_result(out, started: float, config: dict, result: StudyResult,
+                 grid: Grid | None = None) -> list[str]:
+    """Write result's tables and snapshot series (on grid) under out, then
+    manifest.json listing exactly those files and the time since started, a
+    time.monotonic() reading; returns the listed paths.  A series
+    write_snapshots would refuse is refused before out exists."""
+    from . import __version__
+    out = Path(out)
+    for prefix, snapshots in result.snapshots.items():
+        _snapshot_paths(snapshots, str(out / prefix))
+    out.mkdir(parents=True, exist_ok=True)
+    files = []
+    for name, (header, rows) in result.tables.items():
+        files.append(str(out / name))
+        with open(files[-1], "w") as fh:
+            fh.write(f"# {header}\n")
+            for row in rows:
+                fh.write("\t".join(FLOAT_FMT % v for v in row) + "\n")
+    for prefix, snapshots in result.snapshots.items():
+        files += write_snapshots(snapshots, grid, str(out / prefix)).files
+    files.sort()
+    manifest = RunManifest(config=config, version=__version__,
+                           wall_time=time.monotonic() - started,
+                           files=files, checks=result.checks)
+    (out / "manifest.json").write_text(manifest.to_json() + "\n")
+    return files
+
+
+def read_series(manifest_path) -> tuple[list[Snapshot], tuple[int, float]]:
+    """The snapshot series a manifest lists, sorted by t, and its (N, L).
+
+    Each file is opened by name from the manifest's own directory.  Raises
+    ConfigError unless the files are one series: one grid, distinct times.
+    """
+    manifest = json.loads(Path(manifest_path).read_text())
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not (isinstance(files, list) and files
+            and all(isinstance(f, str) for f in files)):
+        raise ConfigError(f'{manifest_path}: no "files" list of snapshot paths')
+    folder = Path(manifest_path).parent
+    read = [read_snapshot(folder / Path(f).name) for f in files]
+    grids = sorted({geometry for _, geometry in read})
+    if len(grids) > 1:
+        raise ConfigError(
+            f"{manifest_path}: not one snapshot series; (N, L) = {grids}")
+    snapshots = sorted((snap for snap, _ in read), key=lambda s: s.t)
+    for a, b in zip(snapshots, snapshots[1:]):
+        if a.t == b.t:
+            raise ConfigError(f"{manifest_path}: not one snapshot series; "
+                              f"two snapshots at t = {a.t}")
+    return snapshots, grids[0]
 
 
 # ------------------------------------------------------------ run config
@@ -151,7 +210,9 @@ _REQUIRED = ("kind", "delta", "mu", "L", "N", "t_end", "dt")
 
 
 def parse_config(text: str) -> SimulationConfig:
-    """Parse `key = value` lines (# comments) into a validated run config."""
+    """Parse `key = value` lines (# comments) into a validated run config.
+    Text faults raise ConfigError; a value fault raises the DomainError of
+    the type that takes the value."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -180,37 +241,21 @@ def parse_config(text: str) -> SimulationConfig:
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {text_value!r}") from None
 
-    kind = _choice(EquationKind, "kind", values["kind"])
-
-    n = values["N"]
-    if n < 8 or n & (n - 1):
-        raise ConfigError("N must be a power of two and at least 8")
-    grid = Grid(values["L"], n)
+    try:
+        kind = EquationKind(values["kind"])
+    except ValueError:
+        names = ", ".join(member.value for member in EquationKind)
+        raise ConfigError(f"kind must be one of: {names}") from None
+    grid = Grid(values["L"], values["N"])
     params = ModelParams(delta=values["delta"], mu=values["mu"])
-
-    ic_name = values.get("initial_condition", "cosine")
-    ic_kwargs = {}
-    for name, attr in IC_PARAMS.items():
-        key = f"ic_{attr}"
-        if attr is not None and key in values:
-            if ic_name != name:
-                raise ConfigError(f"{key} only applies to initial_condition = {name}")
-            ic_kwargs[attr] = values[key]
-    ic = InitialCondition(ic_name, **ic_kwargs)
+    ic = InitialCondition(values.get("initial_condition", "cosine"),
+                          **{key[3:]: value for key, value in values.items()
+                             if key.startswith("ic_")})
 
     return SimulationConfig(
         kind=kind, params=params, grid=grid, t_end=values["t_end"],
         dt=values["dt"], snapshot_interval=values.get("snapshot_interval"),
         initial_condition=ic)
-
-
-def _choice(enum, key: str, value: str):
-    """The member of enum named by value; ConfigError listing the choices."""
-    try:
-        return enum(value)
-    except ValueError:
-        names = ", ".join(member.value for member in enum)
-        raise ConfigError(f"{key} must be one of: {names}") from None
 
 
 def config_to_dict(config: SimulationConfig) -> dict:

@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +11,11 @@ from fpu5 import (EXPERIMENTS, ConfigError, DomainError, EquationKind,
                   GardnerSoliton, Grid, InitialCondition, IntegratingFactorRK4,
                   KdV5Soliton, ModelParams, SimulationConfig, Snapshot,
                   gardner_soliton, kdv5_soliton, parse_config, read_snapshot)
+from fpu5 import cli
 from fpu5.cli import main
-from fpu5.experiments import IC_PARAMS
-from fpu5.snapio import write_snapshot, write_snapshots
+from fpu5.experiments import IC_PARAMS, StudyResult
+from fpu5.snapio import (read_series, write_result, write_snapshot,
+                         write_snapshots)
 
 MINIMAL = """\
 kind = gardner
@@ -28,6 +33,38 @@ initial_condition = gardner_soliton
 ic_c0 = 1.0
 """
 
+# every value rule a config file reaches, with a call of the type that owns it
+VALUE_RULES = [
+    pytest.param(MINIMAL.replace("N = 64", "N = 12"),
+                 lambda: Grid(40.0, 12), id="N-12"),
+    pytest.param(MINIMAL.replace("N = 64", "N = 4"),
+                 lambda: Grid(40.0, 4), id="N-4"),
+    pytest.param(MINIMAL + "initial_condition = cosine\nic_k = 1\n",
+                 lambda: InitialCondition("cosine", k=1.0), id="ic_k-cosine"),
+    pytest.param(MINIMAL + "initial_condition = kdv5_soliton\nic_c0 = 1\n",
+                 lambda: InitialCondition("kdv5_soliton", c0=1.0),
+                 id="ic_c0-kdv5_soliton"),
+    pytest.param(MINIMAL + "initial_condition = gardner_soliton\n"
+                 "ic_path = start.dat\n",
+                 lambda: InitialCondition("gardner_soliton", path="start.dat"),
+                 id="ic_path-gardner_soliton"),
+    pytest.param(MINIMAL.replace("delta = 1.0", "delta = -1"),
+                 lambda: ModelParams(-1.0, 0.1), id="delta"),
+    pytest.param(MINIMAL.replace("mu = 0.1", "mu = -1"),
+                 lambda: ModelParams(1.0, -1.0), id="mu"),
+    pytest.param(MINIMAL.replace("L = 40", "L = 0"),
+                 lambda: Grid(0.0, 64), id="L"),
+    pytest.param(MINIMAL.replace("dt = 0.005", "dt = 0"),
+                 lambda: dataclasses.replace(parse_config(MINIMAL), dt=0.0),
+                 id="dt"),
+    pytest.param(MINIMAL + "snapshot_interval = 0.001\n",
+                 lambda: dataclasses.replace(parse_config(MINIMAL),
+                                             snapshot_interval=0.001),
+                 id="snapshot_interval"),
+    pytest.param(MINIMAL + "initial_condition = elliptic\n",
+                 lambda: InitialCondition("elliptic"), id="unknown-ic"),
+]
+
 
 class TestParseConfig:
     def test_minimal_defaults(self):
@@ -43,8 +80,10 @@ class TestParseConfig:
         assert config.initial_condition.c0 == 1.0
 
     def test_non_power_of_two_rejected(self):
+        # Grid owns the rule; parse_config passes N on
         bad = MINIMAL.replace("N = 64", "N = 500")
-        with pytest.raises(ConfigError, match="power of two"):
+        with pytest.raises(DomainError,
+                           match="^N must be a power of two and at least 8$"):
             parse_config(bad)
 
     def test_duplicate_key(self):
@@ -73,7 +112,9 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("gardner", "burgers"))
 
     def test_mismatched_ic_parameter(self):
-        with pytest.raises(ConfigError, match="only applies"):
+        # InitialCondition owns the rule; parse_config passes ic_k on
+        with pytest.raises(DomainError,
+                           match="^field k does not apply to cosine$"):
             parse_config(MINIMAL + "initial_condition = cosine\nic_k = 1\n")
 
     def test_elliptic_initial_condition_rejected(self):
@@ -90,11 +131,15 @@ class TestParseConfig:
         key = f"ic_{attr}"
         config = parse_config(MINIMAL + f"initial_condition = {ic}\n{key} = 0.5\n")
         assert str(getattr(config.initial_condition, attr)) == "0.5"
+        value = getattr(config.initial_condition, attr)
         for other in IC_PARAMS:
             if other != ic:
-                with pytest.raises(ConfigError, match=f"{key} only applies"):
+                with pytest.raises(DomainError) as owner:
+                    InitialCondition(other, **{attr: value})
+                with pytest.raises(DomainError) as err:
                     parse_config(MINIMAL + f"initial_condition = {other}\n"
                                  f"{key} = 0.5\n")
+                assert str(err.value) == str(owner.value)
 
     @pytest.mark.parametrize("line, message", [
         ("delta 2.0", "expected `key = value`"),
@@ -103,6 +148,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message) as err:
             parse_config(MINIMAL + line + "\n")
         assert err.value.line == MINIMAL.count("\n") + 1
+
+    @pytest.mark.parametrize("text, owner", VALUE_RULES)
+    def test_value_rules_raise_the_owners_error(self, text, owner):
+        with pytest.raises(DomainError) as expected:
+            owner()
+        with pytest.raises(DomainError) as err:
+            parse_config(text)
+        assert str(err.value) == str(expected.value)
 
     def test_line_numbers_in_errors(self):
         try:
@@ -205,6 +258,35 @@ class TestSnapshotIO:
                 as err:
             read_snapshot(path)
         assert str(path) in str(err.value)
+
+    def test_result_round_trips_through_its_manifest(self, tmp_path):
+        rng = np.random.default_rng(6)
+        grid = Grid(46.75, 64)
+        snaps = [Snapshot(t=0.25 * i, u=rng.standard_normal(grid.n))
+                 for i in range(3)]
+        out = tmp_path / "out"
+        files = write_result(out, time.monotonic(), {"N": 64},
+                             StudyResult(snaps, {"answer": 1.5},
+                                         snapshots={"s": snaps[::-1]}), grid)
+        assert files == [str(out / f"s_{i:04d}.dat") for i in range(3)]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == files
+        assert manifest["config"] == {"N": 64}
+        assert manifest["checks"] == {"answer": 1.5}
+        back, geometry = read_series(out / "manifest.json")
+        assert geometry == (grid.n, grid.length)
+        assert [s.t for s in back] == [s.t for s in snaps]
+        assert all(b.u.tobytes() == s.u.tobytes() for b, s in zip(back, snaps))
+
+    def test_refused_series_leaves_no_directory(self, tmp_path):
+        grid = Grid(10.0, 16)
+        snaps = [Snapshot(t=0.0, u=np.zeros(grid.n)),
+                 Snapshot(t=float("inf"), u=np.zeros(grid.n))]
+        out = tmp_path / "out"
+        with pytest.raises(DomainError, match="snapshot time must be finite"):
+            write_result(out, time.monotonic(), {}, StudyResult(
+                snaps, {}, {"t.dat": ("t", [(0.0,)])}, {"s": snaps}), grid)
+        assert not out.exists()
 
     def test_zero_snapshot_format(self, tmp_path):
         grid = Grid(10.0, 16)
@@ -442,6 +524,17 @@ class TestCli:
         assert "snapshot time must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, owner", VALUE_RULES)
+    def test_value_fault_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                    text, owner):
+        with pytest.raises(DomainError) as expected:
+            owner()
+        cfg = self.write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -489,3 +582,20 @@ class TestCli:
 
     def test_exact_requires_parameters(self, tmp_path):
         assert main(["exact", "gardner", "--out", str(tmp_path / "g")]) != 0
+
+
+def test_cli_writes_no_file_and_parses_no_file_format():
+    # snapio owns every file format; the CLI reads a config's text and
+    # hands each result to snapio.write_result
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert "json" not in imported
+    assert not {"open", "write_text", "write_bytes", "mkdir"} & called

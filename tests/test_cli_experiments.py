@@ -13,7 +13,7 @@ import pytest
 
 from fpu5 import (EXPERIMENTS, STUDIES, DomainError, EquationKind, Grid,
                   InitialCondition, ModelParams, SimulationConfig, Snapshot,
-                  kink_validation, run, run_batch)
+                  kink_validation, mass_drift, run, run_batch)
 from fpu5.cli import main
 
 SMALL = {
@@ -50,7 +50,7 @@ SMALL = {
 LAYOUT = {
     "kink-validation": (
         ["err_vs_t.dat"],
-        ["max_err", "err_bound", "pass"]),
+        ["max_err", "mass_drift", "err_bound", "pass"]),
     "soliton-perturbation": (
         ["score_vs_t_mu_0.05.dat", "score_vs_t_mu_0.dat",
          "snap_mu_0.05_0000.dat", "snap_mu_0_0000.dat"],
@@ -103,7 +103,7 @@ KINK_CONFIG = (
     "initial_condition = kink_pair\n")
 
 
-def test_validate_cli(tmp_path):
+def test_validate_cli(tmp_path, capsys):
     cfg = tmp_path / "v.cfg"
     cfg.write_text(KINK_CONFIG)
     out = tmp_path / "val"
@@ -114,8 +114,11 @@ def test_validate_cli(tmp_path):
     assert manifest["checks"]["max_err"] == errs.max()
     # validate is kink_validation on the file's grid and schedule
     expected = kink_validation(ModelParams(0.6, 2.0), Grid(32.0, 128), 5e-4,
-                               0.5, 0.25)
+                               0.5, 0.25, keep_snapshots=True)
     assert manifest["checks"]["max_err"] == expected.max_err
+    drift = mass_drift(expected.snapshots)
+    assert manifest["checks"]["mass_drift"] == drift < 1e-12
+    assert f"mass drift {drift:.3e}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("old, new, message", [

@@ -24,6 +24,6 @@ from .experiments import (EXPERIMENTS, STUDIES, InitialCondition,
                           run_batch, shape_score, shape_score_series,
                           soliton_perturbation, xcorr_mismatch)
 from .snapio import (RunManifest, config_to_dict, parse_config, read_snapshot,
-                     write_snapshot, write_snapshots)
+                     write_snapshots)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import BlowUpError, ConfigError, DomainError
+from .errors import BlowUpError, DomainError
 from .experiments import (EXPERIMENTS, STUDIES, Snapshot, StudyResult,
                           kink_validation, mass_drift, recurrence_scan,
                           recurrence_table, run)
@@ -86,7 +86,7 @@ def _cmd_validate(args) -> None:
     config = parse_config(Path(args.config).read_text())
     ic = config.initial_condition.name
     if config.kind is not EquationKind.FPU5 or ic != "kink_pair":
-        raise ConfigError("validate runs kind = fpu5 with initial_condition = "
+        raise DomainError("validate runs kind = fpu5 with initial_condition = "
                           f"kink_pair, not kind = {config.kind.value} with {ic}")
     report = kink_validation(config.params, config.grid, config.dt,
                              config.t_end, config.snapshot_interval,

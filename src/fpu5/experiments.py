@@ -47,13 +47,14 @@ class InitialCondition:
     def __post_init__(self):
         if self.name not in IC_PARAMS:
             raise DomainError(f"unknown initial condition {self.name!r}")
-        for ic, attr in IC_PARAMS.items():
-            if attr is None:
-                continue
-            if self.name == ic and getattr(self, attr) is None:
-                raise DomainError(f"initial condition {ic} needs {attr}")
-            if self.name != ic and getattr(self, attr) is not None:
-                raise DomainError(f"field {attr} does not apply to {self.name}")
+        wanted = {IC_PARAMS[self.name]} - {None}
+        given = {attr for attr in IC_PARAMS.values()
+                 if attr is not None and getattr(self, attr) is not None}
+        if given != wanted:  # a stray field first, in field order
+            stray = [attr for attr in IC_PARAMS.values() if attr in given - wanted]
+            raise DomainError(
+                f"field {stray[0]} does not apply to {self.name}" if stray
+                else f"initial condition {self.name} needs {IC_PARAMS[self.name]}")
 
 
 @dataclass
@@ -697,20 +698,17 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
     configs = _contrast_configs(fx, Grid(fx["length"], fx["n"]),
                                 (EquationKind.KDV, EquationKind.FPU5),
                                 InitialCondition("cosine"))
-    picks = {}
-    for config in configs:
-        times = np.array(_snapshot_times(config))
-        in_window = np.flatnonzero((times >= lo) & (times <= hi))
-        if in_window.size == 0:
-            raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds no "
-                              f"snapshot of the run to t_end = {fx['t_end']:g}")
-        picks[config.kind] = in_window, [_study_index(config, t)
-                                         for t in fx["figure_times"]]
+    # both arms share t_end and snapshot_interval, so one schedule serves
+    times = np.array(_snapshot_times(configs[0]))
+    in_window = np.flatnonzero((times >= lo) & (times <= hi))
+    if in_window.size == 0:
+        raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds no "
+                          f"snapshot of the run to t_end = {fx['t_end']:g}")
+    i_early, i_late = [_study_index(configs[0], t) for t in fx["figure_times"]]
     arms, checks, snapshots = {}, {}, {}
-    for (kind, (in_window, (i_early, i_late))), run_snaps in zip(
-            picks.items(), run_batch(configs)):
+    for config, run_snaps in zip(configs, run_batch(configs)):
+        kind = config.kind
         arms[kind] = arm = _arm(run_snaps)
-        times = arm["times"]
         window_scores = [xcorr_mismatch(run_snaps[0].u, run_snaps[i].u)
                          for i in in_window]
         j = int(np.argmin(window_scores))

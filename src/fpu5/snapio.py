@@ -1,8 +1,9 @@
 """Every file format the package writes or reads, and run config parsing.
 
 `write_result` fills an output directory: tables (a `# <header>` line, then
-tab-separated rows), snapshot files, and manifest.json listing exactly those
-files; `read_series` reads a manifest's snapshots back.  Snapshot format: a
+tab-separated rows), snapshot files (made by `write_snapshots`, the one
+snapshot writer), and manifest.json listing exactly those files;
+`read_series` reads a manifest's snapshots back.  Snapshot format: a
 `# t=<t> N=<N> L=<L>` header line followed by N rows of `x<TAB>u`, both
 printed with 17 significant digits so a read reproduces the doubles bit for
 bit.
@@ -42,29 +43,11 @@ class RunManifest:
              "checks": self.checks}, indent=2, sort_keys=True)
 
 
-def write_snapshot(path, snapshot: Snapshot, grid: Grid) -> None:
-    _check_times([path], [snapshot])
-    _write_snapshot(path, snapshot, grid, _body_format(grid))
-
-
 def _body_format(grid: Grid) -> str:
     """The rows of a snapshot file with each x already printed, leaving one
     %-slot per u value; printing x dominates the cost of a file, and it is
     the same for every file of a series."""
     return "".join(f"{FLOAT_FMT % x}\t{FLOAT_FMT}\n" for x in grid.x.tolist())
-
-
-def _check_times(paths, snapshots) -> None:
-    for path, snapshot in zip(paths, snapshots):
-        if not math.isfinite(snapshot.t):
-            raise DomainError(f"{path}: snapshot time must be finite, not "
-                              f"t = {snapshot.t}")
-
-
-def _write_snapshot(path, snapshot: Snapshot, grid: Grid, body: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# t={FLOAT_FMT % snapshot.t} N={grid.n} L={FLOAT_FMT % grid.length}\n")
-        fh.write(body % tuple(np.asarray(snapshot.u).tolist()))
 
 
 def read_snapshot(path):
@@ -118,18 +101,25 @@ def _snapshot_paths(snapshots, path_prefix) -> list[str]:
     if not snapshots:
         raise DomainError("no snapshots to write")
     paths = [f"{path_prefix}_{i:04d}.dat" for i in range(len(snapshots))]
-    _check_times(paths, snapshots)
+    for path, snapshot in zip(paths, snapshots):
+        if not math.isfinite(snapshot.t):
+            raise DomainError(f"{path}: snapshot time must be finite, not "
+                              f"t = {snapshot.t}")
     return paths
 
 
 def write_snapshots(snapshots, grid: Grid, path_prefix) -> RunManifest:
-    """Write one file per snapshot; the returned manifest lists them.  A
-    series that ``_snapshot_paths`` refuses leaves no file behind."""
+    """Write one file per snapshot, the only code that makes a snapshot
+    file; the returned manifest lists them.  A series that
+    ``_snapshot_paths`` refuses leaves no file behind."""
     from . import __version__
     paths = _snapshot_paths(snapshots, path_prefix)
     body = _body_format(grid)
     for path, snap in zip(paths, snapshots):
-        _write_snapshot(path, snap, grid, body)
+        with open(path, "w") as fh:
+            fh.write(f"# t={FLOAT_FMT % snap.t} N={grid.n} "
+                     f"L={FLOAT_FMT % grid.length}\n")
+            fh.write(body % tuple(np.asarray(snap.u).tolist()))
     return RunManifest(config={}, version=__version__, wall_time=0.0,
                        files=paths)
 
@@ -166,15 +156,22 @@ def read_series(manifest_path) -> tuple[list[Snapshot], tuple[int, float]]:
     """The snapshot series a manifest lists, sorted by t, and its (N, L).
 
     Each file is opened by name from the manifest's own directory.  Raises
-    ConfigError unless the files are one series: one grid, distinct times.
+    ConfigError unless the files are one series: every file a snapshot file
+    (its first line starts ``# t=``, checked before any row is parsed), one
+    grid, distinct times.
     """
     manifest = json.loads(Path(manifest_path).read_text())
     files = manifest.get("files") if isinstance(manifest, dict) else None
     if not (isinstance(files, list) and files
             and all(isinstance(f, str) for f in files)):
         raise ConfigError(f'{manifest_path}: no "files" list of snapshot paths')
-    folder = Path(manifest_path).parent
-    read = [read_snapshot(folder / Path(f).name) for f in files]
+    paths = [Path(manifest_path).parent / Path(f).name for f in files]
+    for listed, path in zip(files, paths):
+        with open(path) as fh:
+            if not fh.readline().startswith("# t="):
+                raise ConfigError(f"{manifest_path}: not one snapshot series; "
+                                  f"{listed} is not a snapshot file")
+    read = [read_snapshot(path) for path in paths]
     grids = sorted({geometry for _, geometry in read})
     if len(grids) > 1:
         raise ConfigError(

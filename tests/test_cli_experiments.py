@@ -14,7 +14,8 @@ import pytest
 from fpu5 import (EXPERIMENTS, STUDIES, DomainError, EquationKind, Grid,
                   InitialCondition, ModelParams, SimulationConfig, Snapshot,
                   kink_validation, mass_drift, run, run_batch)
-from fpu5.cli import main
+from fpu5 import snapio
+from fpu5.cli import build_parser, main
 
 SMALL = {
     "kink-validation": dict(
@@ -128,13 +129,38 @@ def test_validate_cli(tmp_path, capsys):
 ])
 def test_validate_rejects_other_runs(old, new, message, tmp_path, capsys):
     # validate always runs the FPU5 kink pair, so any other run is an error
-    # rather than a report on something the config did not ask for
+    # rather than a report on something the config did not ask for; the
+    # config parses, so it is a value fault, not a text fault
     cfg = tmp_path / "v.cfg"
     cfg.write_text(KINK_CONFIG.replace(old, new))
     out = tmp_path / "val"
     assert main(["validate", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+    args = build_parser().parse_args(["validate", str(cfg), "--out", str(out)])
+    with pytest.raises(DomainError, match=message):
+        args.func(args)
+
+
+def test_recurrence_refuses_a_manifest_with_tables(tmp_path, monkeypatch,
+                                                   capsys):
+    # a soliton-perturbation manifest lists its score tables first
+    monkeypatch.setitem(EXPERIMENTS, "soliton-perturbation",
+                        SMALL["soliton-perturbation"])
+    out = tmp_path / "sp"
+    assert main(["experiment", "soliton-perturbation", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def refuse(path):
+        raise AssertionError("parsed a snapshot")
+
+    monkeypatch.setattr(snapio, "read_snapshot", refuse)
+    assert main(["recurrence", str(out / "manifest.json"), "--t-fix", "0.0",
+                 "--out", str(tmp_path / "rec")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out / 'manifest.json'}: not one snapshot series; "
+        f"{out / 'score_vs_t_mu_0.05.dat'} is not a snapshot file\n")
+    assert not (tmp_path / "rec").exists()
 
 
 @pytest.mark.parametrize("fpu5_scores, deform_time, passes", [

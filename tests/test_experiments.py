@@ -12,7 +12,7 @@ from fpu5 import (ETDRK4, EXPERIMENTS, BlowUpError, DomainError, EquationKind,
                   SimulationConfig, err_metric, kink_validation,
                   linear_symbol, make_nonlinear_operator, mass_drift,
                   recurrence_scan, recurrence_table, run, run_batch,
-                  shape_score, write_snapshot, xcorr_mismatch)
+                  shape_score, write_snapshots, xcorr_mismatch)
 from fpu5.experiments import (Snapshot, _schedule, _snapshot_times,
                               build_initial_condition, min_shift_difference)
 from fpu5.spectral import derivative_multiplier
@@ -37,12 +37,17 @@ class TestConfigValidation:
             InitialCondition("wedge")
 
     def test_missing_ic_parameter(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match="^initial condition kdv5_soliton needs k$"):
             InitialCondition("kdv5_soliton")
 
     def test_extraneous_ic_parameter(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^field k does not apply to cosine$"):
             InitialCondition("cosine", k=1.0)
+        # a stray field is named before the missing one
+        with pytest.raises(DomainError,
+                           match="^field c0 does not apply to kdv5_soliton$"):
+            InitialCondition("kdv5_soliton", c0=1.0)
 
     def test_negative_t_end(self):
         with pytest.raises(DomainError):
@@ -96,10 +101,9 @@ class TestRun:
         assert np.all(np.isfinite(snaps[1].u))
 
     def test_zero_field_is_fixed_point(self, tmp_path):
-        from fpu5 import write_snapshot
         grid = Grid(40.0, 64)
-        path = tmp_path / "zero.dat"
-        write_snapshot(path, Snapshot(t=0.0, u=np.zeros(grid.n)), grid)
+        (path,) = write_snapshots([Snapshot(t=0.0, u=np.zeros(grid.n))], grid,
+                                  str(tmp_path / "zero")).files
         config = small_config(
             kind=EquationKind.FPU5,
             initial_condition=InitialCondition("from_file", path=str(path)))
@@ -109,8 +113,8 @@ class TestRun:
     @pytest.mark.parametrize("grid", [Grid(40.0, 32), Grid(41.0, 64)],
                              ids=["N", "L"])
     def test_initial_file_on_another_grid_is_refused(self, tmp_path, grid):
-        path = tmp_path / "other.dat"
-        write_snapshot(path, Snapshot(t=0.0, u=np.zeros(grid.n)), grid)
+        (path,) = write_snapshots([Snapshot(t=0.0, u=np.zeros(grid.n))], grid,
+                                  str(tmp_path / "other")).files
         config = small_config(
             initial_condition=InitialCondition("from_file", path=str(path)))
         with pytest.raises(DomainError, match="^snapshot geometry does not "
@@ -351,9 +355,9 @@ class TestTranslationEquivariance:
         with tempfile.TemporaryDirectory() as tmp:
             rolled = []
             for i, config in enumerate(plain):
-                path = f"{tmp}/rolled{i}.dat"
                 u0 = np.roll(build_initial_condition(config), shift)
-                write_snapshot(path, Snapshot(0.0, u0), grid)
+                (path,) = write_snapshots([Snapshot(0.0, u0)], grid,
+                                          f"{tmp}/rolled{i}").files
                 rolled.append(dataclasses.replace(
                     config,
                     initial_condition=InitialCondition("from_file", path=path)))

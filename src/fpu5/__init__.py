@@ -7,8 +7,8 @@ from .errors import BlowUpError, ConfigError, DomainError, PoleError
 from .params import (EquationKind, ModelParams, PhysicalChainParams,
                      kink_speed, physical_to_model, velocity_curve)
 from .spectral import ETDRK4, Grid, IntegratingFactorRK4, spectral_derivative
-from .equations import (conservation_flux, flux, full_rhs, linear_symbol,
-                        make_nonlinear_operator, nonlinear_rhs)
+from .equations import (conservation_flux, flux, linear_symbol,
+                        make_nonlinear_operator)
 from .weierstrass import WeierstrassP, degenerate_p
 from .solutions import (EllipticSolution, GardnerSoliton, KdV5Soliton,
                         KinkSolution, elliptic_derivatives, elliptic_eval,

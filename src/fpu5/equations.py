@@ -161,45 +161,6 @@ def make_nonlinear_operator(kind: EquationKind,
     return nonlinear
 
 
-def _require_finite(values: np.ndarray, message: str) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise BlowUpError(message)
-    return values
-
-
-def _physical(grid: Grid, u: np.ndarray, spectral_rhs) -> np.ndarray:
-    """irfft(spectral_rhs(rfft(u))) for a checked, finite field u.
-
-    Raises ``BlowUpError`` for a non-finite field or result.
-    """
-    u = _require_finite(grid.check_field(u),
-                        "nonlinear tendency fed a non-finite field")
-    return _require_finite(
-        spectral.irfft(spectral_rhs(spectral.rfft(u)), grid.n),
-        "nonlinear tendency became non-finite")
-
-
-def nonlinear_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
-                  u: np.ndarray) -> np.ndarray:
-    """Physical-space nonlinear tendency du/dt (linear terms excluded).
-
-    Raises ``BlowUpError`` for a non-finite field or result.
-    """
-    return _physical(grid, u, make_nonlinear_operator(kind, params, grid))
-
-
-def full_rhs(kind: EquationKind, params: ModelParams, grid: Grid,
-             u: np.ndarray) -> np.ndarray:
-    """Complete du/dt, linear plus nonlinear, in physical space.
-
-    Raises ``BlowUpError`` for a non-finite field or result, as
-    ``nonlinear_rhs`` does.
-    """
-    lam = linear_symbol(kind, params, grid)
-    op = make_nonlinear_operator(kind, params, grid)
-    return _physical(grid, u, lambda u_hat: lam * u_hat + op(u_hat))
-
-
 def flux(params: ModelParams, u, ux, uxx, uxxxx):
     """Flux F of the fifth-order equation, du/dt = -dF/dx, from samples of
     u and its derivatives:
@@ -217,5 +178,7 @@ def flux(params: ModelParams, u, ux, uxx, uxxxx):
 
 def conservation_flux(params: ModelParams, grid: Grid, u: np.ndarray) -> np.ndarray:
     """``flux`` of a periodic field, its derivatives taken spectrally."""
-    u = _require_finite(grid.check_field(u), "flux fed a non-finite field")
+    u = grid.check_field(u)
+    if not np.all(np.isfinite(u)):
+        raise BlowUpError("flux fed a non-finite field")
     return flux(params, u, *(spectral_derivative(grid, u, m) for m in (1, 2, 4)))

@@ -288,12 +288,21 @@ def mass_drift(snapshots: list[Snapshot]) -> float:
     return float(np.max(np.abs(means - means[0]))) / scale
 
 
+def _field_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two real fields of one shape as float64 arrays, or ValueError."""
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        raise ValueError("a field is real, not complex")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"fields must share a grid: shapes {a.shape} "
+                         f"and {b.shape}")
+    return a, b
+
+
 def err_metric(u_analytic: np.ndarray, u_calc: np.ndarray, mask=None) -> float:
     """max|u_analytic - u_calc| / max|u_calc| over the masked points."""
-    u_analytic = np.asarray(u_analytic, dtype=float)
-    u_calc = np.asarray(u_calc, dtype=float)
-    if u_analytic.shape != u_calc.shape:
-        raise ValueError("fields must share a grid")
+    u_analytic, u_calc = _field_pair(u_analytic, u_calc)
     if mask is not None:
         u_analytic = u_analytic[mask]
         u_calc = u_calc[mask]
@@ -312,8 +321,7 @@ def xcorr_mismatch(reference: np.ndarray, u: np.ndarray) -> float:
     profiles.  Unlike the max-norm metric this does not saturate on narrow
     spiky fields, so it is the score used for the soliton-train comparisons.
     """
-    reference = np.asarray(reference, dtype=float)
-    u = np.asarray(u, dtype=float)
+    reference, u = _field_pair(reference, u)
     corr = spectral.irfft(spectral.rfft(u) * np.conj(spectral.rfft(reference)),
                           u.size)
     norm = np.sqrt(np.sum(reference**2) * np.sum(u**2))
@@ -345,8 +353,7 @@ def min_shift_difference(reference: np.ndarray,
     the reference, such as noise, nothing is skipped and the cost is the
     full walk's plus the O(n) bound.
     """
-    reference = np.asarray(reference, dtype=float)
-    u = np.asarray(u, dtype=float)
+    reference, u = _field_pair(reference, u)
     denom = float(np.max(np.abs(u)))
     if denom == 0.0:
         raise ValueError("difference undefined for an all-zero field")
@@ -386,8 +393,9 @@ def shape_score(reference: np.ndarray, u: np.ndarray, grid: Grid) -> float:
     """
     from scipy.optimize import minimize_scalar
 
+    reference, u = grid.check_field(reference), grid.check_field(u)
     coarse, s0 = min_shift_difference(reference, u)
-    ref_hat = spectral.rfft(np.asarray(reference, dtype=float))
+    ref_hat = spectral.rfft(reference)
     denom = float(np.max(np.abs(u)))
 
     def objective(shift):

@@ -54,6 +54,8 @@ class Grid:
     def __init__(self, length: float, n: int):
         if not (math.isfinite(length) and length > 0):
             raise DomainError("grid length must be finite and positive")
+        if int(n) != n:
+            raise DomainError(f"N must be an integer, not {n!r}")
         n = int(n)
         if n < 8 or n & (n - 1):
             raise DomainError("N must be a power of two and at least 8")

@@ -1,8 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fpu5 import (BlowUpError, EquationKind, Grid, ModelParams,
-                  conservation_flux, full_rhs, linear_symbol, nonlinear_rhs)
+                  conservation_flux, linear_symbol)
 from fpu5 import spectral
 from fpu5.equations import make_nonlinear_operator
 from fpu5.spectral import derivative_multiplier
@@ -26,6 +29,12 @@ def full_spectrum(grid):
 def full_derivative(grid, u, order):
     mult, _ = full_spectrum(grid)
     return np.fft.ifft(mult[order] * np.fft.fft(u)).real
+
+
+def tendency(kind, params, grid, u):
+    """The operator's nonlinear tendency of a field, in physical space."""
+    op = make_nonlinear_operator(kind, params, grid)
+    return spectral.irfft(op(spectral.rfft(u)), grid.n)
 
 
 def band_limited_field(grid, max_mode, seed=0, scale=1.0):
@@ -68,7 +77,7 @@ class TestNonlinearTendency:
         g = Grid(10.0, 64)
         params = ModelParams(0.8, 0.6)
         for kind in ALL_KINDS:
-            tend = nonlinear_rhs(kind, params, g, np.full(g.n, 2.3))
+            tend = tendency(kind, params, g, np.full(g.n, 2.3))
             assert np.max(np.abs(tend)) < 1e-13
 
     def test_small_amplitude_expansion(self):
@@ -77,23 +86,23 @@ class TestNonlinearTendency:
         params = ModelParams(delta=1e-3, mu=0.7)
         eps = 1e-4
         u = eps * np.sin(g.x)
-        tend = nonlinear_rhs(EquationKind.FPU5, params, g, u)
+        tend = tendency(EquationKind.FPU5, params, g, u)
         expected = -eps**2 * np.sin(g.x) * np.cos(g.x)
         assert np.max(np.abs(tend - expected)) < 10 * eps**3
 
     def test_kdv5_equals_fpu5_at_zero_mu(self):
         g = Grid(30.0, 128)
         u = band_limited_field(g, 20, seed=1, scale=1.5)
-        a = nonlinear_rhs(EquationKind.FPU5, ModelParams(1.2, 0.0), g, u)
-        b = nonlinear_rhs(EquationKind.KDV5, ModelParams(1.2, 0.9), g, u)
+        a = tendency(EquationKind.FPU5, ModelParams(1.2, 0.0), g, u)
+        b = tendency(EquationKind.KDV5, ModelParams(1.2, 0.9), g, u)
         assert np.array_equal(a, b)
 
     def test_fpu5_minus_gardner_is_the_extra_terms(self):
         g = Grid(30.0, 128)
         params = ModelParams(1.1, 0.4)
         u = band_limited_field(g, 14, seed=2, scale=1.2)
-        diff = nonlinear_rhs(EquationKind.FPU5, params, g, u) \
-            - nonlinear_rhs(EquationKind.GARDNER, params, g, u)
+        diff = tendency(EquationKind.FPU5, params, g, u) \
+            - tendency(EquationKind.GARDNER, params, g, u)
         ux, uxx, uxxx = (full_derivative(g, u, m) for m in (1, 2, 3))
         d2, mu = params.delta**2, params.mu
         extra = -(2 * d2 * ux * uxx + d2 * u * uxxx
@@ -110,8 +119,8 @@ class TestNonlinearTendency:
         params = ModelParams(0.9, 0.3)
         u = band_limited_field(g, 18, seed=3, scale=1.4)
         for kind in ALL_KINDS:
-            rolled = nonlinear_rhs(kind, params, g, np.roll(u, 1))
-            direct = np.roll(nonlinear_rhs(kind, params, g, u), 1)
+            rolled = tendency(kind, params, g, np.roll(u, 1))
+            direct = np.roll(tendency(kind, params, g, u), 1)
             scale = np.max(np.abs(direct)) + 1e-30
             assert np.max(np.abs(rolled - direct)) < 1e-12 * max(1.0, scale)
 
@@ -120,27 +129,8 @@ class TestNonlinearTendency:
         params = ModelParams(0.9, 0.3)
         u = band_limited_field(g, 30, seed=4, scale=2.0) + 0.7
         for kind in ALL_KINDS:
-            tend = nonlinear_rhs(kind, params, g, u)
+            tend = tendency(kind, params, g, u)
             assert abs(tend.mean()) < 1e-14
-
-
-class TestPhysicalWrappers:
-    @pytest.mark.parametrize("rhs", [nonlinear_rhs, full_rhs])
-    def test_non_finite_field_raises(self, rhs):
-        g = Grid(20.0, 64)
-        u = band_limited_field(g, 5, seed=2)
-        u[7] = np.nan
-        with pytest.raises(BlowUpError, match="fed a non-finite field"):
-            rhs(EquationKind.FPU5, ModelParams(1.0, 0.2), g, u)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("rhs", [nonlinear_rhs, full_rhs])
-    def test_non_finite_result_raises(self, rhs):
-        # finite samples whose products overflow
-        g = Grid(20.0, 64)
-        u = band_limited_field(g, 5, seed=3, scale=1e200)
-        with pytest.raises(BlowUpError, match="became non-finite"):
-            rhs(EquationKind.FPU5, ModelParams(1.0, 0.2), g, u)
 
 
 class TestConservationFlux:
@@ -157,13 +147,23 @@ class TestConservationFlux:
         # products stay inside the retained band
         g = Grid(30.0, 256)
         params = ModelParams(1.3, 0.5)
+        lam = linear_symbol(EquationKind.FPU5, params, g)
+        op = make_nonlinear_operator(EquationKind.FPU5, params, g)
         for seed in range(3):
             u = band_limited_field(g, g.n // 9, seed=seed, scale=1.5)
-            rhs = full_rhs(EquationKind.FPU5, params, g, u)
+            u_hat = spectral.rfft(u)
+            rhs = spectral.irfft(lam * u_hat + op(u_hat), g.n)
             flux = conservation_flux(params, g, u)
             dflux = full_derivative(g, flux, 1)
             scale = np.max(np.abs(rhs))
             assert np.max(np.abs(rhs + dflux)) < 1e-8 * scale
+
+    def test_non_finite_field_raises(self):
+        g = Grid(20.0, 64)
+        u = band_limited_field(g, 5, seed=2)
+        u[7] = np.nan
+        with pytest.raises(BlowUpError, match="flux fed a non-finite field"):
+            conservation_flux(ModelParams(1.0, 0.2), g, u)
 
     def test_mu_zero_reduces_to_quadratic_flux(self):
         g = Grid(30.0, 128)
@@ -178,15 +178,6 @@ class TestConservationFlux:
 
 
 class TestOperatorFactory:
-    def test_matches_physical_wrapper(self):
-        g = Grid(20.0, 64)
-        params = ModelParams(1.0, 0.2)
-        u = band_limited_field(g, 9, seed=6)
-        op = make_nonlinear_operator(EquationKind.FPU5, params, g)
-        via_op = np.fft.irfft(op(np.fft.rfft(u)), g.n)
-        direct = nonlinear_rhs(EquationKind.FPU5, params, g, u)
-        assert np.max(np.abs(via_op - direct)) < 1e-14
-
     def test_bit_identical_to_the_plain_expression(self):
         # the operator works in place on its own arrays; its result must be
         # that of the tendency written as one numpy expression, zero signs
@@ -391,3 +382,22 @@ class TestMuZeroThirdOrder:
         for p, v, row in zip(rows, u_hat, expected):
             single = make_nonlinear_operator(kind, p, g)(v)
             assert single.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in Path(spectral.__file__).parent.glob("*.py")))
+def test_only_the_stepper_builds_a_nonlinear_operator(module):
+    # the operator that steps every run is the one evaluator of the
+    # tendency: _step_group builds it, and no other function, such as a
+    # physical-space wrapper, calls the factory
+    tree = ast.parse((Path(spectral.__file__).parent / module).read_text())
+    callers = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "make_nonlinear_operator":
+                callers.append(getattr(top, "name", None))
+    assert callers == (["_step_group"] if module == "experiments.py" else [])

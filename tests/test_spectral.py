@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from fpu5 import (ETDRK4, DomainError, EquationKind, Grid, InitialCondition,
                   IntegratingFactorRK4, ModelParams, SimulationConfig,
-                  conservation_flux, full_rhs, linear_symbol,
-                  make_nonlinear_operator, nonlinear_rhs, run, shape_score,
+                  conservation_flux, err_metric, linear_symbol,
+                  make_nonlinear_operator, run, shape_score,
                   spectral_derivative, xcorr_mismatch)
+from fpu5.experiments import min_shift_difference
 from fpu5.spectral import derivative_multiplier, irfft, rfft
 
 
@@ -51,6 +52,14 @@ class TestGrid:
                 Grid(1.0, bad)
         with pytest.raises(DomainError):
             Grid(-1.0, 64)
+
+    def test_integral_n_required(self):
+        # a cast to int would silently build N = 64
+        with pytest.raises(DomainError, match="N must be an integer"):
+            Grid(40.0, 64.9)
+        for n in (64.0, np.int64(64), np.int32(64)):
+            g = Grid(40.0, n)
+            assert g.n == 64 and type(g.n) is int
 
     def test_size_mismatch_rejected(self, grid):
         with pytest.raises(ValueError):
@@ -494,9 +503,12 @@ class TestOneTransformPath:
             assert len(snaps) == 3
         u = snaps[-1].u
         v = np.roll(snaps[0].u, 3)
+        u_hat = rfft(u)
+        # KDV takes the third-order operator's mu = 0 branch, GARDNER the other
         for kind in EquationKind:
-            assert np.all(np.isfinite(nonlinear_rhs(kind, params, g, u)))
-            assert np.all(np.isfinite(full_rhs(kind, params, g, u)))
+            n_hat = make_nonlinear_operator(kind, params, g)(u_hat)
+            lam = linear_symbol(kind, params, g)
+            assert np.all(np.isfinite(irfft(lam * u_hat + n_hat, g.n)))
         for order in range(1, 6):
             assert np.all(np.isfinite(spectral_derivative(g, u, order)))
         assert np.all(np.isfinite(conservation_flux(params, g, u)))
@@ -507,12 +519,29 @@ class TestOneTransformPath:
         # np.fft.rfft refused it; a cast to float would drop its imaginary part
         g = Grid(40.0, 64)
         u = np.exp(1j * g.x)
+        v = np.cos(g.x)
         params = ModelParams(1.0, 0.1)
         for call in (lambda: spectral_derivative(g, u),
-                     lambda: nonlinear_rhs(EquationKind.KDV, params, g, u),
-                     lambda: conservation_flux(params, g, list(u))):
+                     lambda: conservation_flux(params, g, list(u)),
+                     lambda: err_metric(u, v),
+                     lambda: xcorr_mismatch(v, u),
+                     lambda: min_shift_difference(list(u), v),
+                     lambda: shape_score(v, u, g)):
             with pytest.raises(ValueError, match="complex"):
                 call()
+
+    def test_fields_of_unequal_length_are_refused(self):
+        # a broadcast would compare fields sampled on two different grids
+        g = Grid(40.0, 64)
+        u, short = np.cos(g.x), np.cos(g.x[:32])
+        for call in (lambda: err_metric(u, short),
+                     lambda: xcorr_mismatch(short, u),
+                     lambda: min_shift_difference(u, list(short))):
+            with pytest.raises(ValueError, match="fields must share a grid"):
+                call()
+        for a, b in ((u, short), (short, u)):
+            with pytest.raises(ValueError, match="grid expects"):
+                shape_score(a, b, g)
 
     def test_int_and_list_fields_give_the_float_fields_bytes(self):
         # np.fft took these and transformed them as float64

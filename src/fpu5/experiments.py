@@ -163,30 +163,28 @@ def build_initial_condition(config: SimulationConfig) -> np.ndarray:
     return snap.u
 
 
-def _schedule(config: SimulationConfig) -> tuple[float, int, int]:
-    """(snapshot interval, steps per snapshot, snapshot count) of a run.
+def _schedule(config: SimulationConfig) -> tuple[int, list[float]]:
+    """(steps per snapshot, stored times) of a run, known before any step.
 
-    The steps per snapshot are the fewest whose step, the interval over
-    their count, does not exceed the requested dt; a ratio within 1e-9
-    (relative) of a whole number keeps that number.  A run takes at least
-    one interval, however short its t_end.
+    The times are i * snap_dt, snap_dt = t_end / n_snap, for i = 0..n_snap:
+    only 0 when t_end is 0, at least one interval for any positive t_end.
+    The steps per snapshot are the fewest whose step does not exceed the
+    requested dt; a ratio within 1e-9 (relative) of a whole number keeps
+    that number.  _step_group stamps Snapshot.t from these times.
     """
+    if not config.t_end > 0:
+        return 1, [0.0]
     snap_dt = config.snapshot_interval or max(config.t_end / 50.0, config.dt)
     n_snap = max(1, int(np.ceil(config.t_end / snap_dt - 1e-9)))
     snap_dt = config.t_end / n_snap
     steps_per = max(1, int(np.ceil(snap_dt / config.dt * (1.0 - 1e-9))))
-    return snap_dt, steps_per, n_snap
+    return steps_per, [i * snap_dt for i in range(n_snap + 1)]
 
 
-def _snapshot_times(config: SimulationConfig) -> list[float]:
-    """The times run(config) stores, known before any step: i * snap_dt for
-    i = 0..n_snap of _schedule (only 0 when t_end is 0).  _step_group stamps
-    Snapshot.t from this list, so a study resolves its study times against
-    the very times the run stores."""
-    if not config.t_end > 0:
-        return [0.0]
-    snap_dt, _, n_snap = _schedule(config)
-    return [i * snap_dt for i in range(n_snap + 1)]
+def _time_tol(t: float) -> float:
+    """A stored time this close to t is t, so a sum such as t_fix + interval
+    that rounds an ulp away still finds its snapshot."""
+    return 1e-9 * max(1.0, abs(t))
 
 
 def run(config: SimulationConfig) -> list[Snapshot]:
@@ -202,11 +200,10 @@ def run_batch(configs: list[SimulationConfig]) -> list[list[Snapshot]]:
     """Integrate several configurations; one snapshot list per config.
 
     Rows that share equation kind, stepper class, grid (L and N) and
-    resolved schedule (snapshot interval, steps per snapshot, snapshot
-    count, hence dt) step together as one (B, N//2 + 1) half-spectrum
-    state, with delta and mu set per row.  Other rows run as groups of
-    their own through the same loop.
-    Each row's snapshots are bit-identical to those of ``run`` on its config
+    schedule (steps per snapshot and stored times, hence dt) step together
+    as one (B, N//2 + 1) half-spectrum state, with delta and mu set per row.
+    Other rows run as groups of their own through the same loop.  Each
+    row's snapshots are bit-identical to those of ``run`` on its config
     alone.
 
     When a row loses finiteness, raises BlowUpError naming that row (its
@@ -218,9 +215,10 @@ def run_batch(configs: list[SimulationConfig]) -> list[list[Snapshot]]:
     for i, config in enumerate(configs):
         u0 = build_initial_condition(config)
         results.append([Snapshot(0.0, u0.copy())])
-        if config.t_end > 0:
+        steps_per, times = _schedule(config)
+        if len(times) > 1:
             key = (config.kind, config.scheme, config.grid.length,
-                   config.grid.n, *_schedule(config))
+                   config.grid.n, steps_per, tuple(times))
             groups.setdefault(key, []).append(i)
     for rows in groups.values():
         _step_group([configs[i] for i in rows], [results[i] for i in rows],
@@ -232,14 +230,13 @@ def _step_group(configs, snapshots, rows):
     """Step the rows of one group together, appending to their snapshots."""
     kind, grid = configs[0].kind, configs[0].grid
     params = [config.params for config in configs]
-    snap_dt, steps_per, _ = _schedule(configs[0])
+    steps_per, times = _schedule(configs[0])
     symbol = linear_symbol(kind, params, grid)
     nonlinear = make_nonlinear_operator(kind, params, grid)
-    stepper = configs[0].scheme(symbol, nonlinear, snap_dt / steps_per)
+    stepper = configs[0].scheme(symbol, nonlinear, times[1] / steps_per)
 
     u0 = np.stack([s[0].u for s in snapshots], dtype=float)
     u_hat = spectral.rfft(u0)
-    times = _snapshot_times(configs[0])
     # overflow is diagnosed through the explicit finiteness check, so the
     # intermediate numpy warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -289,7 +286,8 @@ def mass_drift(snapshots: list[Snapshot]) -> float:
 
 
 def _field_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Two real fields of one shape as float64 arrays, or ValueError."""
+    """Two real, finite, one-dimensional, non-empty fields of one shape as
+    float64 arrays, or ValueError."""
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         raise ValueError("a field is real, not complex")
     a = np.asarray(a, dtype=float)
@@ -297,6 +295,12 @@ def _field_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     if a.shape != b.shape:
         raise ValueError(f"fields must share a grid: shapes {a.shape} "
                          f"and {b.shape}")
+    if a.ndim != 1:
+        raise ValueError(f"a field is one-dimensional, not of shape {a.shape}")
+    if a.size == 0:
+        raise ValueError("a field needs at least one sample")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("a field has a non-finite sample")
     return a, b
 
 
@@ -479,17 +483,16 @@ def _snapshot_index(times: np.ndarray, t_fix: float, skip: float,
                     later: bool = False) -> tuple[int, list[int]]:
     """Index of the snapshot at t_fix, and of its candidates: the snapshots
     at or after t_fix + skip (``later``, for recurrence_table: after the
-    t_fix snapshot, counted from its stored time).  A stored time within
-    1e-9 max(1, |t_fix|) of t_fix is t_fix, so a sum such as t_fix + interval
-    that rounds an ulp away still finds its snapshot.  DomainError for a
-    non-finite t_fix, a negative or non-finite skip, no such stored time, or
-    no candidate.  The one check of a recurrence request; it reads only the
-    times, so a study makes it on _snapshot_times before any step."""
+    t_fix snapshot, counted from its stored time), both within _time_tol.
+    DomainError for a non-finite t_fix, a negative or non-finite skip, no
+    such stored time, or no candidate.  The one check of a recurrence
+    request; it reads only the times, so a study makes it on the times of
+    _schedule before any step."""
     if not math.isfinite(t_fix):
         raise DomainError(f"t_fix must be finite, got {t_fix:g}")
     if not (math.isfinite(skip) and skip >= 0):
         raise DomainError(f"skip must be finite and nonnegative, got {skip:g}")
-    tol = 1e-9 * max(1.0, abs(t_fix))
+    tol = _time_tol(t_fix)
     hits = np.nonzero(np.abs(times - t_fix) <= tol)[0]
     if hits.size == 0:
         raise DomainError("t_fix must be one of the snapshot times")
@@ -613,21 +616,21 @@ def _score_checks(arms: dict, tags: list[str]) -> tuple[dict, dict]:
     return checks, tables
 
 
-def _study_index(config: SimulationConfig, t: float) -> int:
-    """Index of the snapshot of run(config) nearest the study time t, from
-    _snapshot_times before any step.  DomainError for a non-finite t, and
-    for t before 0 or beyond t_end (by over 1e-9 max(1, |t|)), whose nearest
-    snapshot, the first or the last, would stand in."""
+def _study_index(times: list[float], t: float) -> int:
+    """Index of the stored time nearest the study time t, from the times of
+    _schedule before any step.  DomainError for a non-finite t, and for t
+    before the first or beyond the last stored time (by over _time_tol),
+    whose nearest snapshot, the first or the last, would stand in."""
     if not math.isfinite(t):
         raise DomainError(f"study time {t:g} must be finite")
-    tol = 1e-9 * max(1.0, abs(t))
+    tol = _time_tol(t)
     if t < -tol:
         raise DomainError(f"study time {t:g} lies before the run, which "
                           "starts at t = 0")
-    if t > config.t_end + tol:
+    if t > times[-1] + tol:
         raise DomainError(f"study time {t:g} lies beyond the last snapshot "
-                          f"of the run to t_end = {config.t_end:g}")
-    return int(np.argmin(np.abs(np.array(_snapshot_times(config)) - t)))
+                          f"of the run to t_end = {times[-1]:g}")
+    return int(np.argmin(np.abs(np.array(times) - t)))
 
 
 def _kink_validation_study(fx: dict) -> StudyResult:
@@ -644,7 +647,8 @@ def _kink_validation_study(fx: dict) -> StudyResult:
 def _soliton_perturbation_study(fx: dict) -> StudyResult:
     setup = dict(grid=Grid(fx["length"], fx["n"]), **{key: fx[key] for key in (
         "delta", "k", "mus", "dt", "t_end", "snapshot_interval")})
-    i_late = _study_index(_soliton_configs(**setup)[1], fx["destruction_by"])
+    _, times = _schedule(_soliton_configs(**setup)[1])
+    i_late = _study_index(times, fx["destruction_by"])
     arms = soliton_perturbation(**setup)
     checks, tables = _score_checks(arms, [f"mu_{mu:g}" for mu in arms])
     clean, perturbed = arms[fx["mus"][0]], arms[fx["mus"][1]]
@@ -676,6 +680,8 @@ def _gardner_study(fx: dict) -> StudyResult:
     configs = _contrast_configs(
         fx, grid, (EquationKind.GARDNER, EquationKind.FPU5),
         InitialCondition("gardner_soliton", c0=fx["c0"]))
+    # refuses a deform_by the fifth-order run cannot decide, before any step
+    _study_index(_schedule(configs[1])[1], fx["deform_by"])
     arms = {c.kind: _arm(snapshots, scores=shape_score_series(snapshots, grid))
             for c, snapshots in zip(configs, run_batch(configs))}
     checks, tables = _score_checks(arms, [kind.value for kind in arms])
@@ -696,23 +702,25 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
     Per arm, xcorr_mismatch gives ``recurrence_score``, the best match with
     u(0) inside recurrence_window, and ``figure_pair_score``, the mismatch
     between the snapshots nearest the two figure_times, all resolved from
-    _snapshot_times before any step.  DomainError refuses a window that
-    holds t = 0 (u(0) matches itself: a zero KdV score and divisor), a
-    window that holds no snapshot and a figure time beyond the run."""
+    the times of _schedule before any step; a window end holds a stored
+    time within _time_tol of it.  DomainError refuses a window that holds
+    t = 0 (u(0) matches itself: a zero KdV score and divisor), a window
+    that holds no snapshot and a figure time beyond the run."""
     lo, hi = fx["recurrence_window"]
-    if lo <= 0.0 <= hi:
-        raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds t = 0, "
-                          "where u(0) matches itself")
     configs = _contrast_configs(fx, Grid(fx["length"], fx["n"]),
                                 (EquationKind.KDV, EquationKind.FPU5),
                                 InitialCondition("cosine"))
     # both arms share t_end and snapshot_interval, so one schedule serves
-    times = np.array(_snapshot_times(configs[0]))
-    in_window = np.flatnonzero((times >= lo) & (times <= hi))
+    times = np.array(_schedule(configs[0])[1])
+    in_window = np.flatnonzero((times >= lo - _time_tol(lo))
+                               & (times <= hi + _time_tol(hi)))
     if in_window.size == 0:
         raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds no "
                           f"snapshot of the run to t_end = {fx['t_end']:g}")
-    i_early, i_late = [_study_index(configs[0], t) for t in fx["figure_times"]]
+    if in_window[0] == 0:
+        raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds t = 0, "
+                          "where u(0) matches itself")
+    i_early, i_late = [_study_index(times, t) for t in fx["figure_times"]]
     arms, checks, snapshots = {}, {}, {}
     for config, run_snaps in zip(configs, run_batch(configs)):
         kind = config.kind
@@ -742,7 +750,7 @@ def _recurrence_study(fx: dict) -> StudyResult:
         grid=Grid(fx["length"], fx["n"]), dt=fx["dt"], t_end=fx["t_end"],
         snapshot_interval=fx["snapshot_interval"])
     # the scan's and the table's refusals, before any step
-    times = np.array(_snapshot_times(config))
+    times = np.array(_schedule(config)[1])
     _snapshot_index(times, fx["t_fix"], fx["scan_skip"])
     _snapshot_index(times, fx["t_fix"], fx["table_skip"], later=True)
     snapshots = run(config)

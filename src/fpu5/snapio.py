@@ -15,6 +15,7 @@ import math
 import time
 import typing
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -188,19 +189,21 @@ def read_series(manifest_path) -> tuple[list[Snapshot], tuple[int, float]]:
 
 _IC_FIELD_TYPES = typing.get_type_hints(InitialCondition)
 
+# key -> (the type its text parses to, its attribute path in SimulationConfig)
 _CONFIG_KEYS = {
-    "kind": str,
-    "delta": float,
-    "mu": float,
-    "L": float,
-    "N": int,
-    "t_end": float,
-    "dt": float,
-    "snapshot_interval": float,
-    "initial_condition": str,
+    "kind": (str, "kind.value"),
+    "delta": (float, "params.delta"),
+    "mu": (float, "params.mu"),
+    "L": (float, "grid.length"),
+    "N": (int, "grid.n"),
+    "t_end": (float, "t_end"),
+    "dt": (float, "dt"),
+    "snapshot_interval": (float, "snapshot_interval"),
+    "initial_condition": (str, "initial_condition.name"),
     # ic_<field> for each field an initial condition takes, parsed as the
     # field's annotation says: float | None -> float
-    **{f"ic_{attr}": typing.get_args(_IC_FIELD_TYPES[attr])[0]
+    **{f"ic_{attr}": (typing.get_args(_IC_FIELD_TYPES[attr])[0],
+                      f"initial_condition.{attr}")
        for attr in IC_PARAMS.values() if attr is not None},
 }
 _REQUIRED = ("kind", "delta", "mu", "L", "N", "t_end", "dt")
@@ -234,7 +237,7 @@ def parse_config(text: str) -> SimulationConfig:
     values: dict[str, object] = {}
     for key, text_value in raw.items():
         try:
-            values[key] = _CONFIG_KEYS[key](text_value)
+            values[key] = _CONFIG_KEYS[key][0](text_value)
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {text_value!r}") from None
 
@@ -256,20 +259,8 @@ def parse_config(text: str) -> SimulationConfig:
 
 
 def config_to_dict(config: SimulationConfig) -> dict:
-    """Manifest echo of a run configuration."""
-    ic = config.initial_condition
-    out = {
-        "kind": config.kind.value,
-        "delta": config.params.delta,
-        "mu": config.params.mu,
-        "L": config.grid.length,
-        "N": config.grid.n,
-        "t_end": config.t_end,
-        "dt": config.dt,
-        "snapshot_interval": config.snapshot_interval,
-        "initial_condition": ic.name,
-    }
-    attr = IC_PARAMS[ic.name]
-    if attr is not None:
-        out[f"ic_{attr}"] = getattr(ic, attr)
-    return out
+    """Manifest echo of a run configuration, with its own ic_ key only."""
+    own = f"ic_{IC_PARAMS[config.initial_condition.name]}"
+    return {key: attrgetter(path)(config)
+            for key, (_, path) in _CONFIG_KEYS.items()
+            if not key.startswith("ic_") or key == own}

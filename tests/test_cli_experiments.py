@@ -6,6 +6,7 @@ fixtures; here each study is driven end to end through the CLI on a cheap
 variant to check the reporting and file layout.
 """
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,15 @@ def test_zabusky_kruskal_rejects_an_empty_recurrence_window(monkeypatch):
      r"^study time -inf must be finite$"),
     ("soliton-perturbation", {"t_end": 0.5, "destruction_by": np.nan},
      r"^study time nan must be finite$"),
+    # a verdict on a run that never reaches deform_by = 8.75, or on a
+    # deadline no run can meet
+    ("gardner", {"t_end": 0.25},
+     r"^study time 8.75 lies beyond the last snapshot of the run to "
+     r"t_end = 0.25$"),
+    ("gardner", {"t_end": 0.5, "deform_by": -1.0},
+     r"^study time -1 lies before the run, which starts at t = 0$"),
+    ("gardner", {"t_end": 0.5, "deform_by": np.nan},
+     r"^study time nan must be finite$"),
     # the t = 0 snapshot would stand in for the first figure time
     ("zabusky-kruskal", {"t_end": 0.1, "figure_times": (-3.0, 0.1),
                          "recurrence_window": (0.02, 0.1)},
@@ -278,7 +288,9 @@ def test_zabusky_kruskal_rejects_an_empty_recurrence_window(monkeypatch):
      r"\(skip 10\)$"),
 ], ids=["zabusky-kruskal", "soliton-perturbation",
         "soliton-perturbation-before-run", "soliton-perturbation-minus-inf",
-        "soliton-perturbation-nan", "zabusky-kruskal-figure-before-run",
+        "soliton-perturbation-nan", "gardner-deform_by-beyond-run",
+        "gardner-deform_by-before-run", "gardner-deform_by-nan",
+        "zabusky-kruskal-figure-before-run",
         "zabusky-kruskal-window-between-snapshots",
         "recurrence-t_fix-off-schedule", "recurrence-t_fix-beyond-run",
         "recurrence-scan_skip-past-run", "recurrence-table_skip-past-run"])
@@ -310,17 +322,17 @@ SHORT = {
 def test_study_times_resolve_against_the_times_the_run_stores(name,
                                                               monkeypatch):
     # the times each study resolves against before stepping, the times
-    # _snapshot_times gives for each run it steps and that run's snapshot
-    # times are equal byte for byte
+    # _schedule gives for each run it steps and that run's snapshot times
+    # are equal byte for byte
     import fpu5.experiments as exps
     resolved, stored, stepping = [], {}, []
-    real_times, real_run_batch = exps._snapshot_times, exps.run_batch
+    real_schedule, real_run_batch = exps._schedule, exps.run_batch
 
-    def recorded_times(config):
-        times = real_times(config)
+    def recorded_schedule(config):
+        steps_per, times = real_schedule(config)
         if not stepping:
             resolved.append((repr(config), np.array(times)))
-        return times
+        return steps_per, times
 
     def recorded_run_batch(configs):
         stepping.append(True)
@@ -328,19 +340,53 @@ def test_study_times_resolve_against_the_times_the_run_stores(name,
         for config, snapshots in zip(configs, results):
             stored[repr(config)] = np.array([s.t for s in snapshots])
             assert stored[repr(config)].tobytes() == np.array(
-                real_times(config)).tobytes()
+                real_schedule(config)[1]).tobytes()
         return results
 
-    monkeypatch.setattr(exps, "_snapshot_times", recorded_times)
+    monkeypatch.setattr(exps, "_schedule", recorded_schedule)
     monkeypatch.setattr(exps, "run_batch", recorded_run_batch)
     fx = {**EXPERIMENTS[name], **SHORT[name]}
     STUDIES[name](fx)
-    # kink-validation and gardner resolve no study time
-    assert bool(resolved) is (name not in ("kink-validation", "gardner"))
+    # kink-validation resolves no study time
+    assert bool(resolved) is (name != "kink-validation")
     for config, times in resolved:
         assert times.tobytes() == stored[config].tobytes()
     for times in stored.values():
         assert len(times) > 2 and times[-1] == pytest.approx(fx["t_end"])
+
+
+# the keys of each EXPERIMENTS entry that name a time of its run
+STUDY_TIME_KEYS = {
+    "kink-validation": (),
+    "soliton-perturbation": ("destruction_by",),
+    "gardner": ("deform_by",),
+    "zabusky-kruskal": ("figure_times", "recurrence_window"),
+    "recurrence": ("t_fix",),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_every_study_time_key_is_listed(name):
+    # a key named like a study time is held to the refusal below
+    named = {key for key in EXPERIMENTS[name]
+             if re.fullmatch(r".*_by|.*_times|.*_window|t_fix", key)}
+    assert named == set(STUDY_TIME_KEYS[name])
+
+
+@pytest.mark.parametrize("name, key", [
+    (name, key) for name, keys in STUDY_TIME_KEYS.items() for key in keys])
+def test_each_study_time_beyond_a_short_run_is_refused(name, key,
+                                                       monkeypatch):
+    refuse_to_step(monkeypatch)
+    fx = {**EXPERIMENTS[name], **SHORT[name]}
+    # the short run holds every study time, so the study reaches its step
+    with pytest.raises(AssertionError, match="run_batch called"):
+        STUDIES[name](fx)
+    beyond = fx["t_end"] + 1.0
+    fx[key] = ((beyond,) * len(fx[key]) if isinstance(fx[key], tuple)
+               else beyond)
+    with pytest.raises(DomainError):
+        STUDIES[name](fx)
 
 
 def test_experiment_cli_refuses_an_off_schedule_t_fix_before_any_step(
@@ -361,6 +407,15 @@ def test_zabusky_kruskal_rejects_a_recurrence_window_holding_t_0(window):
           "recurrence_window": window}
     with pytest.raises(DomainError, match=r"holds t = 0"):
         STUDIES["zabusky-kruskal"](fx)
+
+
+def test_a_recurrence_window_ending_on_a_stored_time_holds_it():
+    # snapshot 3 is stored at 3 * 0.05, an ulp above 0.15, which a study
+    # time or t_fix of 0.15 already names; so does a window ending at 0.15
+    assert 3 * 0.05 != 0.15
+    fx = {**SMALL["zabusky-kruskal"], "recurrence_window": (0.15, 0.15)}
+    for arm in STUDIES["zabusky-kruskal"](fx).arms.values():
+        assert arm["recurrence_time"] == arm["times"][3] == 3 * 0.05
 
 
 # every subcommand, with "{cfg}" a KINK_CONFIG file and "{sim}" the manifest

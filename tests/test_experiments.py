@@ -13,8 +13,8 @@ from fpu5 import (ETDRK4, EXPERIMENTS, BlowUpError, DomainError, EquationKind,
                   linear_symbol, make_nonlinear_operator, mass_drift,
                   recurrence_scan, recurrence_table, run, run_batch,
                   shape_score, write_snapshots, xcorr_mismatch)
-from fpu5.experiments import (Snapshot, _schedule, _snapshot_times,
-                              build_initial_condition, min_shift_difference)
+from fpu5.experiments import (Snapshot, _schedule, build_initial_condition,
+                              min_shift_difference)
 from fpu5.spectral import derivative_multiplier
 
 
@@ -95,7 +95,7 @@ class TestRun:
         # still takes one, of length t_end, in one step
         config = small_config(kind=EquationKind.KDV, t_end=1e-12, dt=1e-3,
                               snapshot_interval=1.0)
-        assert _schedule(config) == (1e-12, 1, 1)
+        assert _schedule(config) == (1, [0.0, 1e-12])
         snaps = run(config)
         assert [s.t for s in snaps] == [0.0, 1e-12]
         assert np.all(np.isfinite(snaps[1].u))
@@ -208,8 +208,9 @@ class TestSchedule:
         (0.1, 0.1 / 3, 3), (0.07, 0.01, 7), (0.28, 0.02, 14)])
     def test_step_never_exceeds_requested_dt(self, interval, dt, steps):
         config = small_config(dt=dt, snapshot_interval=interval, t_end=interval)
-        snap_dt, steps_per, n_snap = _schedule(config)
-        assert (snap_dt, n_snap) == (interval, 1)
+        steps_per, times = _schedule(config)
+        snap_dt = times[1]
+        assert times == [0.0, interval]
         assert steps_per == steps
         assert snap_dt / steps_per <= dt * (1 + 1e-9)
         if steps_per > 1:
@@ -220,7 +221,7 @@ class TestSchedule:
     def test_snapshot_times_are_the_stored_times(self, t_end):
         config = small_config(t_end=t_end)
         stored = [s.t for s in run(config)]
-        assert np.array(_snapshot_times(config)).tobytes() == \
+        assert np.array(_schedule(config)[1]).tobytes() == \
             np.array(stored).tobytes()
 
 

@@ -543,6 +543,22 @@ class TestOneTransformPath:
             with pytest.raises(ValueError, match="grid expects"):
                 shape_score(a, b, g)
 
+    # a nan score fails every threshold without an error; a stack or an
+    # empty pair has no one score
+    @pytest.mark.parametrize("a, b, match", [
+        (np.full(64, np.nan), np.ones(64), "^a field has a non-finite sample$"),
+        (np.ones(64), np.r_[np.ones(63), np.inf],
+         "^a field has a non-finite sample$"),
+        (np.ones((2, 64)), np.ones((2, 64)),
+         r"^a field is one-dimensional, not of shape \(2, 64\)$"),
+        (np.ones(0), np.ones(0), "^a field needs at least one sample$"),
+    ], ids=["nan", "inf", "stack", "empty"])
+    def test_a_field_the_metrics_cannot_score_is_refused(self, a, b, match):
+        for call in (lambda: err_metric(a, b), lambda: xcorr_mismatch(a, b),
+                     lambda: min_shift_difference(a, b)):
+            with pytest.raises(ValueError, match=match):
+                call()
+
     def test_int_and_list_fields_give_the_float_fields_bytes(self):
         # np.fft took these and transformed them as float64
         g = Grid(40.0, 64)

@@ -187,6 +187,13 @@ def _time_tol(t: float) -> float:
     return 1e-9 * max(1.0, abs(t))
 
 
+def _span(times, lo: float, hi: float) -> range:
+    """Indices of the ascending stored times in [lo, hi], each end widened
+    by _time_tol: the one rule by which a study time names snapshots."""
+    return range(int(np.searchsorted(times, lo - _time_tol(lo), "left")),
+                 int(np.searchsorted(times, hi + _time_tol(hi), "right")))
+
+
 def run(config: SimulationConfig) -> list[Snapshot]:
     """Integrate and return snapshots at 0, dt_snap, ..., t_end.
 
@@ -480,10 +487,10 @@ def soliton_perturbation(*, delta: float, k: float, mus, grid: Grid,
 
 
 def _snapshot_index(times: np.ndarray, t_fix: float, skip: float,
-                    later: bool = False) -> tuple[int, list[int]]:
+                    later: bool = False) -> tuple[int, range]:
     """Index of the snapshot at t_fix, and of its candidates: the snapshots
     at or after t_fix + skip (``later``, for recurrence_table: after the
-    t_fix snapshot, counted from its stored time), both within _time_tol.
+    t_fix snapshot, counted from its stored time), both through _span.
     DomainError for a non-finite t_fix, a negative or non-finite skip, no
     such stored time, or no candidate.  The one check of a recurrence
     request; it reads only the times, so a study makes it on the times of
@@ -492,30 +499,28 @@ def _snapshot_index(times: np.ndarray, t_fix: float, skip: float,
         raise DomainError(f"t_fix must be finite, got {t_fix:g}")
     if not (math.isfinite(skip) and skip >= 0):
         raise DomainError(f"skip must be finite and nonnegative, got {skip:g}")
-    tol = _time_tol(t_fix)
-    hits = np.nonzero(np.abs(times - t_fix) <= tol)[0]
-    if hits.size == 0:
+    fix = _span(times, t_fix, t_fix)
+    if not fix:
         raise DomainError("t_fix must be one of the snapshot times")
-    i_fix = int(hits[0])
-    start, base = (i_fix + 1, times[i_fix]) if later else (0, t_fix)
-    sel = [i for i in range(start, len(times)) if times[i] >= base + skip - tol]
+    start, base = (fix[0] + 1, times[fix[0]]) if later else (0, t_fix)
+    sel = range(max(start, _span(times, base + skip, np.inf).start), len(times))
     if not sel:
         raise DomainError(f"t_fix {t_fix:g} has no {'later ' * later}snapshot "
                           f"at or after t_fix + skip (skip {skip:g})")
-    return i_fix, sel
+    return fix[0], sel
 
 
 def recurrence_scan(snapshots: list[Snapshot], t_fix: float,
                     skip: float = 0.0) -> RecurrenceReport:
     """Minimal circular difference of each later snapshot from the t_fix one.
 
-    d(t) = min over all integer circular shifts of
-    err_metric(shift(u_fix), u(t)).  Local minima (smallest d in a centered
-    window) mark near-recurrences; the period is the mean gap between
-    consecutive minima, or None when fewer than two are found.  Raises
-    DomainError for a t_fix off the snapshot times, a non-finite t_fix, a
-    negative or non-finite skip, or when no snapshot lies at or after
-    t_fix + skip.
+    Snapshots are in time order.  d(t) = min over all integer circular
+    shifts of err_metric(shift(u_fix), u(t)).  Local minima (smallest d in
+    a centered window) mark near-recurrences; the period is the mean gap
+    between consecutive minima, or None when fewer than two are found.
+    Raises DomainError for a t_fix off the snapshot times, a non-finite
+    t_fix, a negative or non-finite skip, or when no snapshot lies at or
+    after t_fix + skip.
     """
     times = np.array([s.t for s in snapshots])
     i_fix, sel = _snapshot_index(times, t_fix, skip)
@@ -617,20 +622,20 @@ def _score_checks(arms: dict, tags: list[str]) -> tuple[dict, dict]:
 
 
 def _study_index(times: list[float], t: float) -> int:
-    """Index of the stored time nearest the study time t, from the times of
-    _schedule before any step.  DomainError for a non-finite t, and for t
-    before the first or beyond the last stored time (by over _time_tol),
-    whose nearest snapshot, the first or the last, would stand in."""
+    """Index of the last stored time at or before the study time t, through
+    _span on the times of _schedule before any step.  DomainError for a
+    non-finite t, and for t before the first or beyond the last stored time,
+    where the first or the last snapshot would stand in."""
     if not math.isfinite(t):
         raise DomainError(f"study time {t:g} must be finite")
-    tol = _time_tol(t)
-    if t < -tol:
+    upto = _span(times, -np.inf, t)
+    if not upto:
         raise DomainError(f"study time {t:g} lies before the run, which "
                           "starts at t = 0")
-    if t > times[-1] + tol:
+    if not _span(times, t, np.inf):
         raise DomainError(f"study time {t:g} lies beyond the last snapshot "
                           f"of the run to t_end = {times[-1]:g}")
-    return int(np.argmin(np.abs(np.array(times) - t)))
+    return upto[-1]
 
 
 def _kink_validation_study(fx: dict) -> StudyResult:
@@ -647,8 +652,7 @@ def _kink_validation_study(fx: dict) -> StudyResult:
 def _soliton_perturbation_study(fx: dict) -> StudyResult:
     setup = dict(grid=Grid(fx["length"], fx["n"]), **{key: fx[key] for key in (
         "delta", "k", "mus", "dt", "t_end", "snapshot_interval")})
-    _, times = _schedule(_soliton_configs(**setup)[1])
-    i_late = _study_index(times, fx["destruction_by"])
+    i_late = _study_index(_schedule(_soliton_configs(**setup)[1])[1], fx["destruction_by"])
     arms = soliton_perturbation(**setup)
     checks, tables = _score_checks(arms, [f"mu_{mu:g}" for mu in arms])
     clean, perturbed = arms[fx["mus"][0]], arms[fx["mus"][1]]
@@ -681,18 +685,17 @@ def _gardner_study(fx: dict) -> StudyResult:
         fx, grid, (EquationKind.GARDNER, EquationKind.FPU5),
         InitialCondition("gardner_soliton", c0=fx["c0"]))
     # refuses a deform_by the fifth-order run cannot decide, before any step
-    _study_index(_schedule(configs[1])[1], fx["deform_by"])
+    i_by = _study_index(_schedule(configs[1])[1], fx["deform_by"])
     arms = {c.kind: _arm(snapshots, scores=shape_score_series(snapshots, grid))
             for c, snapshots in zip(configs, run_batch(configs))}
     checks, tables = _score_checks(arms, [kind.value for kind in arms])
     # the fifth-order run must first cross the threshold by deform_by
     fifth = arms[EquationKind.FPU5]
-    crossed = fifth["scores"] > fx["deform_threshold"]
-    deform_time = float(fifth["times"][np.argmax(crossed)]) if crossed.any() else None
-    checks["fpu5_deform_time"] = deform_time
+    crossed = np.flatnonzero(fifth["scores"] > fx["deform_threshold"])
+    checks["fpu5_deform_time"] = float(fifth["times"][crossed[0]]) if crossed.size else None
     checks["pass"] = bool(
         checks["gardner_max_score"] < fx["hold_bound"]
-        and deform_time is not None and deform_time <= fx["deform_by"])
+        and crossed.size > 0 and crossed[0] <= i_by)
     return StudyResult(arms, checks, tables)
 
 
@@ -701,20 +704,19 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
     the fifth-order equation scatters energy out of its modes and does not.
     Per arm, xcorr_mismatch gives ``recurrence_score``, the best match with
     u(0) inside recurrence_window, and ``figure_pair_score``, the mismatch
-    between the snapshots nearest the two figure_times, all resolved from
-    the times of _schedule before any step; a window end holds a stored
-    time within _time_tol of it.  DomainError refuses a window that holds
-    t = 0 (u(0) matches itself: a zero KdV score and divisor), a window
-    that holds no snapshot and a figure time beyond the run."""
+    between the snapshots at or before the two figure_times, all resolved
+    through _span from the times of _schedule before any step.  DomainError
+    refuses a window that holds t = 0 (u(0) matches itself: a zero KdV score
+    and divisor), a window that holds no snapshot and a figure time beyond
+    the run."""
     lo, hi = fx["recurrence_window"]
     configs = _contrast_configs(fx, Grid(fx["length"], fx["n"]),
                                 (EquationKind.KDV, EquationKind.FPU5),
                                 InitialCondition("cosine"))
     # both arms share t_end and snapshot_interval, so one schedule serves
     times = np.array(_schedule(configs[0])[1])
-    in_window = np.flatnonzero((times >= lo - _time_tol(lo))
-                               & (times <= hi + _time_tol(hi)))
-    if in_window.size == 0:
+    in_window = _span(times, lo, hi)
+    if not in_window:
         raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds no "
                           f"snapshot of the run to t_end = {fx['t_end']:g}")
     if in_window[0] == 0:

@@ -191,6 +191,53 @@ def test_gardner_passes_when_the_score_first_crosses_by_deform_by(
     assert checks["pass"] is passes
 
 
+def fake_scored_runs(monkeypatch, scores, row):
+    """Replace stepping and shape scoring: the snapshots of a config carry
+    the preset scores[row(config)], stamped with the times _schedule gives
+    that config."""
+    import fpu5.experiments as exps
+
+    def fake_run_batch(configs):
+        return [[Snapshot(t, np.full(4, score)) for t, score in zip(
+            exps._schedule(c)[1], scores[row(c)], strict=True)]
+            for c in configs]
+
+    monkeypatch.setattr(exps, "run_batch", fake_run_batch)
+    monkeypatch.setattr(exps, "shape_score_series",
+                        lambda snapshots, grid: np.array([s.u[0] for s in snapshots]))
+
+
+def test_gardner_passes_when_the_first_crossing_is_stored_at_deform_by(
+        monkeypatch):
+    # snapshot 3 is stored at 3 * 0.05, an ulp above deform_by = 0.15; it
+    # is deform_by's snapshot, so a first crossing there is in time
+    fake_scored_runs(monkeypatch, {
+        EquationKind.GARDNER: [0.0, 1e-3, 2e-3, 2e-3, 1e-3, 0.0],
+        EquationKind.FPU5: [0.0, 0.01, 0.02, 0.5, 0.5, 0.5]},
+        lambda c: c.kind)
+    fx = {**SMALL["gardner"], "t_end": 0.25, "snapshot_interval": 0.05,
+          "deform_by": 0.15}
+    checks = STUDIES["gardner"](fx).checks
+    assert checks["fpu5_deform_time"] == 3 * 0.05 != 0.15
+    assert checks["pass"] is True
+
+
+def test_soliton_perturbation_reads_the_score_at_or_before_destruction_by(
+        monkeypatch):
+    # stored times 0, 1/60, 1/30 and 0.05: the deadline 0.03 lies between
+    # 1/60 and 1/30, so the verdict reads the score at 1/60, which is below
+    # the destruction threshold 0.1, and not the later one at 1/30
+    fake_scored_runs(monkeypatch, {0.0: [0.0, 1e-3, 2e-3, 3e-3],
+                                   0.05: [0.0, 0.05, 0.5, 0.5]},
+                     lambda c: c.params.mu)
+    fx = {**EXPERIMENTS["soliton-perturbation"],
+          **SHORT["soliton-perturbation"]}
+    assert fx["destruction_by"] == 0.03
+    result = STUDIES["soliton-perturbation"](fx)
+    assert result.arms[0.05]["times"][1:3] == pytest.approx([1 / 60, 1 / 30])
+    assert result.checks["pass"] is False
+
+
 @pytest.mark.parametrize("name, ic, kinds", [
     ("gardner", InitialCondition("gardner_soliton", c0=1.0),
      [EquationKind.GARDNER, EquationKind.FPU5]),
@@ -387,6 +434,31 @@ def test_each_study_time_beyond_a_short_run_is_refused(name, key,
                else beyond)
     with pytest.raises(DomainError):
         STUDIES[name](fx)
+
+
+@pytest.mark.parametrize("name, key", [
+    (name, key) for name, keys in STUDY_TIME_KEYS.items() for key in keys])
+def test_each_frozen_study_time_is_a_stored_time(name, key, monkeypatch):
+    # the acceptance suite checks the frozen verdicts with rules of its own,
+    # the nearest stored time and a raw comparison with deform_by; they read
+    # the snapshot a study reads only while every frozen study time is a
+    # stored time of its run, which this holds without stepping
+    import fpu5.experiments as exps
+    resolved, real_schedule = [], exps._schedule
+
+    def recorded_schedule(config):
+        steps_per, times = real_schedule(config)
+        resolved.append(times)
+        return steps_per, times
+
+    monkeypatch.setattr(exps, "_schedule", recorded_schedule)
+    refuse_to_step(monkeypatch)
+    with pytest.raises(AssertionError, match="run_batch called"):
+        STUDIES[name](EXPERIMENTS[name])
+    assert resolved
+    for t in np.atleast_1d(EXPERIMENTS[name][key]):
+        for times in resolved:
+            assert exps._span(times, t, t), f"{key} {t:g} is no stored time"
 
 
 def test_experiment_cli_refuses_an_off_schedule_t_fix_before_any_step(

@@ -13,7 +13,8 @@ from fpu5 import (ETDRK4, EXPERIMENTS, BlowUpError, DomainError, EquationKind,
                   linear_symbol, make_nonlinear_operator, mass_drift,
                   recurrence_scan, recurrence_table, run, run_batch,
                   shape_score, write_snapshots, xcorr_mismatch)
-from fpu5.experiments import (Snapshot, _schedule, build_initial_condition,
+from fpu5.experiments import (Snapshot, _schedule, _span, _study_index,
+                              _time_tol, build_initial_condition,
                               min_shift_difference)
 from fpu5.spectral import derivative_multiplier
 
@@ -223,6 +224,51 @@ class TestSchedule:
         stored = [s.t for s in run(config)]
         assert np.array(_schedule(config)[1]).tobytes() == \
             np.array(stored).tobytes()
+
+
+class TestStudyTimeRule:
+    # the one rule by which a study time names snapshots, on the stored
+    # times _schedule gives: a deadline or figure time reads the last stored
+    # time at or before it, a window holds the stored times inside it, and
+    # each end counts within _time_tol
+    @staticmethod
+    def draw_times(data):
+        dt = data.draw(st.floats(1e-3, 0.5), label="dt")
+        interval = data.draw(st.floats(dt, 1.0), label="snapshot_interval")
+        t_end = data.draw(st.floats(1e-3, 5.0), label="t_end")
+        times = _schedule(small_config(
+            t_end=t_end, snapshot_interval=interval, dt=dt))[1]
+        return t_end, interval, times
+
+    @staticmethod
+    def draw_time(data, t_end, interval):
+        # a free time in the run, or a sum of intervals, which lands on a
+        # stored time up to rounding when t_end is a whole number of them
+        k = data.draw(st.integers(0, int(t_end / interval)), label="k")
+        return data.draw(st.one_of(st.floats(0.0, t_end), st.just(k * interval)),
+                         label="t")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_study_index_reads_the_last_stored_time_at_or_before_t(self, data):
+        t_end, interval, times = self.draw_times(data)
+        t = self.draw_time(data, t_end, interval)
+        i = _study_index(times, t)
+        assert times[i] <= t + _time_tol(t)
+        if i < len(times) - 1:
+            assert times[i + 1] > t + _time_tol(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_span_holds_the_stored_times_inside_its_ends(self, data):
+        t_end, interval, times = self.draw_times(data)
+        # drawn in either order, so reversed windows come up too
+        lo, hi = (self.draw_time(data, t_end, interval) for _ in "lh")
+        lo = data.draw(st.sampled_from([lo, -np.inf]), label="lo")
+        hi = data.draw(st.sampled_from([hi, np.inf]), label="hi")
+        assert list(_span(times, lo, hi)) == [
+            i for i, t in enumerate(times)
+            if lo - _time_tol(lo) <= t <= hi + _time_tol(hi)]
 
 
 def l2_drift(snapshots):

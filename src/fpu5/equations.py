@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from . import spectral
+from . import _native, spectral
 from .errors import BlowUpError
 from .params import FIFTH_ORDER, EquationKind, ModelParams, effective_mu
 from .spectral import Grid, derivative_multiplier, spectral_derivative
@@ -59,7 +59,13 @@ def make_nonlinear_operator(kind: EquationKind,
     u_hat * [1, ik, (ik)^2, (ik)^3] (two rows for the third-order kinds)
     gives u and its derivatives; the derivatives carry the 2/3 mask.
     Products are formed in physical space and the ``rfft`` of the tendency
-    is masked again.  The mode-0 component is zeroed: the tendency is an
+    is masked again.  The fifth-order tendency is one call to the C kernel
+    of ``_tendency.c``, which ``_native`` builds on first use with the
+    interpreter's C compiler and caches; it takes each product and sum in
+    the order of the plain numpy expression, so its bits are numpy's.  With
+    no working compiler, building a fifth-order operator raises
+    ImportError.  The third-order tendency stays 2-4 numpy calls.
+    The mode-0 component is zeroed: the tendency is an
     exact x-derivative, so its mean vanishes identically and zeroing
     removes the aliasing residue of the cubic terms.
 
@@ -81,20 +87,18 @@ def make_nonlinear_operator(kind: EquationKind,
     mult = np.stack([np.ones(h, dtype=complex)]
                     + [derivative_multiplier(grid, m) for m in orders])
     mus = [effective_mu(kind, p) for p in rows]
-    mu = _per_row(mus, batched)
-    delta2 = _per_row([p.delta**2 for p in rows], batched)
     # the arrays below are made for these transforms, so their checks can go
     irfft = spectral.irfft_unchecked
     rfft = spectral.rfft_unchecked
     # Arrays are stacked row first, so f[r] is u or one of its derivatives.
     # Every view is made here once: making one costs about half an
     # elementwise pass at N = 512.  So is every constant operand (the
-    # derivative multipliers, the dealias mask, mu, delta^2, 4 mu and 2),
-    # copied out to the shape and dtype of the output it meets: numpy sets
-    # up a broadcast, a scalar or a float-to-complex cast anew on every
-    # call, at up to the cost of the call's own arithmetic.  Operands keep
-    # their order in the plain expression, since numpy's complex multiply
-    # need not give x*y and y*x the same bits.
+    # derivative multipliers, the dealias mask and mu), copied out to the
+    # shape and dtype of the output it meets: numpy sets up a broadcast, a
+    # scalar or a float-to-complex cast anew on every call, at up to the
+    # cost of the call's own arithmetic.  Operands keep their order in the
+    # plain expression, since numpy's complex multiply need not give x*y
+    # and y*x the same bits.
     mult_rows = np.full((len(mult),) + shape, mult[:, None] if batched else mult)
     mask_full = np.full(shape, grid.dealias, dtype=complex)
     prod = np.empty((len(mult),) + shape, dtype=complex)
@@ -102,36 +106,23 @@ def make_nonlinear_operator(kind: EquationKind,
 
     if fifth:
         # w = mu u u - u and the tendency
-        #   w (ux + d2 uxxx) + d2 ux ((4 mu u - 2) uxx + mu ux ux),
-        # every product and sum taken in the order written; adjacent rows
-        # of t that meet the same operation are done in one call
-        t = np.empty((7,) + row)
-        mu_both = np.full((2,) + row, mu, dtype=float)
-        d2 = np.full(row, delta2, dtype=float)
-        mu4 = np.full(row, 4.0 * mu, dtype=float)
-        two = np.full(row, 2.0, dtype=float)
-        u, ux, uxx, uxxx = f
-        u_ux = f[:2]
-        d2ux, w, muxux, j, b, g, d2uxxx = t
-        mu_pair, d2ux_w, j_b = t[1:3], t[:2], t[3:5]
+        #   w (ux + d2 uxxx) + d2 ux ((4 mu u - 2) uxx + mu ux ux)
+        # in one call to the C kernel of _tendency.c, which takes every
+        # product and sum in the order written.  It reads and writes through
+        # the addresses of these arrays, so the closure holds every one.
+        kernel = _native.fifth_order_tendency()
+        operands = (f, np.array(mus, dtype=float),
+                    np.array([p.delta**2 for p in rows], dtype=float),
+                    np.empty(row))
+        args = tuple(a.ctypes.data for a in operands) + (len(rows), n)
 
         def tendency():
-            np.multiply(mu_both, u_ux, out=mu_pair)     # mu u, mu ux
-            np.multiply(d2, ux, out=d2ux)
-            np.multiply(d2, uxxx, out=d2uxxx)
-            np.multiply(mu4, u, out=g)
-            np.multiply(mu_pair, u_ux, out=mu_pair)     # mu u u, mu ux ux
-            np.subtract(w, u, out=w)
-            np.subtract(g, two, out=g)
-            np.multiply(g, uxx, out=g)
-            np.add(ux, d2uxxx, out=b)
-            np.add(g, muxux, out=j)
-            np.multiply(d2ux_w, j_b, out=j_b)           # d2 ux j, w b
-            return np.add(b, j, out=b)
+            kernel(*args)
+            return operands[-1]
     else:
         # (mu u u - u) ux
         w = np.empty(row)
-        mu_row = np.full(row, mu, dtype=float)
+        mu_row = np.full(row, _per_row(mus, batched), dtype=float)
         u, ux = f
         if any(mus):
             def tendency():

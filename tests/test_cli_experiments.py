@@ -164,33 +164,6 @@ def test_recurrence_refuses_a_manifest_with_tables(tmp_path, monkeypatch,
     assert not (tmp_path / "rec").exists()
 
 
-@pytest.mark.parametrize("fpu5_scores, deform_time, passes", [
-    # crosses at t = 0.5 and dips back below the threshold at deform_by
-    ([0.0, 0.02, 0.15, 0.12, 0.05], 0.5, True),
-    # first crosses after deform_by
-    ([0.0, 0.02, 0.05, 0.08, 0.09, 0.2], 1.25, False),
-    ([0.0, 0.02, 0.05, 0.08, 0.09], None, False),
-])
-def test_gardner_passes_when_the_score_first_crosses_by_deform_by(
-        fpu5_scores, deform_time, passes, monkeypatch):
-    # the rule of acceptance criterion 07, not the score nearest deform_by;
-    # each fake snapshot carries its preset score
-    import fpu5.experiments as exps
-    scores = {EquationKind.GARDNER: [0.0, 1e-3, 2e-3],
-              EquationKind.FPU5: fpu5_scores}
-
-    def fake_run_batch(configs):
-        return [[Snapshot(0.25 * i, np.full(4, score))
-                 for i, score in enumerate(scores[c.kind])] for c in configs]
-
-    monkeypatch.setattr(exps, "run_batch", fake_run_batch)
-    monkeypatch.setattr(exps, "shape_score_series",
-                        lambda snapshots, grid: np.array([s.u[0] for s in snapshots]))
-    checks = STUDIES["gardner"](SMALL["gardner"]).checks
-    assert checks["fpu5_deform_time"] == deform_time
-    assert checks["pass"] is passes
-
-
 def fake_scored_runs(monkeypatch, scores, row):
     """Replace stepping and shape scoring: the snapshots of a config carry
     the preset scores[row(config)], stamped with the times _schedule gives
@@ -205,6 +178,33 @@ def fake_scored_runs(monkeypatch, scores, row):
     monkeypatch.setattr(exps, "run_batch", fake_run_batch)
     monkeypatch.setattr(exps, "shape_score_series",
                         lambda snapshots, grid: np.array([s.u[0] for s in snapshots]))
+
+
+@pytest.mark.parametrize("fpu5_scores, deform_time, passes", [
+    # crosses at t = 0.5 and dips back below the threshold at deform_by
+    ([0.0, 0.02, 0.15, 0.12, 0.05, 0.05], 0.5, True),
+    # first crosses after deform_by
+    ([0.0, 0.02, 0.05, 0.08, 0.09, 0.2], 1.25, False),
+    ([0.0, 0.02, 0.05, 0.08, 0.09, 0.09], None, False),
+    # first crosses at deform_by
+    ([0.0, 0.02, 0.05, 0.08, 0.2, 0.2], 1.0, True),
+])
+def test_gardner_passes_when_the_score_first_crosses_by_deform_by(
+        fpu5_scores, deform_time, passes, monkeypatch):
+    # the rule of acceptance criterion 07, not the score nearest deform_by;
+    # the run stores 0, 0.25, ..., 1.25, one time per preset score, and the
+    # reported deform time is the stored time of the first crossing
+    fake_scored_runs(monkeypatch, {
+        EquationKind.GARDNER: [0.0, 1e-3, 2e-3, 2e-3, 1e-3, 0.0],
+        EquationKind.FPU5: fpu5_scores}, lambda c: c.kind)
+    fx = {**SMALL["gardner"], "t_end": 1.25, "snapshot_interval": 0.25}
+    assert fx["deform_by"] == 1.0
+    result = STUDIES["gardner"](fx)
+    times = result.arms[EquationKind.FPU5]["times"]
+    assert times == pytest.approx([0.25 * i for i in range(6)])
+    assert result.checks["fpu5_deform_time"] == (
+        None if deform_time is None else times[round(deform_time / 0.25)])
+    assert result.checks["pass"] is passes
 
 
 def test_gardner_passes_when_the_first_crossing_is_stored_at_deform_by(

@@ -1,5 +1,6 @@
 """Cold start: importing the package and stepping runs import no scipy
-Python module.
+Python module, and, once the fifth-order kernel is built, none of the
+modules that build it.
 
 The one scipy file they load is the pocketfft extension that
 ``fpu5.spectral`` loads straight from its file, under its own dotted name
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import fpu5
+from fpu5 import _native
 
 SRC = Path(fpu5.__file__).resolve().parents[1]
 
@@ -55,6 +57,8 @@ kink_validation(params, Grid(64.0, 128), dt=1e-3, t_end=4e-3)
 assert fpu5.cli.main(["painleve", "--mu", "1", "--delta", "1",
                       "--out", sys.argv[1]]) == 0
 seen["stepping"] = scipy_modules()
+seen["build"] = sorted(m for m in ("hashlib", "subprocess", "sysconfig")
+                       if m in sys.modules)
 WeierstrassP(1.0, 0.3)(0.5)
 seen["elliptic"] = scipy_modules()
 print(json.dumps(seen))
@@ -63,6 +67,9 @@ print(json.dumps(seen))
 
 @pytest.fixture(scope="module")
 def seen(tmp_path_factory):
+    # the compiled tendency is built here, so the probe loads it from the
+    # cache as every run after the first does
+    _native.fifth_order_tendency()
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = tmp_path_factory.mktemp("painleve")
@@ -82,6 +89,12 @@ def test_import_loads_the_pocketfft_binding_outside_sys_modules(seen):
 
 def test_stepping_and_kink_validation_load_no_scipy(seen):
     assert seen["stepping"] == []
+
+
+def test_stepping_with_a_built_kernel_starts_no_build_tools(seen):
+    # a cached kernel loads without the compiler's imports: set-up time
+    # pays for no subprocess, hash or sysconfig module
+    assert seen["build"] == []
 
 
 def test_first_elliptic_evaluation_loads_scipy_special(seen):

@@ -384,6 +384,45 @@ class TestMuZeroThirdOrder:
             assert single.tobytes() == row.tobytes()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("params", [
+    ModelParams(0.6, 0.05),
+    [ModelParams(1.0, 0.0), ModelParams(0.6, -0.0), ModelParams(1.4, 0.05)]])
+def test_fifth_order_tendency_on_special_values(monkeypatch, params):
+    # the compiled kernel against the plain numpy expression, byte for byte:
+    # the inverse FFT hands it every special value in every position of u,
+    # ux, uxx and uxxx (all 14**4 combinations), the forward one keeps the
+    # tendency it is given, so no FFT can hide a zero's sign or a rounding
+    g = Grid(20.0, 65536)
+    fields = [np.resize(a.ravel(), g.n)
+              for a in np.meshgrid(*[SPECIAL] * 4, indexing="ij")]
+    seen = []
+
+    def irfft(u_hat, out):
+        for row, field in zip(out, fields):
+            row[...] = field
+        return out
+
+    def rfft(tendency, out):
+        seen.append(tendency.copy())
+        out[...] = 0.0
+        return out
+
+    monkeypatch.setattr(spectral, "irfft_unchecked", irfft)
+    monkeypatch.setattr(spectral, "rfft_unchecked", rfft)
+    rows = params if isinstance(params, list) else [params]
+    op = make_nonlinear_operator(EquationKind.FPU5, params, g)
+    op(np.zeros(linear_symbol(EquationKind.FPU5, params, g).shape, dtype=complex))
+    u, ux, uxx, uxxx = fields
+    expected = []
+    for p in rows:
+        mu, delta2 = p.mu, p.delta**2
+        w = mu * u * u - u
+        expected.append(w * (ux + delta2 * uxxx)
+                        + delta2 * ux * ((4.0 * mu * u - 2.0) * uxx + mu * ux * ux))
+    assert seen[0].tobytes() == np.stack(expected).tobytes()
+
+
 @pytest.mark.parametrize("module", sorted(
     path.name for path in Path(spectral.__file__).parent.glob("*.py")))
 def test_only_the_stepper_builds_a_nonlinear_operator(module):

@@ -1,5 +1,7 @@
-"""The compiled fifth-order tendency: ``_tendency.c``, built once with the
-interpreter's own C compiler and loaded through ctypes.
+"""The compiled tendencies: ``_tendency.c``, built once with the
+interpreter's own C compiler and loaded through ctypes.  Its two kernels,
+third and fifth order, each take one pointer to an operand block, which
+``operand_block`` makes.
 
 The library is cached in this package's ``__pycache__``, named by a CRC-32
 of the source text, the compiler flags and the interpreter's extension
@@ -23,6 +25,8 @@ import os
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
+
+import numpy as np
 
 SOURCE = os.path.join(os.path.dirname(__file__), "_tendency.c")
 CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
@@ -61,19 +65,39 @@ def _build(path: str) -> None:
 
 
 def load():
-    """``fpu5_fifth_order_tendency`` of ``_tendency.c`` with its argtypes
-    set, from the cached library, built first if the cache has none for
-    this source, these flags and this interpreter."""
+    """``_tendency.c``'s library with the argtypes of both kernels set, from
+    the cache, built first if the cache has none for this source, these
+    flags and this interpreter."""
     key = zlib.crc32(b"\0".join([Path(SOURCE).read_bytes(),
                                  " ".join(FLAGS).encode(), _SUFFIX.encode()]))
     path = os.path.join(CACHE, f"_tendency-{key:08x}{_SUFFIX}")
     if not os.path.isfile(path):
         _build(path)
-    kernel = ctypes.CDLL(path).fpu5_fifth_order_tendency
-    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] * 2
-    kernel.restype = None
-    return kernel
+    library = ctypes.CDLL(path)
+    for kernel in (library.fpu5_third_order_tendency,
+                   library.fpu5_fifth_order_tendency):
+        kernel.argtypes = [ctypes.c_void_p]
+        kernel.restype = None
+    return library
 
 
-# one load per process: every fifth-order operator shares the kernel
-fifth_order_tendency = functools.cache(load)
+# one load per process: every operator shares the library
+library = functools.cache(load)
+
+
+def operand_block(f, mu, d2, out):
+    """A pointer to the kernels' argument, ``struct operands``: the
+    addresses of the C-contiguous float64 arrays f, mu, d2 and out, then
+    the rows (one mu and one d2 each) and the points in a row.  The kernels
+    go through these addresses, so the pointer holds the block and the four
+    arrays.  Arrays of another layout raise ValueError."""
+    arrays = (f, mu, d2, out)
+    rows, n = mu.size, out.shape[-1]
+    if not (all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
+            and f.shape[1:] == out.shape and mu.shape == d2.shape == (rows,)
+            and out.size == rows * n):
+        raise ValueError("operands do not fit struct operands")
+    block = np.array([a.ctypes.data for a in arrays] + [rows, n], dtype=np.intp)
+    pointer = block.ctypes.data_as(ctypes.c_void_p)
+    pointer.operands = block, *arrays
+    return pointer

@@ -2,7 +2,8 @@
 
 Each equation is split as u_t = symbol*u + N(u): the two constant-coefficient
 linear terms (third and, for the fifth-order family, fifth derivative) go
-into the per-mode symbol and everything u-dependent is treated explicitly.
+into the per-mode symbol and everything u-dependent is treated explicitly,
+for every kind in one call to a compiled kernel (``_native``).
 Symbols and tendencies live on the rfft half spectrum, modes 0..N/2.  Both
 factories take one ``ModelParams`` or a sequence of them; a sequence gives
 one row per entry, with delta and mu set per row.
@@ -17,11 +18,6 @@ from . import _native, spectral
 from .errors import BlowUpError
 from .params import FIFTH_ORDER, EquationKind, ModelParams, effective_mu
 from .spectral import Grid, derivative_multiplier, spectral_derivative
-
-
-def _per_row(values, batched: bool):
-    """Scalar for one parameter set, a (B, 1) column for a sequence."""
-    return np.array(values)[:, None] if batched else values[0]
 
 
 def _rows(params: ModelParams | Sequence[ModelParams]):
@@ -42,7 +38,8 @@ def linear_symbol(kind: EquationKind,
     """
     rows, batched = _rows(params)
     k = grid.k
-    d2 = _per_row([p.delta**2 for p in rows], batched)
+    # a (B, 1) column for a sequence, a scalar for one parameter set
+    d2 = np.array([[p.delta**2] for p in rows]) if batched else params.delta**2
     if kind in FIFTH_ORDER:
         return 1j * (d2 * k**3 - 0.4 * d2 * d2 * k**5)
     return 1j * d2 * k**3
@@ -59,13 +56,12 @@ def make_nonlinear_operator(kind: EquationKind,
     u_hat * [1, ik, (ik)^2, (ik)^3] (two rows for the third-order kinds)
     gives u and its derivatives; the derivatives carry the 2/3 mask.
     Products are formed in physical space and the ``rfft`` of the tendency
-    is masked again.  The fifth-order tendency is one call to the C kernel
+    is masked again.  The tendency of every kind is one call to a C kernel
     of ``_tendency.c``, which ``_native`` builds on first use with the
     interpreter's C compiler and caches; it takes each product and sum in
     the order of the plain numpy expression, so its bits are numpy's.  With
-    no working compiler, building a fifth-order operator raises
-    ImportError.  The third-order tendency stays 2-4 numpy calls.
-    The mode-0 component is zeroed: the tendency is an
+    no working compiler, building an operator of any kind raises
+    ImportError.  The mode-0 component is zeroed: the tendency is an
     exact x-derivative, so its mean vanishes identically and zeroing
     removes the aliasing residue of the cubic terms.
 
@@ -78,22 +74,19 @@ def make_nonlinear_operator(kind: EquationKind,
     be called from two threads at once.
     """
     rows, batched = _rows(params)
-    n = grid.n
     h = grid.k.size
     shape = (len(rows), h) if batched else (h,)
-    row = shape[:-1] + (n,)
     fifth = kind in FIFTH_ORDER
     orders = (1, 2, 3) if fifth else (1,)
     mult = np.stack([np.ones(h, dtype=complex)]
                     + [derivative_multiplier(grid, m) for m in orders])
-    mus = [effective_mu(kind, p) for p in rows]
     # the arrays below are made for these transforms, so their checks can go
     irfft = spectral.irfft_unchecked
     rfft = spectral.rfft_unchecked
     # Arrays are stacked row first, so f[r] is u or one of its derivatives.
     # Every view is made here once: making one costs about half an
     # elementwise pass at N = 512.  So is every constant operand (the
-    # derivative multipliers, the dealias mask and mu), copied out to the
+    # derivative multipliers and the dealias mask), copied out to the
     # shape and dtype of the output it meets: numpy sets up a broadcast, a
     # scalar or a float-to-complex cast anew on every call, at up to the
     # cost of the call's own arithmetic.  Operands keep their order in the
@@ -102,40 +95,18 @@ def make_nonlinear_operator(kind: EquationKind,
     mult_rows = np.full((len(mult),) + shape, mult[:, None] if batched else mult)
     mask_full = np.full(shape, grid.dealias, dtype=complex)
     prod = np.empty((len(mult),) + shape, dtype=complex)
-    f = np.empty((len(mult),) + row)
-
-    if fifth:
-        # w = mu u u - u and the tendency
-        #   w (ux + d2 uxxx) + d2 ux ((4 mu u - 2) uxx + mu ux ux)
-        # in one call to the C kernel of _tendency.c, which takes every
-        # product and sum in the order written.  It reads and writes through
-        # the addresses of these arrays, so the closure holds every one.
-        kernel = _native.fifth_order_tendency()
-        operands = (f, np.array(mus, dtype=float),
-                    np.array([p.delta**2 for p in rows], dtype=float),
-                    np.empty(row))
-        args = tuple(a.ctypes.data for a in operands) + (len(rows), n)
-
-        def tendency():
-            kernel(*args)
-            return operands[-1]
-    else:
-        # (mu u u - u) ux
-        w = np.empty(row)
-        mu_row = np.full(row, _per_row(mus, batched), dtype=float)
-        u, ux = f
-        if any(mus):
-            def tendency():
-                np.multiply(mu_row, u, out=w)
-                np.multiply(w, u, out=w)
-                np.subtract(w, u, out=w)
-                return np.multiply(w, ux, out=w)
-        else:
-            def tendency():
-                # with mu = 0 in every row, (mu u) u - u is mu - u bit for
-                # bit for every finite u, the zero signs of mu and u included
-                np.subtract(mu_row, u, out=w)
-                return np.multiply(w, ux, out=w)
+    f = np.empty((len(mult),) + shape[:-1] + (grid.n,))
+    tendency = np.empty(f.shape[1:])
+    # one call to a C kernel of _tendency.c, which takes every product and
+    # sum in the order of the plain numpy expression:
+    #   (mu u u - u) ux, or for the fifth-order kinds, with w = mu u u - u,
+    #   w (ux + d2 uxxx) + d2 ux ((4 mu u - 2) uxx + mu ux ux)
+    library = _native.library()
+    kernel = (library.fpu5_fifth_order_tendency if fifth
+              else library.fpu5_third_order_tendency)
+    block = _native.operand_block(
+        f, np.array([effective_mu(kind, p) for p in rows], dtype=float),
+        np.array([p.delta**2 for p in rows], dtype=float), tendency)
 
     def nonlinear(u_hat):
         if u_hat.shape != shape:
@@ -143,7 +114,8 @@ def make_nonlinear_operator(kind: EquationKind,
                              f"was given shape {u_hat.shape}")
         np.multiply(u_hat, mult_rows, out=prod)
         irfft(prod, f)
-        out = rfft(tendency(), np.empty(shape, dtype=complex))
+        kernel(block)
+        out = rfft(tendency, np.empty(shape, dtype=complex))
         np.multiply(out, mask_full, out=out)
         # kept apart from the mask: folding it in can flip a zero's sign
         out[..., 0] = 0.0

@@ -1,6 +1,6 @@
 """Cold start: importing the package and stepping runs import no scipy
-Python module, and, once the fifth-order kernel is built, none of the
-modules that build it.
+Python module, and, once the compiled tendencies are built, none of the
+modules that build them.
 
 The one scipy file they load is the pocketfft extension that
 ``fpu5.spectral`` loads straight from its file, under its own dotted name
@@ -67,9 +67,9 @@ print(json.dumps(seen))
 
 @pytest.fixture(scope="module")
 def seen(tmp_path_factory):
-    # the compiled tendency is built here, so the probe loads it from the
-    # cache as every run after the first does
-    _native.fifth_order_tendency()
+    # the compiled tendencies are built here, so the probe loads them from
+    # the cache as every run after the first does
+    _native.library()
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = tmp_path_factory.mktemp("painleve")

@@ -164,9 +164,10 @@ class TestRun:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", [EquationKind.KDV, EquationKind.GARDNER])
     def test_mu_zero_blow_up_matches_the_general_formula(self, kind):
-        # the operator shortens (mu u) u - u to mu - u when mu = 0; a loop
-        # stepped by the general formula, built here, must fail at the same
-        # step, at the same time and after the same last snapshot
+        # at mu = 0 the operator still forms (mu u) u - u, which is not
+        # -u on a non-finite u; a loop stepped by that formula written in
+        # numpy, built here, must fail at the same step, at the same time
+        # and after the same last snapshot
         config = small_config(
             kind=kind, params=ModelParams(delta=2.0, mu=0.0),
             initial_condition=InitialCondition("kdv5_soliton", k=1.0),

@@ -504,7 +504,7 @@ class TestOneTransformPath:
         u = snaps[-1].u
         v = np.roll(snaps[0].u, 3)
         u_hat = rfft(u)
-        # KDV takes the third-order operator's mu = 0 branch, GARDNER the other
+        # every kind, each through its compiled tendency
         for kind in EquationKind:
             n_hat = make_nonlinear_operator(kind, params, g)(u_hat)
             lam = linear_symbol(kind, params, g)

@@ -1,7 +1,8 @@
-"""The compiled tendencies: ``_tendency.c``, built once with the
-interpreter's own C compiler and loaded through ctypes.  Its two kernels,
-third and fifth order, each take one pointer to an operand block, which
-``operand_block`` makes.
+"""The compiled tendency: ``_tendency.c``, built once with the
+interpreter's own C compiler and loaded through ctypes.  Its one function,
+``fpu5_tendency``, takes one pointer to an operand block; ``tendency`` makes
+that block and every array the function reads and writes, so no array made
+elsewhere reaches C.
 
 The library is cached in this package's ``__pycache__``, named by a CRC-32
 of the source text, the compiler flags and the interpreter's extension
@@ -65,19 +66,17 @@ def _build(path: str) -> None:
 
 
 def load():
-    """``_tendency.c``'s library with the argtypes of both kernels set, from
-    the cache, built first if the cache has none for this source, these
-    flags and this interpreter."""
+    """``_tendency.c``'s library with the argtypes of ``fpu5_tendency`` set,
+    from the cache, built first if the cache has none for this source,
+    these flags and this interpreter."""
     key = zlib.crc32(b"\0".join([Path(SOURCE).read_bytes(),
                                  " ".join(FLAGS).encode(), _SUFFIX.encode()]))
     path = os.path.join(CACHE, f"_tendency-{key:08x}{_SUFFIX}")
     if not os.path.isfile(path):
         _build(path)
     library = ctypes.CDLL(path)
-    for kernel in (library.fpu5_third_order_tendency,
-                   library.fpu5_fifth_order_tendency):
-        kernel.argtypes = [ctypes.c_void_p]
-        kernel.restype = None
+    library.fpu5_tendency.argtypes = [ctypes.c_void_p]
+    library.fpu5_tendency.restype = None
     return library
 
 
@@ -85,19 +84,19 @@ def load():
 library = functools.cache(load)
 
 
-def operand_block(f, mu, d2, out):
-    """A pointer to the kernels' argument, ``struct operands``: the
-    addresses of the C-contiguous float64 arrays f, mu, d2 and out, then
-    the rows (one mu and one d2 each) and the points in a row.  The kernels
-    go through these addresses, so the pointer holds the block and the four
-    arrays.  Arrays of another layout raise ValueError."""
-    arrays = (f, mu, d2, out)
-    rows, n = mu.size, out.shape[-1]
-    if not (all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
-            and f.shape[1:] == out.shape and mu.shape == d2.shape == (rows,)
-            and out.size == rows * n):
-        raise ValueError("operands do not fit struct operands")
-    block = np.array([a.ctypes.data for a in arrays] + [rows, n], dtype=np.intp)
+def tendency(fifth: bool, mu, d2, lead: tuple, n: int):
+    """``(f, out, call)``: C-contiguous float64 arrays f, of shape
+    ``(4 if fifth else 2,) + lead + (n,)`` (u, u_x and for fifth u_xx,
+    u_xxx), and out, of shape ``lead + (n,)``; ``call()`` writes the
+    tendency of every row into out, with one mu and one d2 per row.  call
+    holds the operand block and every array it points to."""
+    f = np.empty((4 if fifth else 2,) + lead + (n,))
+    out = np.empty(lead + (n,))
+    rows = out.size // n
+    arrays = (f, np.array(mu, dtype=float).reshape(rows),
+              np.array(d2, dtype=float).reshape(rows), out)
+    block = np.array([a.ctypes.data for a in arrays] + [len(f), rows, n],
+                     dtype=np.intp)
     pointer = block.ctypes.data_as(ctypes.c_void_p)
     pointer.operands = block, *arrays
-    return pointer
+    return f, out, functools.partial(library().fpu5_tendency, pointer)

@@ -3,7 +3,7 @@
 Each equation is split as u_t = symbol*u + N(u): the two constant-coefficient
 linear terms (third and, for the fifth-order family, fifth derivative) go
 into the per-mode symbol and everything u-dependent is treated explicitly,
-for every kind in one call to a compiled kernel (``_native``).
+for every kind in one call to the compiled kernel (``_native``).
 Symbols and tendencies live on the rfft half spectrum, modes 0..N/2.  Both
 factories take one ``ModelParams`` or a sequence of them; a sequence gives
 one row per entry, with delta and mu set per row.
@@ -56,11 +56,12 @@ def make_nonlinear_operator(kind: EquationKind,
     u_hat * [1, ik, (ik)^2, (ik)^3] (two rows for the third-order kinds)
     gives u and its derivatives; the derivatives carry the 2/3 mask.
     Products are formed in physical space and the ``rfft`` of the tendency
-    is masked again.  The tendency of every kind is one call to a C kernel
-    of ``_tendency.c``, which ``_native`` builds on first use with the
-    interpreter's C compiler and caches; it takes each product and sum in
-    the order of the plain numpy expression, so its bits are numpy's.  With
-    no working compiler, building an operator of any kind raises
+    is masked again.  The tendency of every kind is one call to the C
+    kernel of ``_tendency.c``, which ``_native`` builds on first use with
+    the interpreter's C compiler and caches; ``_native.tendency`` makes the
+    real-space arrays it reads and writes.  It takes each product and sum
+    in the order of the plain numpy expression, so its bits are numpy's.
+    With no working compiler, building an operator of any kind raises
     ImportError.  The mode-0 component is zeroed: the tendency is an
     exact x-derivative, so its mean vanishes identically and zeroing
     removes the aliasing residue of the cubic terms.
@@ -69,8 +70,8 @@ def make_nonlinear_operator(kind: EquationKind,
     gives for the same parameters: (N//2 + 1,) for one parameter set,
     (B, N//2 + 1) for a sequence of B, row b stepping under the b-th set.
     Any other shape raises ValueError.  It returns a fresh array on every
-    call and never writes into u_hat.  Its work arrays, made here once,
-    are shared by all calls, so one operator is not reentrant and must not
+    call and never writes into u_hat.  Its work arrays, made once when it
+    is built, are shared by all calls, so one operator is not reentrant and must not
     be called from two threads at once.
     """
     rows, batched = _rows(params)
@@ -95,18 +96,9 @@ def make_nonlinear_operator(kind: EquationKind,
     mult_rows = np.full((len(mult),) + shape, mult[:, None] if batched else mult)
     mask_full = np.full(shape, grid.dealias, dtype=complex)
     prod = np.empty((len(mult),) + shape, dtype=complex)
-    f = np.empty((len(mult),) + shape[:-1] + (grid.n,))
-    tendency = np.empty(f.shape[1:])
-    # one call to a C kernel of _tendency.c, which takes every product and
-    # sum in the order of the plain numpy expression:
-    #   (mu u u - u) ux, or for the fifth-order kinds, with w = mu u u - u,
-    #   w (ux + d2 uxxx) + d2 ux ((4 mu u - 2) uxx + mu ux ux)
-    library = _native.library()
-    kernel = (library.fpu5_fifth_order_tendency if fifth
-              else library.fpu5_third_order_tendency)
-    block = _native.operand_block(
-        f, np.array([effective_mu(kind, p) for p in rows], dtype=float),
-        np.array([p.delta**2 for p in rows], dtype=float), tendency)
+    f, tendency, kernel = _native.tendency(
+        fifth, [effective_mu(kind, p) for p in rows],
+        [p.delta**2 for p in rows], shape[:-1], grid.n)
 
     def nonlinear(u_hat):
         if u_hat.shape != shape:
@@ -114,7 +106,7 @@ def make_nonlinear_operator(kind: EquationKind,
                              f"was given shape {u_hat.shape}")
         np.multiply(u_hat, mult_rows, out=prod)
         irfft(prod, f)
-        kernel(block)
+        kernel()
         out = rfft(tendency, np.empty(shape, dtype=complex))
         np.multiply(out, mask_full, out=out)
         # kept apart from the mask: folding it in can flip a zero's sign

@@ -96,9 +96,11 @@ def read_snapshot(path):
     return Snapshot(t=t, u=us), (n, length)
 
 
-def _snapshot_paths(snapshots, path_prefix) -> list[str]:
-    """The files ``write_snapshots`` writes for a series, checked before any
-    is made: DomainError for an empty series or a non-finite time."""
+def _snapshot_paths(snapshots, grid: Grid, path_prefix) -> list[str]:
+    """The files ``write_snapshots`` writes for a series on grid, checked
+    before any is made: DomainError for an empty series or a non-finite
+    time, ValueError for a u that is not a real field on grid (its values
+    may be non-finite)."""
     if not snapshots:
         raise DomainError("no snapshots to write")
     paths = [f"{path_prefix}_{i:04d}.dat" for i in range(len(snapshots))]
@@ -106,6 +108,10 @@ def _snapshot_paths(snapshots, path_prefix) -> list[str]:
         if not math.isfinite(snapshot.t):
             raise DomainError(f"{path}: snapshot time must be finite, not "
                               f"t = {snapshot.t}")
+        try:
+            grid.check_field(snapshot.u)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return paths
 
 
@@ -114,7 +120,7 @@ def write_snapshots(snapshots, grid: Grid, path_prefix) -> RunManifest:
     file; the returned manifest lists them.  A series that
     ``_snapshot_paths`` refuses leaves no file behind."""
     from . import __version__
-    paths = _snapshot_paths(snapshots, path_prefix)
+    paths = _snapshot_paths(snapshots, grid, path_prefix)
     body = _body_format(grid)
     for path, snap in zip(paths, snapshots):
         with open(path, "w") as fh:
@@ -134,7 +140,7 @@ def write_result(out, started: float, config: dict, result: StudyResult,
     from . import __version__
     out = Path(out)
     for prefix, snapshots in result.snapshots.items():
-        _snapshot_paths(snapshots, str(out / prefix))
+        _snapshot_paths(snapshots, grid, str(out / prefix))
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for name, (header, rows) in result.tables.items():

@@ -196,6 +196,16 @@ class TestSnapshotIO:
             write_snapshots([], Grid(10.0, 16), str(tmp_path / "s"))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("bad", [
+        np.zeros(5), np.zeros(20), np.zeros(16, dtype=complex),
+        np.zeros((2, 16))])
+    def test_series_writer_refuses_a_field_off_the_grid(self, tmp_path, bad):
+        # every u is checked against the grid before the first file is made
+        snaps = [Snapshot(t=0.0, u=np.zeros(16)), Snapshot(t=1.0, u=bad)]
+        with pytest.raises(ValueError, match=r"s_0001\.dat: "):
+            write_snapshots(snaps, Grid(10.0, 16), str(tmp_path / "s"))
+        assert not list(tmp_path.iterdir())
+
     def test_writer_matches_per_row_format(self, tmp_path):
         rng = np.random.default_rng(4)
         grid = Grid(46.75, 128)
@@ -276,6 +286,28 @@ class TestSnapshotIO:
             write_result(out, time.monotonic(), {}, StudyResult(
                 snaps, {}, {"t.dat": ("t", [(0.0,)])}, {"s": snaps}), grid)
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros(5), np.zeros(20), np.zeros(16, dtype=complex),
+        np.zeros((2, 16))])
+    def test_series_off_the_grid_leaves_no_directory(self, tmp_path, bad):
+        grid = Grid(10.0, 16)
+        snaps = [Snapshot(t=0.0, u=np.zeros(grid.n)), Snapshot(t=1.0, u=bad)]
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"s_0001\.dat: "):
+            write_result(out, time.monotonic(), {}, StudyResult(
+                snaps, {}, {"t.dat": ("t", [(0.0,)])}, {"s": snaps}), grid)
+        assert not out.exists()
+
+    def test_series_writer_keeps_non_finite_values(self, tmp_path):
+        # the exact elliptic solutions write nan at masked poles on purpose
+        grid = Grid(10.0, 16)
+        u = np.zeros(grid.n)
+        u[3], u[4] = np.nan, np.inf
+        (path,) = write_snapshots([Snapshot(t=0.0, u=u)], grid,
+                                  str(tmp_path / "s")).files
+        lines = Path(path).read_text().splitlines()
+        assert lines[4].endswith("\tnan") and lines[5].endswith("\tinf")
 
     def test_zero_snapshot_format(self, tmp_path):
         grid = Grid(10.0, 16)

@@ -1,6 +1,6 @@
 """Cold start: importing the package and stepping runs import no scipy
-Python module, and, once the compiled tendencies are built, none of the
-modules that build them.
+Python module, and, once the compiled tendency is built, none of the
+modules that build it.
 
 The one scipy file they load is the pocketfft extension that
 ``fpu5.spectral`` loads straight from its file, under its own dotted name
@@ -67,7 +67,7 @@ print(json.dumps(seen))
 
 @pytest.fixture(scope="module")
 def seen(tmp_path_factory):
-    # the compiled tendencies are built here, so the probe loads them from
+    # the compiled tendency is built here, so the probe loads it from
     # the cache as every run after the first does
     _native.library()
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])

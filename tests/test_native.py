@@ -1,9 +1,12 @@
-"""The loader of the compiled tendencies: their operand block, the build
-cache, the cache key and the refusal when no compiler works.  Each test
-that loads builds into a temporary cache directory of its own."""
+"""The compiled tendency and its loader: the arrays and the call
+``_native.tendency`` makes, the build cache, the cache key, the refusal when
+no compiler works and a strict compile of the source.  Each test that loads
+builds into a temporary cache directory of its own."""
 import functools
 import gc
+import math
 import os
+import shlex
 import subprocess
 import sysconfig
 import threading
@@ -38,43 +41,48 @@ def compiles(monkeypatch):
     return commands
 
 
-def test_the_kernel_computes_the_tendency(cache):
-    # three rows with their own mu and delta^2, each kernel called through
-    # one operand block, against its formula in numpy
-    library = _native.load()
+def test_the_kernel_computes_the_tendency(cache, monkeypatch):
+    # both orders through the arrays and the call _native.tendency makes,
+    # one row and three rows, each row with its own mu and delta^2, against
+    # the formula in numpy; the library is built from this source
+    monkeypatch.setattr(_native, "library", functools.cache(_native.load))
     rng = np.random.default_rng(5)
-    f = rng.standard_normal((4, 3, 16))
-    mu, d2 = np.array([0.3, 0.0, -0.0]), np.array([0.36, 1.96, 0.49])
-    u, ux, uxx, uxxx = f
-    m, d = mu[:, None], d2[:, None]
-    w = m * u * u - u
-    for kernel, stacked, expected in [
-            (library.fpu5_third_order_tendency, f[:2], w * ux),
-            (library.fpu5_fifth_order_tendency, f,
-             w * (ux + d * uxxx)
-             + d * ux * ((4.0 * m * u - 2.0) * uxx + m * ux * ux))]:
-        out = np.empty((3, 16))
-        kernel(_native.operand_block(np.ascontiguousarray(stacked), mu, d2,
-                                     out))
-        assert out.tobytes() == expected.tobytes()
+    mus, d2s = [0.3, 0.0, -0.0], [0.36, 1.96, 0.49]
+    cases = [((), [m], [d]) for m, d in zip(mus, d2s)] + [((3,), mus, d2s)]
+    for fifth in (False, True):
+        for lead, mu, d2 in cases:
+            f, out, call = _native.tendency(fifth, mu, d2, lead, 16)
+            f[...] = rng.standard_normal(f.shape)
+            call()
+            m = np.array(mu).reshape(lead + (1,))
+            d = np.array(d2).reshape(lead + (1,))
+            u, ux = f[:2]
+            w = m * u * u - u
+            if fifth:
+                uxx, uxxx = f[2:]
+                expected = (w * (ux + d * uxxx)
+                            + d * ux * ((4.0 * m * u - 2.0) * uxx
+                                        + m * ux * ux))
+            else:
+                expected = w * ux
+            assert out.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("change", [
-    lambda a: a.update(out=a["out"].astype(np.float32)),
-    lambda a: a.update(f=np.asfortranarray(a["f"])),
-    lambda a: a.update(mu=np.zeros(2)),
-    lambda a: a.update(d2=np.zeros((3, 1))),
-    lambda a: a.update(out=np.empty((3, 8)))])
-def test_the_operand_block_refuses_arrays_of_another_layout(change):
-    # the kernels read rows x n doubles from each field, one mu and one d2
-    # per row, through bare addresses: a mismatch is refused before any
-    # kernel can read past an array
-    operands = dict(f=np.zeros((4, 3, 16)), mu=np.zeros(3), d2=np.zeros(3),
-                    out=np.empty((3, 16)))
-    _native.operand_block(**operands)
-    change(operands)
-    with pytest.raises(ValueError, match="operands do not fit"):
-        _native.operand_block(**operands)
+@pytest.mark.parametrize("fifth, fields", [(False, 2), (True, 4)])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_the_kernel_arrays_have_the_documented_layout(fifth, fields, lead):
+    # the kernel reads fields x rows x n doubles from f and writes rows x n
+    # into out through bare addresses, so _native makes both arrays itself,
+    # C-contiguous float64 of these shapes, and the call takes no argument
+    rows = math.prod(lead)
+    f, out, call = _native.tendency(fifth, [0.1] * rows, [0.2] * rows, lead, 32)
+    assert f.shape == (fields,) + lead + (32,)
+    assert out.shape == lead + (32,)
+    for a in (f, out):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+    f[...] = 0.0
+    call()
+    assert not out.any()
 
 
 def test_an_operator_holds_every_array_its_kernel_reads():
@@ -92,6 +100,16 @@ def test_an_operator_holds_every_array_its_kernel_reads():
         fresh = make_nonlinear_operator(kind, params, g)
         assert op(u_hat).tobytes() == fresh(u_hat).tobytes()
         del others  # alive until op has run
+
+
+def test_the_source_compiles_cleanly_as_strict_c99():
+    # the compiler _native._build runs, with every warning an error; the
+    # build's own FLAGS stay as they are, since they are the cache key
+    command = shlex.split(sysconfig.get_config_var("CC") or "cc") + [
+        "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror",
+        "-fsyntax-only", _native.SOURCE]
+    done = subprocess.run(command, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_a_second_load_reuses_the_cached_library(cache, compiles):

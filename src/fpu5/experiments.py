@@ -208,10 +208,10 @@ def run_batch(configs: list[SimulationConfig]) -> list[list[Snapshot]]:
 
     Rows that share equation kind, stepper class, grid (L and N) and
     schedule (steps per snapshot and stored times, hence dt) step together
-    as one (B, N//2 + 1) half-spectrum state, with delta and mu set per row.
-    Other rows run as groups of their own through the same loop.  Each
-    row's snapshots are bit-identical to those of ``run`` on its config
-    alone.
+    as one (B, N//2 + 1) half-spectrum state, with delta and mu set per row;
+    _step_group steps each group on the schedule of its key.  Other rows
+    run as groups of their own through the same loop.  Each row's snapshots
+    are bit-identical to those of ``run`` on its config alone.
 
     When a row loses finiteness, raises BlowUpError naming that row (its
     index in ``configs``) with the failing step, its time and the row's last
@@ -220,30 +220,36 @@ def run_batch(configs: list[SimulationConfig]) -> list[list[Snapshot]]:
     results: list[list[Snapshot]] = []
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
-        u0 = build_initial_condition(config)
-        results.append([Snapshot(0.0, u0.copy())])
+        results.append([Snapshot(0.0, build_initial_condition(config))])
         steps_per, times = _schedule(config)
         if len(times) > 1:
             key = (config.kind, config.scheme, config.grid.length,
                    config.grid.n, steps_per, tuple(times))
             groups.setdefault(key, []).append(i)
-    for rows in groups.values():
+    for (*_, steps_per, times), rows in groups.items():
         _step_group([configs[i] for i in rows], [results[i] for i in rows],
-                    rows)
+                    rows, steps_per, times)
     return results
 
 
-def _step_group(configs, snapshots, rows):
-    """Step the rows of one group together, appending to their snapshots."""
+def _step_group(configs, snapshots, rows, steps_per, times):
+    """Step the rows of one group together, steps_per steps to each stored
+    time, appending to their snapshots: the one stepping loop of a run.
+
+    Finiteness is checked once per interval.  An interval that ends
+    non-finite is replayed from its start state, checking every step, and
+    BlowUpError names the first non-finite step and row; ``step`` never
+    writes into its input, so the start is intact and the replay
+    deterministic, and the end state, already known to be non-finite, is
+    not recomputed.
+    """
     kind, grid = configs[0].kind, configs[0].grid
     params = [config.params for config in configs]
-    steps_per, times = _schedule(configs[0])
     symbol = linear_symbol(kind, params, grid)
     nonlinear = make_nonlinear_operator(kind, params, grid)
     stepper = configs[0].scheme(symbol, nonlinear, times[1] / steps_per)
 
-    u0 = np.stack([s[0].u for s in snapshots], dtype=float)
-    u_hat = spectral.rfft(u0)
+    u_hat = spectral.rfft(np.stack([s[0].u for s in snapshots], dtype=float))
     # overflow is diagnosed through the explicit finiteness check, so the
     # intermediate numpy warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -255,31 +261,18 @@ def _step_group(configs, snapshots, rows):
             # step adds to u_hat times a unit-modulus factor), so one check
             # covers the interval
             if not np.all(np.isfinite(u_hat)):
-                _raise_blow_up(stepper, start, u_hat, (i_snap - 1) * steps_per,
-                               steps_per, snapshots, rows)
+                state, first = start, (i_snap - 1) * steps_per
+                for j in range(1, steps_per + 1):
+                    state = u_hat if j == steps_per else stepper.step(state)
+                    finite = np.isfinite(state).all(axis=-1)
+                    if not finite.all():
+                        bad, step = int(np.argmin(finite)), first + j
+                        raise BlowUpError(
+                            f"row {rows[bad]} lost finiteness at step {step}",
+                            step=step, t=step * stepper.dt,
+                            last_snapshot=snapshots[bad][-1], row=rows[bad])
             for s, u in zip(snapshots, spectral.irfft(u_hat, grid.n)):
                 s.append(Snapshot(times[i_snap], u))
-
-
-def _raise_blow_up(stepper, start, end, first_step, steps_per, snapshots, rows):
-    """Find the first non-finite step of an interval and raise BlowUpError.
-
-    The interval is re-stepped from its start state, checking every step;
-    ``step`` never writes into its input, so ``start`` is intact, and the
-    replay is deterministic.  The end state, already known to be non-finite,
-    is not recomputed.
-    """
-    state = start
-    last_step = first_step + steps_per
-    for step in range(first_step + 1, last_step + 1):
-        state = end if step == last_step else stepper.step(state)
-        finite = np.isfinite(state).all(axis=-1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise BlowUpError(
-                f"row {rows[bad]} lost finiteness at step {step}",
-                step=step, t=step * stepper.dt,
-                last_snapshot=snapshots[bad][-1], row=rows[bad])
 
 
 def mass_drift(snapshots: list[Snapshot]) -> float:
@@ -491,10 +484,12 @@ def _snapshot_index(times: np.ndarray, t_fix: float, skip: float,
     """Index of the snapshot at t_fix, and of its candidates: the snapshots
     at or after t_fix + skip (``later``, for recurrence_table: after the
     t_fix snapshot, counted from its stored time), both through _span.
-    DomainError for a non-finite t_fix, a negative or non-finite skip, no
-    such stored time, or no candidate.  The one check of a recurrence
-    request; it reads only the times, so a study makes it on the times of
-    _schedule before any step."""
+    DomainError for times that do not increase strictly, a non-finite
+    t_fix, a negative or non-finite skip, no such stored time, or no
+    candidate.  The one check of a recurrence request; it reads only the
+    times, so a study makes it on the times of _schedule before any step."""
+    if not np.all(np.diff(times) > 0):
+        raise DomainError("snapshot times must increase strictly")
     if not math.isfinite(t_fix):
         raise DomainError(f"t_fix must be finite, got {t_fix:g}")
     if not (math.isfinite(skip) and skip >= 0):
@@ -514,13 +509,13 @@ def recurrence_scan(snapshots: list[Snapshot], t_fix: float,
                     skip: float = 0.0) -> RecurrenceReport:
     """Minimal circular difference of each later snapshot from the t_fix one.
 
-    Snapshots are in time order.  d(t) = min over all integer circular
-    shifts of err_metric(shift(u_fix), u(t)).  Local minima (smallest d in
-    a centered window) mark near-recurrences; the period is the mean gap
-    between consecutive minima, or None when fewer than two are found.
-    Raises DomainError for a t_fix off the snapshot times, a non-finite
-    t_fix, a negative or non-finite skip, or when no snapshot lies at or
-    after t_fix + skip.
+    d(t) = min over all integer circular shifts of err_metric(shift(u_fix),
+    u(t)).  Local minima (smallest d in a centered window) mark
+    near-recurrences; the period is the mean gap between consecutive
+    minima, or None when fewer than two are found.  Raises DomainError
+    unless the snapshot times increase strictly, for a t_fix off them, a
+    non-finite t_fix, a negative or non-finite skip, or when no snapshot
+    lies at or after t_fix + skip.
     """
     times = np.array([s.t for s in snapshots])
     i_fix, sel = _snapshot_index(times, t_fix, skip)
@@ -585,8 +580,8 @@ def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float):
     """Fixed-time recurrence rows: for each t_fix, the time of the smallest
     plain circular difference after the skip, the gap, and the difference.
 
-    Snapshots are in time order.  Each t_fix must be a finite snapshot
-    time and skip finite and nonnegative, as for recurrence_scan
+    The snapshot times must increase strictly, each t_fix must be one of
+    them and skip finite and nonnegative, as for recurrence_scan
     (DomainError otherwise); the candidates of a t_fix are the later
     snapshots at or after t_fix + skip, so even skip = 0 never matches the
     t_fix snapshot with itself.  A t_fix with no candidate

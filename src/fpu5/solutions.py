@@ -236,8 +236,8 @@ class GardnerSoliton:
     c0: float
 
     def __post_init__(self):
-        if not self.c0 > 0:
-            raise DomainError("soliton speed must be positive")
+        if not 0 < self.c0 < math.inf:
+            raise DomainError("soliton speed c0 must be finite and positive")
         if not 1.0 - 6.0 * self.c0 * self.params.mu > 0:
             raise DomainError("need 1 - 6 C0 mu > 0 for a real profile")
 
@@ -263,8 +263,10 @@ class KdV5Soliton:
     delta: float
 
     def __post_init__(self):
-        if not (0 < self.k < math.inf and self.delta > 0):
-            raise DomainError("soliton needs a finite k > 0 and delta > 0")
+        if not 0 < self.k < math.inf:
+            raise DomainError("soliton needs a finite k > 0")
+        if not 0 < self.delta < math.inf:
+            raise DomainError("soliton needs a finite delta > 0")
 
     @property
     def speed(self) -> float:

@@ -433,3 +433,17 @@ def test_only_the_stepper_builds_a_nonlinear_operator(module):
             if name == "make_nonlinear_operator":
                 callers.append(getattr(top, "name", None))
     assert callers == (["_step_group"] if module == "experiments.py" else [])
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in Path(spectral.__file__).parent.glob("*.py")))
+def test_only_the_stepping_loop_calls_a_steppers_step(module):
+    # one loop steps every run, checks it and replays a failed interval,
+    # so a compiled interval loop has one place to go
+    tree = ast.parse((Path(spectral.__file__).parent / module).read_text())
+    callers = {getattr(top, "name", None) for top in tree.body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "step"}
+    assert callers == ({"_step_group"} if module == "experiments.py" else set())

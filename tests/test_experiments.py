@@ -162,6 +162,35 @@ class TestRun:
         assert same_snapshots([err.value.last_snapshot], [last])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme, dt, steps_per, step",
+                             [(IntegratingFactorRK4, 0.01, 5, 15),
+                              (ETDRK4, 0.02, 6, 126)])
+    def test_blow_up_on_the_last_step_of_an_interval(self, monkeypatch, scheme,
+                                                     dt, steps_per, step):
+        # the replay takes the interval's end state instead of stepping to
+        # it again, so a run whose first non-finite step ends an interval
+        # makes step + steps_per - 1 calls of step and still names it
+        config = small_config(
+            kind=EquationKind.FPU5, params=ModelParams(delta=2.0, mu=0.0),
+            initial_condition=InitialCondition("kdv5_soliton", k=1.0),
+            dt=dt, t_end=8.0, snapshot_interval=steps_per * dt, scheme=scheme)
+        expected = per_step_blow_up(config)
+        assert (expected[0], expected[3]) == (step, steps_per)
+        calls = []
+        plain_step = scheme.step
+
+        def counted_step(stepper, u_hat):
+            calls.append(1)
+            return plain_step(stepper, u_hat)
+
+        monkeypatch.setattr(scheme, "step", counted_step)
+        with pytest.raises(BlowUpError) as err:
+            run(config)
+        assert (err.value.step, err.value.t) == expected[:2]
+        assert same_snapshots([err.value.last_snapshot], [expected[2]])
+        assert len(calls) == step + steps_per - 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", [EquationKind.KDV, EquationKind.GARDNER])
     def test_mu_zero_blow_up_matches_the_general_formula(self, kind):
         # at mu = 0 the operator still forms (mu u) u - u, which is not
@@ -602,6 +631,32 @@ class TestRecurrenceScan:
             recurrence_scan(snaps, t_fix=t_fix, skip=skip)
         with pytest.raises(DomainError, match=message):
             recurrence_table(snaps, [t_fix], skip=skip)
+
+    @staticmethod
+    def three_bumps(times):
+        grid = Grid(10.0, 16)
+        return [Snapshot(t, np.exp(-(grid.x - c) ** 2))
+                for t, c in zip(times, (5.0, 3.0, 3.0))]
+
+    # _span's search needs ascending times: given t = 1, 0, 2 in list order
+    # the table once answered for t_fix = 1 and the scan scored every
+    # snapshot against the t = 1 field; with t = 0 twice both took the first
+    @pytest.mark.parametrize("times", [(1.0, 0.0, 2.0), (0.0, 0.0, 2.0)],
+                             ids=["out-of-order", "repeated"])
+    def test_scan_refuses_times_that_do_not_increase(self, times):
+        with pytest.raises(DomainError,
+                           match="^snapshot times must increase strictly$"):
+            recurrence_scan(self.three_bumps(times), 0.0)
+
+    @pytest.mark.parametrize("times", [(1.0, 0.0, 2.0), (0.0, 0.0, 2.0)],
+                             ids=["out-of-order", "repeated"])
+    def test_table_refuses_times_that_do_not_increase(self, times):
+        with pytest.raises(DomainError,
+                           match="^snapshot times must increase strictly$"):
+            recurrence_table(self.three_bumps(times), [0.0], 0.0)
+        # the same fields in time order: u(2) is u(0)
+        ordered = sorted(self.three_bumps((1.0, 0.0, 2.0)), key=lambda s: s.t)
+        assert recurrence_table(ordered, [0.0], 0.0)[0] == [(0.0, 2.0, 2.0, 0.0)]
 
     def test_scan_rejects_t_fix_without_candidates(self):
         # an empty report would read as a scan that found no recurrence

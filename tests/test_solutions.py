@@ -223,6 +223,14 @@ class TestGardnerSoliton:
         with pytest.raises(DomainError):
             GardnerSoliton(ModelParams(1.0, 0.1), c0=-1.0)
 
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_speed_must_be_finite(self, mu):
+        # at mu = 0 the profile condition 1 - 6 C0 mu > 0 holds for every
+        # C0, but 6 inf 0 is nan, so an infinite c0 needs its own check
+        with pytest.raises(DomainError,
+                           match="^soliton speed c0 must be finite and positive$"):
+            GardnerSoliton(ModelParams(1.0, mu), c0=np.inf)
+
     def test_solves_gardner_equation(self):
         params = ModelParams(1.0, 0.1)
         s = GardnerSoliton(params, c0=1.0)
@@ -249,6 +257,15 @@ class TestKdV5Soliton:
         z = np.concatenate([-far, far])
         assert np.max(np.abs(kdv5_soliton(s, z) - s.background)) \
             <= 1e-15 * abs(s.background)
+
+    @pytest.mark.parametrize("k, delta, message", [
+        (np.inf, 1.0, "finite k > 0"), (0.0, 1.0, "finite k > 0"),
+        (1.0, np.inf, "finite delta > 0"), (1.0, np.nan, "finite delta > 0"),
+        (1.0, 0.0, "finite delta > 0")])
+    def test_parameters_must_be_finite_and_positive(self, k, delta, message):
+        # an infinite delta once gave an infinite crest and background
+        with pytest.raises(DomainError, match=f"^soliton needs a {message}$"):
+            KdV5Soliton(k=k, delta=delta)
 
     def test_travels_left(self):
         s = KdV5Soliton(k=1.0, delta=2.0)

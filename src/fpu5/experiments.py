@@ -271,7 +271,7 @@ def _step_group(configs, snapshots, rows, steps_per, times):
                             f"row {rows[bad]} lost finiteness at step {step}",
                             step=step, t=step * stepper.dt,
                             last_snapshot=snapshots[bad][-1], row=rows[bad])
-            for s, u in zip(snapshots, spectral.irfft(u_hat, grid.n)):
+            for s, u in zip(snapshots, spectral.irfft(u_hat)):
                 s.append(Snapshot(times[i_snap], u))
 
 
@@ -326,8 +326,7 @@ def xcorr_mismatch(reference: np.ndarray, u: np.ndarray) -> float:
     spiky fields, so it is the score used for the soliton-train comparisons.
     """
     reference, u = _field_pair(reference, u)
-    corr = spectral.irfft(spectral.rfft(u) * np.conj(spectral.rfft(reference)),
-                          u.size)
+    corr = spectral.irfft(spectral.rfft(u) * np.conj(spectral.rfft(reference)))
     norm = np.sqrt(np.sum(reference**2) * np.sum(u**2))
     if norm == 0.0:
         raise ValueError("correlation undefined for an all-zero field")
@@ -403,7 +402,7 @@ def shape_score(reference: np.ndarray, u: np.ndarray, grid: Grid) -> float:
     denom = float(np.max(np.abs(u)))
 
     def objective(shift):
-        shifted = spectral.irfft(ref_hat * np.exp(-1j * grid.k * shift), grid.n)
+        shifted = spectral.irfft(ref_hat * np.exp(-1j * grid.k * shift))
         return float(np.max(np.abs(shifted - u))) / denom
 
     x0 = s0 * grid.dx

@@ -173,9 +173,11 @@ def elliptic_g3_for_speed(params: ModelParams, c0: float) -> float:
 def elliptic_eval(s: EllipticSolution, z, on_pole: str = "raise"):
     """Evaluate the elliptic profile.
 
-    ``on_pole="nan"`` fills NaN at points too close to a singularity (used
-    for tabulation); the default raises PoleError.
+    ``on_pole="nan"`` fills NaN at points too close to a singularity (for
+    tabulation), the default "raise" raises PoleError, any other ValueError.
     """
+    if on_pole not in ("raise", "nan"):
+        raise ValueError(f'on_pole must be "raise" or "nan", not {on_pole!r}')
     z = np.atleast_1d(np.asarray(z, dtype=float)) - s.z0
     w = WeierstrassP(s.g2, s.g3)
     distance = w.pole_distance(z)

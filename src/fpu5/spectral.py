@@ -4,7 +4,7 @@ two exponential RK4 steppers, IF-RK4 and ETDRK4.
 Transform convention: every spectral quantity lives on the real-FFT half
 spectrum, modes 0..N/2 (length N//2 + 1).  A field u goes to ``rfft(u)``,
 unnormalized, so a constant field c has coefficient N*c in mode 0, and
-comes back through ``irfft(u_hat, N)``, which carries the 1/N factor.
+comes back through ``irfft(u_hat)``, which carries the 1/N factor.
 ``Grid.k`` and ``Grid.dealias`` are per-mode arrays of that length; the
 Nyquist entry of ``k`` is -pi N / L, the sign numpy's full ``fftfreq``
 gives it.  In both steppers the state has the symbol's shape: a
@@ -17,15 +17,19 @@ which write into its arrays and skip the input check (0.5-1 µs a call).
 All four call ``r2c`` and ``c2r`` of scipy's pybind11 build of pocketfft,
 the C++ code ``np.fft.rfft`` and ``np.fft.irfft`` also end in, with the
 same normalisation, so for an even n the results are bit-identical to
-those functions'.  Fed inf or nan, they give the same values, though a
-nan may carry the other sign bit: one in about 40 random non-finite
-``irfft`` inputs.  The binding's fixed cost per call is lower than that of
-numpy's gufunc: an ``rfft`` of (256,) costs about 4 µs against 10 µs.  It
-reads past the end of a spectrum shorter than n//2 + 1 and writes past
-the end of a short output, hence the checks.
+those functions'.  N is even, so m modes fix n = 2 (m - 1), the
+``np.fft.irfft`` default: ``irfft`` takes n from its spectrum and
+``irfft_unchecked`` from its output.  Fed inf or nan, they give the same
+values, though a nan may carry the other sign bit: one in about 40 random
+non-finite ``irfft`` inputs.  The binding's fixed cost per call is lower
+than that of numpy's gufunc: an ``rfft`` of (256,) costs about 4 µs
+against 10 µs.  It transforms a float32 or complex64 array in single
+precision, hence the dtype checks of ``rfft`` and ``irfft``, and writes
+past the end of a short ``out``, which only the unchecked pair passes.
 
-The extension is loaded from its file under scipy's install directory,
-under its own dotted name but without importing any scipy Python module:
+The import system's path finder finds the extension under scipy's install
+directory, and it is loaded from its file under its own dotted name but
+without importing any scipy Python module:
 ``import scipy.fft`` costs about 0.3 s, the file 1-1.5 ms.  A later
 ``import scipy.fft`` reuses the loaded extension.
 """
@@ -91,26 +95,20 @@ _LAST_AXIS = (-1,)
 def _load_pocketfft():
     """scipy's pocketfft extension module, loaded straight from its file.
 
-    Raises ImportError, naming the path looked for, when the file is
-    missing or its ``r2c``/``c2r`` take no ``out`` array in the place this
-    module passes it.
+    Raises ImportError, naming the directory looked in, when it holds no
+    extension module of that name or its ``r2c``/``c2r`` take no ``out``
+    array in the place this module passes it.
     """
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
         raise ImportError("fpu5 needs scipy: no scipy package found")
-    stem = os.path.join(spec.submodule_search_locations[0],
-                        *_POCKETFFT.split(".")[1:])
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        if os.path.isfile(stem + suffix):
-            path = stem + suffix
-            break
-    else:
-        raise ImportError(f"scipy's pocketfft extension not found: looked for "
-                          f"{stem} with a suffix in "
-                          f"{importlib.machinery.EXTENSION_SUFFIXES}")
-    file_spec = importlib.util.spec_from_file_location(_POCKETFFT, path)
-    module = importlib.util.module_from_spec(file_spec)
-    file_spec.loader.exec_module(module)
+    where = os.path.join(spec.submodule_search_locations[0], "fft", "_pocketfft")
+    spec = importlib.machinery.PathFinder.find_spec(_POCKETFFT, [where])
+    if spec is None or not isinstance(spec.loader,
+                                      importlib.machinery.ExtensionFileLoader):
+        raise ImportError(f"scipy's pocketfft extension not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     field = np.zeros(2)
     spectrum = np.empty(2, dtype=complex)
     try:
@@ -120,7 +118,7 @@ def _load_pocketfft():
     except TypeError:
         takes_out = False
     if not takes_out:
-        raise ImportError(f"{path}: r2c and c2r take no out array")
+        raise ImportError(f"{spec.origin}: r2c and c2r take no out array")
     return module
 
 
@@ -143,20 +141,17 @@ def rfft(u: np.ndarray) -> np.ndarray:
     return _r2c(u, _LAST_AXIS, True, 0, None, 1)
 
 
-def irfft(u_hat: np.ndarray, n: int) -> np.ndarray:
-    """``np.fft.irfft(u_hat, n)`` along the last axis, as a new float64 array.
+def irfft(u_hat: np.ndarray) -> np.ndarray:
+    """``np.fft.irfft(u_hat)`` along the last axis, as a new float64 array
+    of length n = 2 (m - 1) for a spectrum of m modes.
 
-    n must be an even int of at least 2 and u_hat a complex128 array whose
-    last axis is exactly n//2 + 1, or ValueError: the binding would read
-    past the end of a shorter spectrum."""
+    u_hat must be a complex128 array of at least two modes, or ValueError."""
     if not (isinstance(u_hat, np.ndarray) and u_hat.dtype == _COMPLEX
-            and isinstance(n, (int, np.integer)) and n >= 2 and n % 2 == 0
-            and u_hat.shape[-1:] == (n // 2 + 1,)):
-        raise ValueError(f"irfft to an even length n >= 2 takes a complex128 "
-                         f"array with n//2 + 1 modes, not n = {n!r} and "
-                         f"{getattr(u_hat, 'dtype', type(u_hat).__name__)} "
+            and u_hat.ndim and u_hat.shape[-1] >= 2):
+        raise ValueError("irfft takes a complex128 array of at least two "
+                         f"modes, not {getattr(u_hat, 'dtype', type(u_hat).__name__)} "
                          f"{np.shape(u_hat)}")
-    return _c2r(u_hat, _LAST_AXIS, n, False, 2, None, 1)
+    return _c2r(u_hat, _LAST_AXIS, 2 * (u_hat.shape[-1] - 1), False, 2, None, 1)
 
 
 def rfft_unchecked(u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -172,8 +167,10 @@ def irfft_unchecked(u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def derivative_multiplier(grid: Grid, order: int, dealias: bool = True) -> np.ndarray:
     """Per-mode factor (i k)^order, Nyquist zeroed for odd orders."""
-    if order < 1 or order > 5:
+    if not 1 <= order <= 5:
         raise ValueError("derivative order must be between 1 and 5")
+    if int(order) != order:
+        raise ValueError(f"derivative order must be an integer, not {order!r}")
     mult = (1j * grid.k) ** order
     if order % 2:
         # the Nyquist mode of an odd derivative has no real-valued counterpart
@@ -197,14 +194,14 @@ def spectral_derivative(grid: Grid, u: np.ndarray, order: int = 1,
     u = grid.check_field(u)
     mirrored = np.roll(u[::-1], 1)
     u_hat = 0.5 * (rfft(u) + np.conj(rfft(mirrored)))
-    return irfft(derivative_multiplier(grid, order, dealias) * u_hat, grid.n)
+    return irfft(derivative_multiplier(grid, order, dealias) * u_hat)
 
 
 def _checked_symbol(symbol, dt: float) -> np.ndarray:
-    """The constructor checks both steppers share: dt > 0 and a purely
-    imaginary symbol (dispersive, no growth or decay)."""
-    if not dt > 0:
-        raise DomainError("dt must be positive")
+    """The constructor checks both steppers share: a finite dt > 0 and a
+    purely imaginary symbol (dispersive, no growth or decay)."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError("dt must be finite and positive")
     symbol = np.asarray(symbol)
     if np.max(np.abs(symbol.real)) != 0.0:
         raise DomainError("linear symbol must be purely imaginary")

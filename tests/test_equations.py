@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ def full_derivative(grid, u, order):
 def tendency(kind, params, grid, u):
     """The operator's nonlinear tendency of a field, in physical space."""
     op = make_nonlinear_operator(kind, params, grid)
-    return spectral.irfft(op(spectral.rfft(u)), grid.n)
+    return spectral.irfft(op(spectral.rfft(u)))
 
 
 def band_limited_field(grid, max_mode, seed=0, scale=1.0):
@@ -152,7 +153,7 @@ class TestConservationFlux:
         for seed in range(3):
             u = band_limited_field(g, g.n // 9, seed=seed, scale=1.5)
             u_hat = spectral.rfft(u)
-            rhs = spectral.irfft(lam * u_hat + op(u_hat), g.n)
+            rhs = spectral.irfft(lam * u_hat + op(u_hat))
             flux = conservation_flux(params, g, u)
             dflux = full_derivative(g, flux, 1)
             scale = np.max(np.abs(rhs))
@@ -447,3 +448,27 @@ def test_only_the_stepping_loop_calls_a_steppers_step(module):
                and isinstance(node.func, ast.Attribute)
                and node.func.attr == "step"}
     assert callers == ({"_step_group"} if module == "experiments.py" else set())
+
+
+_BINDING = {"_pocketfft", "_r2c", "_c2r", "pypocketfft"}
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in Path(spectral.__file__).parent.glob("*.py")))
+def test_only_spectral_names_the_fft_binding(module):
+    # every transform goes through spectral's one binding pair, so no other
+    # module imports, calls or spells out the binding or its functions
+    tree = ast.parse((Path(spectral.__file__).parent / module).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+    assert names & _BINDING == (_BINDING if module == "spectral.py" else set())

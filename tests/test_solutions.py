@@ -188,6 +188,14 @@ class TestElliptic:
         vals = elliptic_eval(sol, np.array([0.0, 0.3]), on_pole="nan")
         assert np.isnan(vals[0]) and np.isfinite(vals[1])
 
+    @pytest.mark.parametrize("on_pole", ["Raise", "NaN", "ignore", None])
+    def test_unknown_pole_mode_is_refused(self, on_pole):
+        # before any evaluation: a NaN where a PoleError was asked for
+        # would pass silently
+        sol = EllipticSolution(ModelParams(1.0, 1.0), g3=0.1)
+        with pytest.raises(ValueError, match="on_pole"):
+            elliptic_eval(sol, np.array([0.0, 0.3]), on_pole=on_pole)
+
     def test_g3_for_speed_inverts_speed_relation(self):
         params = ModelParams(1.0, 0.5)
         g3 = elliptic_g3_for_speed(params, 5.0)

@@ -1,3 +1,6 @@
+import importlib.machinery
+import importlib.util
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from fpu5 import (ETDRK4, DomainError, EquationKind, Grid, InitialCondition,
                   conservation_flux, err_metric, linear_symbol,
                   make_nonlinear_operator, run, shape_score,
                   spectral_derivative, xcorr_mismatch)
+from fpu5 import spectral
 from fpu5.experiments import min_shift_difference
 from fpu5.spectral import derivative_multiplier, irfft, rfft
 
@@ -82,7 +86,7 @@ class TestTransforms:
     def test_round_trip(self, grid):
         rng = np.random.default_rng(0)
         u = rng.standard_normal(grid.n)
-        back = irfft(rfft(u), grid.n)
+        back = irfft(rfft(u))
         assert np.max(np.abs(back - u)) < 1e-12 * np.max(np.abs(u))
 
     def test_parseval(self, grid):
@@ -130,7 +134,7 @@ class TestHalfSpectrumTransforms:
         u_hat = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         assert np.all(u_hat[..., [0, -1]].imag != 0.0)
         before = u_hat.copy()
-        out = irfft(u_hat, n)
+        out = irfft(u_hat)
         assert out.dtype == float
         assert out.tobytes() == np.fft.irfft(u_hat, n).tobytes()
         assert u_hat.tobytes() == before.tobytes()
@@ -143,10 +147,9 @@ class TestHalfSpectrumTransforms:
         for u in (fields[:, 1], fields[::2, 2]):
             assert not u.flags.c_contiguous
             assert rfft(u).tobytes() == np.fft.rfft(u).tobytes()
-        for u_hat, n in ((spectra[:, 1], 256), (spectra[::2, 0], 128)):
+        for u_hat in (spectra[:, 1], spectra[::2, 0]):
             assert not u_hat.flags.c_contiguous
-            assert (irfft(u_hat, n).tobytes()
-                    == np.fft.irfft(u_hat, n).tobytes())
+            assert irfft(u_hat).tobytes() == np.fft.irfft(u_hat).tobytes()
 
     # the blow-up replay feeds the transforms states that hold inf and nan;
     # the results hold the same values, with inf and nan in the same
@@ -188,7 +191,7 @@ class TestHalfSpectrumTransforms:
         shape = lead + (n // 2 + 1,)
         u_hat = (self._spoiled(rng, shape, count)
                  + 1j * self._spoiled(rng, shape, count))
-        assert (self._nan_blind(irfft(u_hat, n))
+        assert (self._nan_blind(irfft(u_hat))
                 == self._nan_blind(np.fft.irfft(u_hat, n)))
 
     @pytest.mark.parametrize("u", [
@@ -206,31 +209,63 @@ class TestHalfSpectrumTransforms:
         with pytest.raises(ValueError):
             rfft(u)
 
-    @pytest.mark.parametrize("u_hat, n", [
-        (np.zeros(33), 64),
-        (np.zeros(33, dtype=np.complex64), 64),
-        (list(np.zeros(33, dtype=complex)), 64),
-        (np.zeros(32, dtype=complex), 63),
-        (np.zeros(33, dtype=complex), 62),
-        (np.zeros(33, dtype=complex), 66),
-        (np.zeros((3, 33), dtype=complex), 66),
-        (np.zeros(10, dtype=complex), 64),
-        (np.zeros(1, dtype=complex), 0),
-        (np.zeros(33, dtype=complex), 64.0),
-        (np.array(1.0 + 0j), 2),
-    ], ids=["float", "complex64", "list", "odd-n", "long-spectrum",
-            "short-spectrum", "short-rows", "ten-modes-for-64", "zero-n",
-            "float-n", "0-d"])
-    def test_irfft_refuses_bad_input(self, u_hat, n):
+    @pytest.mark.parametrize("u_hat", [
+        np.zeros(33),
+        np.zeros(33, dtype=np.complex64),
+        list(np.zeros(33, dtype=complex)),
+        np.zeros(1, dtype=complex),
+        np.zeros((3, 1), dtype=complex),
+        np.zeros(0, dtype=complex),
+        np.complex128(1.0),
+        np.array(1.0 + 0j),
+    ], ids=["float", "complex64", "list", "zero-n", "zero-n-rows", "empty",
+            "scalar", "0-d"])
+    def test_irfft_refuses_bad_input(self, u_hat):
+        # one mode would give n = 0 and no mode n = -2
         with pytest.raises(ValueError):
-            irfft(u_hat, n)
+            irfft(u_hat)
 
     def test_the_transforms_return_new_arrays(self):
         u = np.random.default_rng(5).standard_normal((2, 16))
         u_hat = rfft(u)
         assert u_hat.shape == (2, 9) and u_hat.flags.owndata
-        back = irfft(u_hat, 16)
+        back = irfft(u_hat)
         assert back.shape == (2, 16) and back.flags.owndata
+
+
+class TestPocketfftLoader:
+    # _load_pocketfft is called again with scipy's location replaced; the
+    # module keeps the binding it loaded on import
+
+    @staticmethod
+    def _scipy_at(monkeypatch, root):
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(root)]
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name: spec if name == "scipy" else None)
+
+    def test_no_scipy(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="fpu5 needs scipy"):
+            spectral._load_pocketfft()
+
+    def test_no_extension_names_the_directory(self, monkeypatch, tmp_path):
+        where = tmp_path / "scipy" / "fft" / "_pocketfft"
+        where.mkdir(parents=True)
+        self._scipy_at(monkeypatch, tmp_path / "scipy")
+        with pytest.raises(ImportError) as err:
+            spectral._load_pocketfft()
+        assert str(where) in str(err.value)
+
+    def test_a_python_module_is_refused(self, monkeypatch, tmp_path):
+        # only an extension module can become the binding: running this
+        # one would raise AssertionError, not ImportError
+        where = tmp_path / "scipy" / "fft" / "_pocketfft"
+        where.mkdir(parents=True)
+        (where / "pypocketfft.py").write_text("raise AssertionError('ran')\n")
+        self._scipy_at(monkeypatch, tmp_path / "scipy")
+        with pytest.raises(ImportError, match="extension not found"):
+            spectral._load_pocketfft()
 
 
 def kept_modes(g):
@@ -265,7 +300,8 @@ class TestDerivative:
         assert np.max(np.abs(du + np.cos(grid.x))) < 1e-12
 
     def test_order_out_of_range(self, grid):
-        for order in (0, 6, -1):
+        # a fractional order would give a fractional derivative
+        for order in (0, 6, -1, 1.5, 2.5, np.nan):
             with pytest.raises(ValueError):
                 spectral_derivative(grid, np.sin(grid.x), order)
 
@@ -337,6 +373,8 @@ class TestIfRk4:
     def test_nonpositive_dt_rejected(self, grid, stepper):
         with pytest.raises(DomainError):
             stepper(1j * grid.k, lambda v: v, 0.0)
+        with pytest.raises(DomainError, match="finite and positive"):
+            stepper(1j * grid.k, lambda v: v, np.inf)
 
     @pytest.mark.parametrize("make_stepper", STEPPERS)
     def test_step_writes_into_neither_its_input_nor_the_tendency(
@@ -508,7 +546,7 @@ class TestOneTransformPath:
         for kind in EquationKind:
             n_hat = make_nonlinear_operator(kind, params, g)(u_hat)
             lam = linear_symbol(kind, params, g)
-            assert np.all(np.isfinite(irfft(lam * u_hat + n_hat, g.n)))
+            assert np.all(np.isfinite(irfft(lam * u_hat + n_hat)))
         for order in range(1, 6):
             assert np.all(np.isfinite(spectral_derivative(g, u, order)))
         assert np.all(np.isfinite(conservation_flux(params, g, u)))

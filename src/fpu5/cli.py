@@ -220,6 +220,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError, DomainError and PoleError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # an overflow or 1/0 from finite input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (BlowUpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

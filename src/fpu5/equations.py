@@ -81,21 +81,19 @@ def make_nonlinear_operator(kind: EquationKind,
     orders = (1, 2, 3) if fifth else (1,)
     mult = np.stack([np.ones(h, dtype=complex)]
                     + [derivative_multiplier(grid, m) for m in orders])
-    # the arrays below are made for these transforms, so their checks can go
+    # the transforms' inputs are made here with their shapes and dtypes
+    # fixed, so their checks can go
     irfft = spectral.irfft_unchecked
     rfft = spectral.rfft_unchecked
-    # Arrays are stacked row first, so f[r] is u or one of its derivatives.
-    # Every view is made here once: making one costs about half an
-    # elementwise pass at N = 512.  So is every constant operand (the
-    # derivative multipliers and the dealias mask), copied out to the
-    # shape and dtype of the output it meets: numpy sets up a broadcast, a
-    # scalar or a float-to-complex cast anew on every call, at up to the
-    # cost of the call's own arithmetic.  Operands keep their order in the
-    # plain expression, since numpy's complex multiply need not give x*y
-    # and y*x the same bits.
+    # Every constant operand (the derivative multipliers and the dealias
+    # mask) is copied out once to the shape and dtype of the output it
+    # meets: numpy sets up a broadcast, a scalar or a float-to-complex cast
+    # anew on every call, at up to the cost of the call's own arithmetic.
+    # Operands keep their order in the plain expression, since numpy's
+    # complex multiply need not give x*y and y*x the same bits.  The
+    # stacked rows are u and its derivatives, f[r] the r-th of them.
     mult_rows = np.full((len(mult),) + shape, mult[:, None] if batched else mult)
     mask_full = np.full(shape, grid.dealias, dtype=complex)
-    prod = np.empty((len(mult),) + shape, dtype=complex)
     f, tendency, kernel = _native.tendency(
         fifth, [effective_mu(kind, p) for p in rows],
         [p.delta**2 for p in rows], shape[:-1], grid.n)
@@ -104,10 +102,9 @@ def make_nonlinear_operator(kind: EquationKind,
         if u_hat.shape != shape:
             raise ValueError(f"nonlinear operator built for shape {shape} "
                              f"was given shape {u_hat.shape}")
-        np.multiply(u_hat, mult_rows, out=prod)
-        irfft(prod, f)
+        irfft(u_hat * mult_rows, f)
         kernel()
-        out = rfft(tendency, np.empty(shape, dtype=complex))
+        out = rfft(tendency)
         np.multiply(out, mask_full, out=out)
         # kept apart from the mask: folding it in can flip a zero's sign
         out[..., 0] = 0.0

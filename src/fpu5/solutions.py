@@ -170,6 +170,11 @@ def elliptic_g3_for_speed(params: ModelParams, c0: float) -> float:
     return -(6480.0 * mu**2 * den * c0 + poly) / (2985984.0 * delta**6 * mu**3)
 
 
+def _near_zero(den, p):
+    """Where den = C + p is a zero of the profile's denominator, relative to p."""
+    return np.abs(den) < POLE_THRESHOLD * (1.0 + np.abs(p))
+
+
 def elliptic_eval(s: EllipticSolution, z, on_pole: str = "raise"):
     """Evaluate the elliptic profile.
 
@@ -190,7 +195,7 @@ def elliptic_eval(s: EllipticSolution, z, on_pole: str = "raise"):
     if good.any():
         p, pp = w(z[good])
         den = s.c_coef + p
-        near_zero = np.abs(den) < POLE_THRESHOLD * (1.0 + np.abs(p))
+        near_zero = _near_zero(den, p)
         if near_zero.any() and on_pole == "raise":
             raise PoleError("elliptic profile evaluated at a zero of C + p")
         out[good] = np.where(near_zero, np.nan,
@@ -213,7 +218,7 @@ def elliptic_derivatives(s: EllipticSolution, z):
     g2, g3 = s.g2, s.g3
     b, c = s.b_coef, s.c_coef
     den = c + p
-    if float(np.min(np.abs(den))) < POLE_THRESHOLD * (1.0 + float(np.max(np.abs(p)))):
+    if _near_zero(den, p).any():
         raise PoleError("derivative evaluation at a zero of C + p")
     n1 = 2.0 * p**3 + 6.0 * c * p**2 + 0.5 * g2 * p + (g3 - 0.5 * g2 * c)
     m = 2.0 * p**3 + 6.0 * c * p**2 + (12.0 * c * c - 0.5 * g2) * p \

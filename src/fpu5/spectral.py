@@ -13,7 +13,8 @@ gives it.  In both steppers the state has the symbol's shape: a
 ``rfft`` and ``irfft`` are the package's one transform pair; only the
 nonlinear operator, which makes its arrays once with their shapes and
 dtypes fixed, calls ``rfft_unchecked`` and ``irfft_unchecked`` instead,
-which write into its arrays and skip the input check (0.5-1 µs a call).
+which skip the input check (0.5-1 µs a call).  Only ``irfft_unchecked``
+writes into the operator's arrays; ``rfft_unchecked`` returns a new one.
 All four call ``r2c`` and ``c2r`` of scipy's pybind11 build of pocketfft,
 the C++ code ``np.fft.rfft`` and ``np.fft.irfft`` also end in, with the
 same normalisation, so for an even n the results are bit-identical to
@@ -25,7 +26,7 @@ non-finite ``irfft`` inputs.  The binding's fixed cost per call is lower
 than that of numpy's gufunc: an ``rfft`` of (256,) costs about 4 µs
 against 10 µs.  It transforms a float32 or complex64 array in single
 precision, hence the dtype checks of ``rfft`` and ``irfft``, and writes
-past the end of a short ``out``, which only the unchecked pair passes.
+past the end of a short ``out``, which only ``irfft_unchecked`` passes.
 
 The import system's path finder finds the extension under scipy's install
 directory, and it is loaded from its file under its own dotted name but
@@ -154,9 +155,9 @@ def irfft(u_hat: np.ndarray) -> np.ndarray:
     return _c2r(u_hat, _LAST_AXIS, 2 * (u_hat.shape[-1] - 1), False, 2, None, 1)
 
 
-def rfft_unchecked(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``rfft`` into out, unchecked: a mis-shaped out is written past its end."""
-    return _r2c(u, _LAST_AXIS, True, 0, out, 1)
+def rfft_unchecked(u: np.ndarray) -> np.ndarray:
+    """``rfft`` without the input check, as a new complex128 array."""
+    return _r2c(u, _LAST_AXIS, True, 0, None, 1)
 
 
 def irfft_unchecked(u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -331,35 +332,16 @@ class ETDRK4:
             a = E_half u + Q N(u),   b = E_half u + Q N(a),
             c = E_half a + Q (2 N(b) - N(u)),
             u' = E u + f1 N(u) + 2 f2 (N(a) + N(b)) + f3 N(c).
-
-        Each tendency is folded into the result sum, and into the stages
-        that need it, before the next call, and only arrays made in this
-        step are written; a stage handed to the callable is overwritten
-        only once its tendency has been used.
         """
-        e_half = self.e_half
-        q = self.q
         n = self.nonlinear
+        e_half = self.e_half
         nv = n(u_hat)
-        work = np.multiply(u_hat, e_half)                 # E_half u
-        q_nv = np.multiply(q, nv)
-        stage = np.add(work, q_nv)                        # a
-        result = np.multiply(self.f1, nv)
-        na = n(stage)
-        stage_b = np.multiply(q, na)
-        np.add(work, stage_b, out=stage_b)                # b
-        np.multiply(self._f2x2, na, out=work)
-        np.add(result, work, out=result)
-        nb = n(stage_b)
-        np.multiply(self._f2x2, nb, out=work)
-        np.add(result, work, out=result)
-        np.multiply(stage, e_half, out=stage)
-        np.multiply(self._q2, nb, out=work)
-        np.add(stage, work, out=stage)
-        np.subtract(stage, q_nv, out=stage)               # c
-        nc = n(stage)
-        np.multiply(self.f3, nc, out=work)
-        np.add(result, work, out=result)
-        np.multiply(u_hat, self.e_full, out=work)
-        np.add(result, work, out=result)
-        return result
+        eu = u_hat * e_half
+        q_nv = self.q * nv
+        a = eu + q_nv
+        na = n(a)
+        b = eu + self.q * na
+        nb = n(b)
+        c = a * e_half + self._q2 * nb - q_nv
+        return (self.f1 * nv + self._f2x2 * na + self._f2x2 * nb
+                + self.f3 * n(c) + u_hat * self.e_full)

@@ -36,9 +36,16 @@ def _classify_cubic(g2: float, g3: float):
     """Roots of 4t^3 - g2 t - g3 grouped by the sign of g2^3 - 27 g3^2.
 
     Returns ("three", (e1, e2, e3)) with e1 >= e2 >= e3 (repeats allowed)
-    or ("one", e) for a single real root.
+    or ("one", e) for a single real root.  Raises DomainError when
+    g2^3 - 27 g3^2 is not a finite double, as for a non-finite g2 or g3.
     """
-    disc = g2**3 - 27.0 * g3**2
+    try:
+        disc = g2**3 - 27.0 * g3**2
+    except OverflowError:
+        disc = np.inf
+    if not np.isfinite(disc):
+        raise DomainError(f"invariants g2 = {g2!r}, g3 = {g3!r}: g2^3 - 27 g3^2 "
+                          "is not a finite double")
     scale = max(abs(g2) ** 3, 27.0 * g3**2)
     if scale == 0.0:
         return "three", (0.0, 0.0, 0.0)

@@ -523,6 +523,33 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.dat"))
 
+    @pytest.mark.parametrize("argv, fault", [
+        (["painleve", "--mu", "5e-324", "--delta", "1"], "OverflowError"),
+        (["painleve", "--mu", "1", "--delta", "1e300"], "OverflowError"),
+        (["exact", "kdv5", "--k", "1e200", "--n", "16"], "OverflowError"),
+        (["exact", "kink", "--mu", "5e-324", "--n", "16"], "ZeroDivisionError"),
+        (["simulate", "{cfg}"], "OverflowError"),  # kind = kdv, delta = 1e200
+    ], ids=["painleve-mu", "painleve-delta", "kdv5-k", "kink-mu", "simulate"])
+    def test_arithmetic_fault_on_finite_input_exits_2(self, tmp_path, capsys,
+                                                      argv, fault):
+        cfg = self.write_config(tmp_path, MINIMAL.replace("gardner", "kdv")
+                                .replace("delta = 1.0", "delta = 1e200"))
+        out = tmp_path / "out"
+        assert main([arg.format(cfg=cfg) for arg in argv]
+                    + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fault}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", [["--g3", "1e200"], ["--c0", "1e300"]])
+    def test_elliptic_invariants_past_a_double_exit_2(self, tmp_path, capsys,
+                                                      option):
+        out = tmp_path / "out"
+        assert main(["exact", "elliptic", *option, "--n", "16",
+                     "--out", str(out)]) == 2
+        assert "not a finite double" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_initial_file_with_a_nan_exits_2_naming_the_row(self, tmp_path,
                                                              capsys):
         grid = Grid(40.0, 64)

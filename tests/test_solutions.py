@@ -188,6 +188,24 @@ class TestElliptic:
         vals = elliptic_eval(sol, np.array([0.0, 0.3]), on_pole="nan")
         assert np.isnan(vals[0]) and np.isfinite(vals[1])
 
+    def test_derivatives_take_the_per_point_zero_rule(self):
+        # C + p = 0.768 at z = 1 is no zero, though it is small beside the
+        # p of 1.8e10 at z = 1e-5: both functions judge each point alone
+        sol = EllipticSolution(ModelParams(1.0, 1.0), g3=0.3)
+        z = np.array([1.0, 1e-5])
+        v = elliptic_eval(sol, z)
+        assert np.all(np.isfinite(v))
+        assert elliptic_derivatives(sol, z)[0].tobytes() == v.tobytes()
+
+    def test_both_refuse_a_true_zero_of_c_plus_p(self):
+        # p has its minimum e = -C at the half period of this solution
+        sol = EllipticSolution(ModelParams(1.0, 1.0), g3=0.3)
+        half = 0.5 * WeierstrassP(sol.g2, sol.g3).period
+        with pytest.raises(PoleError, match="zero of C"):
+            elliptic_eval(sol, np.array([1.0, half]))
+        with pytest.raises(PoleError, match="zero of C"):
+            elliptic_derivatives(sol, np.array([1.0, half]))
+
     @pytest.mark.parametrize("on_pole", ["Raise", "NaN", "ignore", None])
     def test_unknown_pole_mode_is_refused(self, on_pole):
         # before any evaluation: a NaN where a PoleError was asked for

@@ -50,6 +50,13 @@ class TestEvaluator:
         p2, _ = w(z + w.period)
         assert np.max(np.abs(p1 - p2)) < 1e-8 * np.max(1 + np.abs(p1))
 
+    @pytest.mark.parametrize("g2, g3", [
+        (0.0, np.nan), (np.nan, 0.0), (np.inf, 1.0), (1.0, -np.inf),
+        (1e200, 1.0), (1.0, 1e160)])
+    def test_invariants_without_a_finite_discriminant_are_refused(self, g2, g3):
+        with pytest.raises(DomainError, match="not a finite double"):
+            WeierstrassP(g2, g3)
+
     def test_trivial_lattice(self):
         p, pp = WeierstrassP(0.0, 0.0)(0.25)
         assert p == pytest.approx(16.0, rel=1e-12)

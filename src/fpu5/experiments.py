@@ -416,13 +416,42 @@ def shape_score_series(snapshots: list[Snapshot], grid: Grid) -> np.ndarray:
     return np.array([shape_score(snapshots[0].u, s.u, grid) for s in snapshots])
 
 
-def _arm(snapshots: list[Snapshot], **analysis) -> dict:
-    """A study arm: a run's snapshots, their times, mass drift and analysis."""
-    return {"snapshots": snapshots, "times": np.array([s.t for s in snapshots]),
-            "mass_drift": mass_drift(snapshots), **analysis}
-
-
 # ------------------------------------------------------------ experiments
+
+def _rows(runs, ic: InitialCondition, grid: Grid, delta: float,
+          t_end: float, snapshot_interval: float | None,
+          scheme: type = IntegratingFactorRK4) -> list[SimulationConfig]:
+    """The row rule of every study: one run per (kind, mu, dt) of runs,
+    each from ic on one grid, delta, horizon and snapshot interval."""
+    return [SimulationConfig(
+        kind=kind, params=ModelParams(delta, mu), grid=grid, t_end=t_end,
+        dt=dt, snapshot_interval=snapshot_interval, scheme=scheme,
+        initial_condition=ic) for kind, mu, dt in runs]
+
+
+def _step_study(rows: list[SimulationConfig], resolve=None, tags=()):
+    """(resolve(times), arms, checks, tables): the one stepper of the studies.
+
+    The rows of a study share t_end and snapshot_interval, so the times
+    _schedule gives the first row are the times every row stores.  resolve
+    names the study's snapshots on them or raises DomainError; only then
+    do the rows step, in one run_batch.  Each row's arm holds its snapshots,
+    their times and its mass drift.  The first len(tags) arms are also
+    shape-scored against their u(0): each gets its "scores", and its score
+    table, peak score and mass drift go under its tag in tables and checks.
+    """
+    resolved = resolve(np.array(_schedule(rows[0])[1])) if resolve else None
+    arms = [{"snapshots": s, "times": np.array([x.t for x in s]),
+             "mass_drift": mass_drift(s)} for s in run_batch(rows)]
+    checks, tables = {}, {}
+    for tag, arm in zip(tags, arms):
+        arm["scores"] = shape_score_series(arm["snapshots"], rows[0].grid)
+        tables[f"score_vs_t_{tag}.dat"] = (
+            "t\tscore", list(zip(arm["times"], arm["scores"])))
+        checks[f"{tag}_max_score"] = float(arm["scores"].max())
+        checks[f"{tag}_mass_drift"] = arm["mass_drift"]
+    return resolved, arms, checks, tables
+
 
 def kink_validation(params: ModelParams, grid: Grid, dt: float,
                     t_end: float, snapshot_interval: float | None = None,
@@ -434,11 +463,9 @@ def kink_validation(params: ModelParams, grid: Grid, dt: float,
     seam.  The run steps ETDRK4, as the frozen study does; IF-RK4 blows up
     at the study's dt.  The kink pair refuses mu = 0 before any step.
     """
-    config = SimulationConfig(
-        kind=EquationKind.FPU5, params=params, grid=grid, t_end=t_end,
-        dt=dt, snapshot_interval=snapshot_interval, scheme=ETDRK4,
-        initial_condition=InitialCondition("kink_pair"))
-    snapshots = run(config)
+    snapshots = run(*_rows([(EquationKind.FPU5, params.mu, dt)],
+                           InitialCondition("kink_pair"), grid, params.delta,
+                           t_end, snapshot_interval, ETDRK4))
     kink = KinkSolution(params, branch=1, z0=0.25 * grid.length)
     u0 = snapshots[0].u
     exact0 = kink_eval(kink, grid.x)
@@ -452,15 +479,6 @@ def kink_validation(params: ModelParams, grid: Grid, dt: float,
                             snapshots=snapshots if keep_snapshots else None)
 
 
-def _soliton_configs(*, delta, k, mus, grid, dt, t_end,
-                     snapshot_interval) -> list[SimulationConfig]:
-    """The mu = 0 soliton under the fifth-order equation, one row per mu."""
-    return [SimulationConfig(
-        kind=EquationKind.FPU5, params=ModelParams(delta=delta, mu=mu),
-        grid=grid, t_end=t_end, dt=dt, snapshot_interval=snapshot_interval,
-        initial_condition=InitialCondition("kdv5_soliton", k=k)) for mu in mus]
-
-
 def soliton_perturbation(*, delta: float, k: float, mus, grid: Grid,
                          dt: float, t_end: float,
                          snapshot_interval: float) -> dict:
@@ -471,11 +489,10 @@ def soliton_perturbation(*, delta: float, k: float, mus, grid: Grid,
     Returns per-mu snapshot lists and shape-invariance scores against the
     initial profile.
     """
-    configs = _soliton_configs(
-        delta=delta, k=k, mus=mus, grid=grid, dt=dt, t_end=t_end,
-        snapshot_interval=snapshot_interval)
-    return {mu: _arm(snapshots, scores=shape_score_series(snapshots, grid))
-            for mu, snapshots in zip(mus, run_batch(configs))}
+    rows = _rows([(EquationKind.FPU5, mu, dt) for mu in mus],
+                 InitialCondition("kdv5_soliton", k=k), grid, delta, t_end,
+                 snapshot_interval)
+    return dict(zip(mus, _step_study(rows, tags=mus)[1]))
 
 
 def _snapshot_index(times: np.ndarray, t_fix: float, skip: float,
@@ -604,17 +621,6 @@ def recurrence_table(snapshots: list[Snapshot], t_fixes, skip: float):
 
 # ---------------------------------------------------------------- studies
 
-def _score_checks(arms: dict, tags: list[str]) -> tuple[dict, dict]:
-    """Score table, peak score and mass drift of each shape-scored arm."""
-    checks, tables = {}, {}
-    for tag, arm in zip(tags, arms.values()):
-        tables[f"score_vs_t_{tag}.dat"] = (
-            "t\tscore", list(zip(arm["times"], arm["scores"])))
-        checks[f"{tag}_max_score"] = float(arm["scores"].max())
-        checks[f"{tag}_mass_drift"] = arm["mass_drift"]
-    return checks, tables
-
-
 def _study_index(times: list[float], t: float) -> int:
     """Index of the last stored time at or before the study time t, through
     _span on the times of _schedule before any step.  DomainError for a
@@ -644,53 +650,42 @@ def _kink_validation_study(fx: dict) -> StudyResult:
 
 
 def _soliton_perturbation_study(fx: dict) -> StudyResult:
-    setup = dict(grid=Grid(fx["length"], fx["n"]), **{key: fx[key] for key in (
-        "delta", "k", "mus", "dt", "t_end", "snapshot_interval")})
-    i_late = _study_index(_schedule(_soliton_configs(**setup)[1])[1], fx["destruction_by"])
-    arms = soliton_perturbation(**setup)
-    checks, tables = _score_checks(arms, [f"mu_{mu:g}" for mu in arms])
-    clean, perturbed = arms[fx["mus"][0]], arms[fx["mus"][1]]
+    mus = fx["mus"]
+    rows = _rows([(EquationKind.FPU5, mu, fx["dt"]) for mu in mus],
+                 InitialCondition("kdv5_soliton", k=fx["k"]),
+                 Grid(fx["length"], fx["n"]), fx["delta"], fx["t_end"],
+                 fx["snapshot_interval"])
+    i_late, arms, checks, tables = _step_study(
+        rows, lambda times: _study_index(times, fx["destruction_by"]),
+        [f"mu_{mu:g}" for mu in mus])
     checks["pass"] = bool(
-        clean["scores"].max() < fx["invariance_bound"]
-        and perturbed["scores"][i_late] > fx["destruction_threshold"])
-    snapshots = {f"snap_mu_{mu:g}": arm["snapshots"][::4]
-                 for mu, arm in arms.items()}
-    return StudyResult(arms, checks, tables, snapshots)
-
-
-def _contrast_configs(fx: dict, grid: Grid, kinds: tuple,
-                      ic: InitialCondition) -> list[SimulationConfig]:
-    """One initial profile under each equation kind, for one run_batch: row
-    dt is fx["dt_<kind>"], and the rows differ in kind, so each is its own
-    group and bit-identical to its single run."""
-    params = ModelParams(fx["delta"], fx["mu"])
-    return [SimulationConfig(
-        kind=kind, params=params, grid=grid, t_end=fx["t_end"],
-        dt=fx[f"dt_{kind.value}"], snapshot_interval=fx["snapshot_interval"],
-        initial_condition=ic) for kind in kinds]
+        arms[0]["scores"].max() < fx["invariance_bound"]
+        and arms[1]["scores"][i_late] > fx["destruction_threshold"])
+    return StudyResult(dict(zip(mus, arms)), checks, tables, {
+        f"snap_mu_{mu:g}": arm["snapshots"][::4] for mu, arm in zip(mus, arms)})
 
 
 def _gardner_study(fx: dict) -> StudyResult:
     """The Gardner soliton under both equations: exact under the
     third-order one, so it must keep its shape, while under the fifth-order
     one it must deform."""
-    grid = Grid(fx["length"], fx["n"])
-    configs = _contrast_configs(
-        fx, grid, (EquationKind.GARDNER, EquationKind.FPU5),
-        InitialCondition("gardner_soliton", c0=fx["c0"]))
+    kinds = (EquationKind.GARDNER, EquationKind.FPU5)
+    rows = _rows([(kind, fx["mu"], fx[f"dt_{kind.value}"]) for kind in kinds],
+                 InitialCondition("gardner_soliton", c0=fx["c0"]),
+                 Grid(fx["length"], fx["n"]), fx["delta"], fx["t_end"],
+                 fx["snapshot_interval"])
     # refuses a deform_by the fifth-order run cannot decide, before any step
-    i_by = _study_index(_schedule(configs[1])[1], fx["deform_by"])
-    arms = {c.kind: _arm(snapshots, scores=shape_score_series(snapshots, grid))
-            for c, snapshots in zip(configs, run_batch(configs))}
-    checks, tables = _score_checks(arms, [kind.value for kind in arms])
+    i_by, arms, checks, tables = _step_study(
+        rows, lambda times: _study_index(times, fx["deform_by"]),
+        [kind.value for kind in kinds])
     # the fifth-order run must first cross the threshold by deform_by
-    fifth = arms[EquationKind.FPU5]
+    fifth = arms[1]
     crossed = np.flatnonzero(fifth["scores"] > fx["deform_threshold"])
     checks["fpu5_deform_time"] = float(fifth["times"][crossed[0]]) if crossed.size else None
     checks["pass"] = bool(
         checks["gardner_max_score"] < fx["hold_bound"]
         and crossed.size > 0 and crossed[0] <= i_by)
-    return StudyResult(arms, checks, tables)
+    return StudyResult(dict(zip(kinds, arms)), checks, tables)
 
 
 def _zabusky_kruskal_study(fx: dict) -> StudyResult:
@@ -704,23 +699,25 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
     and divisor), a window that holds no snapshot and a figure time beyond
     the run."""
     lo, hi = fx["recurrence_window"]
-    configs = _contrast_configs(fx, Grid(fx["length"], fx["n"]),
-                                (EquationKind.KDV, EquationKind.FPU5),
-                                InitialCondition("cosine"))
-    # both arms share t_end and snapshot_interval, so one schedule serves
-    times = np.array(_schedule(configs[0])[1])
-    in_window = _span(times, lo, hi)
-    if not in_window:
-        raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds no "
-                          f"snapshot of the run to t_end = {fx['t_end']:g}")
-    if in_window[0] == 0:
-        raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds t = 0, "
-                          "where u(0) matches itself")
-    i_early, i_late = [_study_index(times, t) for t in fx["figure_times"]]
-    arms, checks, snapshots = {}, {}, {}
-    for config, run_snaps in zip(configs, run_batch(configs)):
-        kind = config.kind
-        arms[kind] = arm = _arm(run_snaps)
+    kinds = (EquationKind.KDV, EquationKind.FPU5)
+    rows = _rows([(kind, fx["mu"], fx[f"dt_{kind.value}"]) for kind in kinds],
+                 InitialCondition("cosine"), Grid(fx["length"], fx["n"]),
+                 fx["delta"], fx["t_end"], fx["snapshot_interval"])
+
+    def resolve(times):
+        in_window = _span(times, lo, hi)
+        if not in_window:
+            raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds no "
+                              f"snapshot of the run to t_end = {fx['t_end']:g}")
+        if in_window[0] == 0:
+            raise DomainError(f"recurrence_window ({lo:g}, {hi:g}) holds t = 0, "
+                              "where u(0) matches itself")
+        return in_window, *[_study_index(times, t) for t in fx["figure_times"]]
+
+    (in_window, i_early, i_late), arms, checks, _ = _step_study(rows, resolve)
+    snapshots = {}
+    for kind, arm in zip(kinds, arms):
+        run_snaps, times = arm["snapshots"], arm["times"]
         window_scores = [xcorr_mismatch(run_snaps[0].u, run_snaps[i].u)
                          for i in in_window]
         j = int(np.argmin(window_scores))
@@ -737,24 +734,24 @@ def _zabusky_kruskal_study(fx: dict) -> StudyResult:
     checks["contrast"] = fpu / kdv
     checks["pass"] = bool(kdv < fx["kdv_recurrence_bound"]
                           and fpu >= fx["contrast_factor"] * kdv)
-    return StudyResult(arms, checks, snapshots=snapshots)
+    return StudyResult(dict(zip(kinds, arms)), checks, snapshots=snapshots)
 
 
 def _recurrence_study(fx: dict) -> StudyResult:
-    (config,) = _soliton_configs(
-        delta=fx["delta"], k=fx["k"], mus=[fx["mu"]],
-        grid=Grid(fx["length"], fx["n"]), dt=fx["dt"], t_end=fx["t_end"],
-        snapshot_interval=fx["snapshot_interval"])
+    (config,) = _rows([(EquationKind.FPU5, fx["mu"], fx["dt"])],
+                      InitialCondition("kdv5_soliton", k=fx["k"]),
+                      Grid(fx["length"], fx["n"]), fx["delta"], fx["t_end"],
+                      fx["snapshot_interval"])
     # the scan's and the table's refusals, before any step
-    times = np.array(_schedule(config)[1])
-    _snapshot_index(times, fx["t_fix"], fx["scan_skip"])
-    _snapshot_index(times, fx["t_fix"], fx["table_skip"], later=True)
-    snapshots = run(config)
+    _, (arm,), _, _ = _step_study([config], lambda times: (
+        _snapshot_index(times, fx["t_fix"], fx["scan_skip"]),
+        _snapshot_index(times, fx["t_fix"], fx["table_skip"], later=True)))
+    snapshots = arm["snapshots"]
     scan = recurrence_scan(snapshots, t_fix=fx["t_fix"], skip=fx["scan_skip"])
     rows, period = recurrence_table(snapshots, [fx["t_fix"]],
                                     skip=fx["table_skip"])
     tol = fx["tolerance"]
-    checks = {"mass_drift": mass_drift(snapshots), "scan_period": scan.period,
+    checks = {"mass_drift": arm["mass_drift"], "scan_period": scan.period,
               "fixed_time_rows": rows, "fixed_time_period": period,
               "expected_first_minimum": fx["expected_first_minimum"],
               "expected_period": fx["expected_period"], "pass": bool(

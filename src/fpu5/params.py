@@ -90,10 +90,15 @@ def kink_speed(mu: float) -> float:
 
     Has a pole at mu = 0, a single root at mu = 15/56, and is strictly
     decreasing; the sign of the result selects left or right travel.
+    DomainError for a mu near the pole whose speed overflows a double.
     """
     if not mu > 0:
         raise DomainError("kink speed requires mu > 0")
-    return (15.0 - 56.0 * mu) / (180.0 * mu)
+    with np.errstate(over="ignore"):
+        speed = (15.0 - 56.0 * mu) / (180.0 * mu)
+    if not math.isfinite(speed):
+        raise DomainError(f"kink speed is not a finite double at mu = {mu:g}")
+    return speed
 
 
 def velocity_curve(mu_min: float, mu_max: float, n: int) -> np.ndarray:

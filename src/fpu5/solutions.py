@@ -34,6 +34,13 @@ class KinkSolution:
             raise DomainError("branch must be +1 or -1")
         if not math.isfinite(self.z0):
             raise DomainError("kink z0 must be finite")
+        # a finite (mu, delta) can still overflow a derived constant
+        with np.errstate(over="ignore"):
+            for name in ("steepness", "amplitude", "center_level", "speed"):
+                if not math.isfinite(getattr(self, name)):
+                    raise DomainError(
+                        f"kink {name} is not a finite double "
+                        f"at mu = {self.params.mu:g}, delta = {self.params.delta:g}")
 
     @property
     def steepness(self) -> float:
@@ -247,14 +254,22 @@ class GardnerSoliton:
             raise DomainError("soliton speed c0 must be finite and positive")
         if not 1.0 - 6.0 * self.c0 * self.params.mu > 0:
             raise DomainError("need 1 - 6 C0 mu > 0 for a real profile")
+        if not math.isfinite(self.width):
+            raise DomainError(f"soliton width sqrt(C0)/delta is not a finite "
+                              f"double at C0 = {self.c0:g}, "
+                              f"delta = {self.params.delta:g}")
+
+    @property
+    def width(self) -> float:
+        """sqrt(C0/delta^2), the inverse length of the profile."""
+        return np.sqrt(self.c0 / self.params.delta**2)
 
 
 def gardner_soliton(s: GardnerSoliton, x, t: float = 0.0):
     """u = 6 C0 / (cosh(sqrt(C0/delta^2) (x - C0 t)) sqrt(1 - 6 C0 mu) + 1)."""
     z = np.asarray(x, dtype=float) - s.c0 * t
-    width = np.sqrt(s.c0 / s.params.delta**2)
     root = np.sqrt(1.0 - 6.0 * s.c0 * s.params.mu)
-    return 6.0 * s.c0 / (np.cosh(width * z) * root + 1.0)
+    return 6.0 * s.c0 / (np.cosh(s.width * z) * root + 1.0)
 
 
 @dataclass(frozen=True)

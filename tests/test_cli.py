@@ -550,6 +550,41 @@ class TestCli:
         assert "not a finite double" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["exact", "kink", "--mu", "1e300", "--n", "16"],
+         "kink steepness is not a finite double at mu = 1e+300, delta = 1"),
+        (["exact", "kink", "--delta", "5e-324", "--n", "16"],
+         "kink steepness is not a finite double at mu = 1, delta = 4.94066e-324"),
+        (["exact", "gardner", "--c0", "0.1", "--delta", "1e-160", "--n", "16"],
+         "soliton width sqrt(C0)/delta is not a finite double at C0 = 0.1, "
+         "delta = 1e-160"),
+        (["velocity-curve", "--mu-min", "1e-320", "--mu-max", "1e-310",
+          "-n", "3"], "kink speed is not a finite double at mu = "),
+        # the kink pair of a run at mu = 1e300: a domain fault, not a blow-up
+        (["validate", "{cfg}"],
+         "kink steepness is not a finite double at mu = 1e+300, delta = 1"),
+    ], ids=["kink-mu", "kink-delta", "gardner-delta", "velocity-curve",
+            "validate"])
+    def test_a_derived_constant_past_a_double_exits_2(self, tmp_path, capsys,
+                                                      argv, message):
+        cfg = self.write_config(tmp_path, MINIMAL.replace("gardner", "fpu5")
+                                .replace("mu = 0.1", "mu = 1e300")
+                                + "initial_condition = kink_pair\n")
+        out = tmp_path / "out"
+        assert main([arg.format(cfg=cfg) for arg in argv]
+                    + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_elliptic_without_g3_or_c0_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["exact", "elliptic", "--mu", "1", "--delta", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: elliptic needs --g3 or --c0\n"
+        assert not out.exists()
+
     def test_initial_file_with_a_nan_exits_2_naming_the_row(self, tmp_path,
                                                              capsys):
         grid = Grid(40.0, 64)

@@ -5,8 +5,10 @@ The physical thresholds are exercised by the acceptance suite on the frozen
 fixtures; here each study is driven end to end through the CLI on a cheap
 variant to check the reporting and file layout.
 """
+import ast
 import json
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -545,3 +547,19 @@ def test_recurrence_rejects_an_experiment_with_two_series(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert str(manifest) in err and "two snapshots at t =" in err
     assert not (tmp_path / "rec").exists()
+
+
+def test_one_row_rule_builds_the_runs_and_one_stepper_steps_the_studies():
+    # every config of a study comes from the row rule, and every study time
+    # is resolved in the study stepper before its one run_batch; the kink
+    # study steps through run, which resolves no study time
+    import fpu5.experiments as exps
+    tree = ast.parse(Path(exps.__file__).read_text())
+    callers = defaultdict(set)
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callers[node.func.id].add(getattr(top, "name", None))
+    assert callers["SimulationConfig"] == {"_rows"}
+    assert callers["_schedule"] == {"run_batch", "_step_study"}
+    assert callers["run_batch"] == {"run", "_step_study"}

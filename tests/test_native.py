@@ -176,3 +176,19 @@ def test_no_working_compiler_is_an_import_error(cache, monkeypatch, compiler,
     for kind in EquationKind:
         with pytest.raises(ImportError, match=f"cannot build .* with {compiler}"):
             make_nonlinear_operator(kind, params, grid)
+
+
+def test_a_cache_that_cannot_be_made_is_an_import_error(tmp_path,
+                                                        monkeypatch, compiles):
+    # the cache would sit under a regular file, so no directory can be made
+    # there, whoever runs the test; the message names the cache, and no
+    # compiler runs
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cache = str(blocker / "cache")
+    monkeypatch.setattr(_native, "CACHE", cache)
+    with pytest.raises(ImportError, match="no cache in") as info:
+        _native.load()
+    assert cache in str(info.value)
+    assert compiles == []
+    assert os.listdir(tmp_path) == ["blocker"]

@@ -86,6 +86,14 @@ class TestKinkSpeed:
         with pytest.raises(DomainError):
             kink_speed(0.0)
 
+    @pytest.mark.parametrize("mu", [1e-320, np.float64(1e-320)],
+                             ids=["float", "float64"])
+    def test_a_speed_past_a_double_is_refused(self, mu):
+        # finite and positive, but 15 / (180 mu) overflows
+        with pytest.raises(DomainError,
+                           match="^kink speed is not a finite double at mu = "):
+            kink_speed(mu)
+
     def test_strictly_decreasing(self):
         mus = np.linspace(0.01, 5.0, 400)
         speeds = np.array([kink_speed(m) for m in mus])

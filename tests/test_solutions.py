@@ -42,6 +42,17 @@ class TestKink:
         with pytest.raises(DomainError):
             KinkSolution(ModelParams(0.4, 0.0))
 
+    @pytest.mark.parametrize("mu, delta, constant", [
+        (1e300, 1.0, "steepness"), (1.0, 5e-324, "steepness"),
+        (1e-160, 1.0, "amplitude")])
+    def test_a_derived_constant_past_a_double_is_refused(self, mu, delta,
+                                                         constant):
+        # a finite (mu, delta) whose steepness or amplitude overflows would
+        # give a profile with nan in it
+        with pytest.raises(DomainError, match=f"^kink {constant} is not a "
+                           "finite double at mu = "):
+            KinkSolution(ModelParams(delta, mu))
+
     @pytest.mark.parametrize("branch", [0, 2, -2])
     def test_branch_is_plus_or_minus_one(self, branch):
         with pytest.raises(DomainError, match="^branch must be"):
@@ -256,6 +267,12 @@ class TestGardnerSoliton:
         with pytest.raises(DomainError,
                            match="^soliton speed c0 must be finite and positive$"):
             GardnerSoliton(ModelParams(1.0, mu), c0=np.inf)
+
+    def test_a_width_past_a_double_is_refused(self):
+        # sqrt(C0)/delta overflows, and the profile would be nan at its crest
+        with pytest.raises(DomainError, match=r"^soliton width sqrt\(C0\)/delta "
+                           "is not a finite double at C0 = 0.1, delta = 1e-160$"):
+            GardnerSoliton(ModelParams(1e-160, 0.1), c0=0.1)
 
     def test_solves_gardner_equation(self):
         params = ModelParams(1.0, 0.1)

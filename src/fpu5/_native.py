@@ -1,8 +1,16 @@
-"""The compiled tendency: ``_tendency.c``, built once with the
-interpreter's own C compiler and loaded through ctypes.  Its one function,
-``fpu5_tendency``, takes one pointer to an operand block; ``tendency`` makes
-that block and every array the function reads and writes, so no array made
-elsewhere reaches C.
+"""The compiled kernels of ``_tendency.c``, built once with the interpreter's
+own C compiler and loaded through ctypes: ``fpu5_tendency``, the nonlinear
+tendency of every row, and ``fpu5_if_rk4``, whole IF-RK4 steps around it.
+Each takes one pointer to an operand block; ``tendency`` and ``if_rk4``
+make that block and every array the function reads and writes, so no array
+made elsewhere reaches C.
+
+The library is loaded as a ``ctypes.PyDLL``: it holds the GIL while it
+runs, so the step loop can call the pocketfft binding's transforms through
+``PyObject_Call``, with argument tuples made once, and a transform's error
+is raised when the call returns.  ``spectral`` hands those calls over, so
+it stays the one module that names the binding.  The source includes
+``Python.h``, so a build needs the interpreter's headers.
 
 The library is cached in this package's ``__pycache__``, named by a CRC-32
 of the source text, the compiler flags and the interpreter's extension
@@ -14,9 +22,15 @@ touched only when the cache misses: a warm load reads the source, takes the
 CRC (zlib, like ctypes, is imported with numpy) and opens the library.
 
 ``-ffp-contract=off`` keeps every product apart from the sum it feeds, so
-the kernel gives the bits of the numpy formula; ``-ffast-math`` or
-``-march`` would not be safe.  With no working compiler, or no writable
-cache, loading raises ImportError naming the command and the source.
+each value has the bits of the numpy formula; ``-ffast-math`` or
+``-march`` would not be safe.  numpy's complex product may fuse: on a host
+whose numpy takes re = fma(xr, yr, -xi yi) and im = fma(xr, yi, xi yr),
+the build defines ``FPU5_FMA`` and passes ``-mfma``, so C writes the same
+fmas, and otherwise C takes the plain products and sums.  ``complex_rule``
+probes which, before the cache key is taken, so the rule is in the key.
+With no working compiler, no headers, no writable cache or a complex
+product that follows neither rule, loading raises ImportError naming the
+reason.
 """
 from __future__ import annotations
 
@@ -31,19 +45,40 @@ import numpy as np
 
 SOURCE = os.path.join(os.path.dirname(__file__), "_tendency.c")
 CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
-FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
+# what complex_rule's answer adds to FLAGS
+RULE_FLAGS = {True: ("-mfma", "-DFPU5_FMA"), False: ()}
 # the interpreter's EXT_SUFFIX, without importing sysconfig on the warm path
 _SUFFIX = EXTENSION_SUFFIXES[0]
 
 
-def _build(path: str) -> None:
-    """Compile SOURCE into the library at path, through a temporary file
-    that is removed whatever happens."""
+def complex_rule() -> bool:
+    """Whether numpy's complex product fuses each component into one fma
+    (True) or takes plain products and a sum (False).
+
+    x = 1 + 2^-30: (x + i)(x + i) has the real part x x - 1, which is
+    2^-29 + 2^-60 when fused and 2^-29 when not; (x - i)(1 + x i) has that
+    imaginary part.  Any other result raises ImportError."""
+    e = 2.0 ** -30
+    got = (np.array([complex(1 + e, 1), complex(1 + e, -1)] * 8)
+           * np.array([complex(1 + e, 1), complex(1, 1 + e)] * 8))
+    for fused, low in ((True, 2 * e + e * e), (False, 2 * e)):
+        if np.array_equal(got, [complex(low, 2 + 2 * e),
+                                complex(2 + 2 * e, low)] * 8):
+            return fused
+    raise ImportError(f"numpy's complex product follows neither the fused "
+                      f"nor the plain rule: {got[:2]}")
+
+
+def _build(path: str, flags: tuple) -> None:
+    """Compile SOURCE with flags into the library at path, through a
+    temporary file that is removed whatever happens."""
     import shlex
     import subprocess
     import sysconfig
     import tempfile
-    command = shlex.split(sysconfig.get_config_var("CC") or "cc") + list(FLAGS)
+    command = (shlex.split(sysconfig.get_config_var("CC") or "cc") + list(flags)
+               + ["-I" + sysconfig.get_path("include")])
     failed = f"cannot build {SOURCE} with {shlex.join(command)}"
     try:
         os.makedirs(CACHE, exist_ok=True)
@@ -66,22 +101,44 @@ def _build(path: str) -> None:
 
 
 def load():
-    """``_tendency.c``'s library with the argtypes of ``fpu5_tendency`` set,
+    """``_tendency.c``'s library with the argtypes of its functions set,
     from the cache, built first if the cache has none for this source,
     these flags and this interpreter."""
+    flags = FLAGS + RULE_FLAGS[complex_rule()]
     key = zlib.crc32(b"\0".join([Path(SOURCE).read_bytes(),
-                                 " ".join(FLAGS).encode(), _SUFFIX.encode()]))
+                                 " ".join(flags).encode(), _SUFFIX.encode()]))
     path = os.path.join(CACHE, f"_tendency-{key:08x}{_SUFFIX}")
     if not os.path.isfile(path):
-        _build(path)
-    library = ctypes.CDLL(path)
+        _build(path, flags)
+    library = ctypes.PyDLL(path)
     library.fpu5_tendency.argtypes = [ctypes.c_void_p]
     library.fpu5_tendency.restype = None
+    library.fpu5_if_rk4.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t]
+    library.fpu5_if_rk4.restype = ctypes.c_int
     return library
 
 
-# one load per process: every operator shares the library
+# one load per process: every operator and loop shares the library
 library = functools.cache(load)
+
+
+def _block(values: list, keep: tuple) -> ctypes.c_void_p:
+    """A pointer to an operand block of values (addresses and integers),
+    holding the block and every object in keep."""
+    block = np.array(values, dtype=np.intp)
+    pointer = block.ctypes.data_as(ctypes.c_void_p)
+    pointer.operands = block, *keep
+    return pointer
+
+
+def _tendency_operands(fifth: bool, mu, d2, lead: tuple, n: int):
+    """f, out and the values and arrays of ``struct operands``."""
+    f = np.empty((4 if fifth else 2,) + lead + (n,))
+    out = np.empty(lead + (n,))
+    rows = out.size // n
+    arrays = (f, np.array(mu, dtype=float).reshape(rows),
+              np.array(d2, dtype=float).reshape(rows), out)
+    return f, out, [a.ctypes.data for a in arrays] + [len(f), rows, n], arrays
 
 
 def tendency(fifth: bool, mu, d2, lead: tuple, n: int):
@@ -90,13 +147,44 @@ def tendency(fifth: bool, mu, d2, lead: tuple, n: int):
     u_xxx), and out, of shape ``lead + (n,)``; ``call()`` writes the
     tendency of every row into out, with one mu and one d2 per row.  call
     holds the operand block and every array it points to."""
-    f = np.empty((4 if fifth else 2,) + lead + (n,))
-    out = np.empty(lead + (n,))
-    rows = out.size // n
-    arrays = (f, np.array(mu, dtype=float).reshape(rows),
-              np.array(d2, dtype=float).reshape(rows), out)
-    block = np.array([a.ctypes.data for a in arrays] + [len(f), rows, n],
-                     dtype=np.intp)
-    pointer = block.ctypes.data_as(ctypes.c_void_p)
-    pointer.operands = block, *arrays
-    return f, out, functools.partial(library().fpu5_tendency, pointer)
+    f, out, values, arrays = _tendency_operands(fifth, mu, d2, lead, n)
+    return f, out, functools.partial(library().fpu5_tendency,
+                                     _block(values, arrays))
+
+
+def if_rk4(e_half, e_full, dt: float, mult, mask, mu, d2,
+           rfft_call, irfft_call):
+    """``advance(u_hat, steps)``: the state ``steps`` IF-RK4 steps on from
+    u_hat, as a fresh array, in one call of ``fpu5_if_rk4``; u_hat is not
+    written.
+
+    e_half and e_full, exp(L dt/2) and its square, have the state's shape,
+    ``lead + (h,)``; mult holds the rows 1, (ik), ... of the stacked
+    transform, 2 or 4 of them (h modes each), mask the h-mode dealias mask,
+    and mu and d2 one value per row.  ``rfft_call(u, out)`` and
+    ``irfft_call(u_hat, out)`` give ``(function, arguments)`` of a transform
+    into out, which the loop calls with the arrays made here."""
+    shape = np.shape(e_half)
+    h = shape[-1]
+    fields = len(mult)
+    f, out, values, arrays = _tendency_operands(
+        fields == 4, mu, d2, shape[:-1], 2 * (h - 1))
+    u, spectrum, a, b, c = (np.empty(shape, dtype=complex) for _ in range(5))
+    stacked = np.empty((fields,) + shape, dtype=complex)
+    constants = [np.array(v, dtype=complex)
+                 for v in (e_half, e_full, mult, mask)]
+    loop = [u, *constants, np.array([float(dt)]), stacked, spectrum, a, b, c]
+    calls = (*irfft_call(stacked, f), *rfft_call(out, spectrum))
+    run = functools.partial(library().fpu5_if_rk4, _block(
+        values + [x.ctypes.data for x in loop] + [id(x) for x in calls] + [h],
+        arrays + tuple(loop) + calls))
+
+    def advance(u_hat, steps):
+        if u_hat.shape != shape:
+            raise ValueError(f"IF-RK4 loop built for shape {shape} "
+                             f"was given shape {u_hat.shape}")
+        np.copyto(u, u_hat)
+        run(steps)
+        return u.copy()
+
+    return advance

@@ -45,6 +45,20 @@ def linear_symbol(kind: EquationKind,
     return 1j * d2 * k**3
 
 
+def _terms(kind: EquationKind, params, grid: Grid):
+    """What the tendency of kind takes besides the state: the state's
+    shape, the rows [1, ik, (ik)^2, (ik)^3] of the stacked transform (two
+    rows for the third-order kinds), the derivatives' carrying the 2/3
+    mask, and one mu and one delta^2 per parameter set."""
+    rows, batched = _rows(params)
+    h = grid.k.size
+    orders = (1, 2, 3) if kind in FIFTH_ORDER else (1,)
+    mult = np.stack([np.ones(h, dtype=complex)]
+                    + [derivative_multiplier(grid, m) for m in orders])
+    return ((len(rows), h) if batched else (h,), mult,
+            [effective_mu(kind, p) for p in rows], [p.delta**2 for p in rows])
+
+
 def make_nonlinear_operator(kind: EquationKind,
                             params: ModelParams | Sequence[ModelParams],
                             grid: Grid):
@@ -66,6 +80,10 @@ def make_nonlinear_operator(kind: EquationKind,
     exact x-derivative, so its mean vanishes identically and zeroing
     removes the aliasing residue of the cubic terms.
 
+    This operator is the tendency of ETDRK4 runs and of the reference
+    ``IntegratingFactorRK4.step``; IF-RK4 runs step with ``make_if_rk4``,
+    which computes the same values in C.
+
     The operator takes u_hat of one shape, the shape ``linear_symbol``
     gives for the same parameters: (N//2 + 1,) for one parameter set,
     (B, N//2 + 1) for a sequence of B, row b stepping under the b-th set.
@@ -74,13 +92,7 @@ def make_nonlinear_operator(kind: EquationKind,
     is built, are shared by all calls, so one operator is not reentrant and must not
     be called from two threads at once.
     """
-    rows, batched = _rows(params)
-    h = grid.k.size
-    shape = (len(rows), h) if batched else (h,)
-    fifth = kind in FIFTH_ORDER
-    orders = (1, 2, 3) if fifth else (1,)
-    mult = np.stack([np.ones(h, dtype=complex)]
-                    + [derivative_multiplier(grid, m) for m in orders])
+    shape, mult, mu, d2 = _terms(kind, params, grid)
     # the transforms' inputs are made here with their shapes and dtypes
     # fixed, so their checks can go
     irfft = spectral.irfft_unchecked
@@ -92,11 +104,11 @@ def make_nonlinear_operator(kind: EquationKind,
     # Operands keep their order in the plain expression, since numpy's
     # complex multiply need not give x*y and y*x the same bits.  The
     # stacked rows are u and its derivatives, f[r] the r-th of them.
-    mult_rows = np.full((len(mult),) + shape, mult[:, None] if batched else mult)
+    mult_rows = np.full((len(mult),) + shape,
+                        mult[:, None] if len(shape) == 2 else mult)
     mask_full = np.full(shape, grid.dealias, dtype=complex)
-    f, tendency, kernel = _native.tendency(
-        fifth, [effective_mu(kind, p) for p in rows],
-        [p.delta**2 for p in rows], shape[:-1], grid.n)
+    f, tendency, kernel = _native.tendency(len(mult) == 4, mu, d2, shape[:-1],
+                                           grid.n)
 
     def nonlinear(u_hat):
         if u_hat.shape != shape:
@@ -111,6 +123,25 @@ def make_nonlinear_operator(kind: EquationKind,
         return out
 
     return nonlinear
+
+
+def make_if_rk4(kind: EquationKind,
+                params: ModelParams | Sequence[ModelParams], grid: Grid,
+                dt: float):
+    """``advance(u_hat, steps)``: the state ``steps`` IF-RK4 steps of dt on
+    from u_hat, as a fresh array, in one call to the compiled loop of
+    ``_tendency.c``; u_hat is not written.  Each step has the bits of
+    ``IntegratingFactorRK4(linear_symbol(...), make_nonlinear_operator(...),
+    dt).step`` for the same arguments, and u_hat the shape of that symbol.
+    ``_native.if_rk4`` makes every array the loop reads and writes, and
+    ``spectral`` hands over the transform calls.  Like the operator, one
+    loop is not reentrant.
+    """
+    _, mult, mu, d2 = _terms(kind, params, grid)
+    e_half, e_full = spectral.integrating_factors(
+        linear_symbol(kind, params, grid), dt)
+    return _native.if_rk4(e_half, e_full, dt, mult, grid.dealias, mu, d2,
+                          spectral.rfft_call, spectral.irfft_call)
 
 
 def flux(params: ModelParams, u, ux, uxx, uxxxx):

@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import spectral
-from .equations import linear_symbol, make_nonlinear_operator
+from .equations import linear_symbol, make_if_rk4, make_nonlinear_operator
 from .errors import BlowUpError, DomainError
 from .params import EquationKind, ModelParams
 from .solutions import (GardnerSoliton, KdV5Soliton, KinkSolution,
@@ -236,18 +236,28 @@ def _step_group(configs, snapshots, rows, steps_per, times):
     """Step the rows of one group together, steps_per steps to each stored
     time, appending to their snapshots: the one stepping loop of a run.
 
-    Finiteness is checked once per interval.  An interval that ends
-    non-finite is replayed from its start state, checking every step, and
-    BlowUpError names the first non-finite step and row; ``step`` never
-    writes into its input, so the start is intact and the replay
-    deterministic, and the end state, already known to be non-finite, is
-    not recomputed.
+    An IF-RK4 group steps each interval in one call of the compiled loop
+    (``make_if_rk4``), an ETDRK4 group step by step.  Finiteness is checked
+    once per interval.  An interval that ends non-finite is replayed from
+    its start state one step a call, checking every step, and BlowUpError
+    names the first non-finite step and row; ``advance`` never writes into
+    its input, so the start is intact and the replay deterministic, and the
+    end state, already known to be non-finite, is not recomputed.
     """
     kind, grid = configs[0].kind, configs[0].grid
     params = [config.params for config in configs]
-    symbol = linear_symbol(kind, params, grid)
-    nonlinear = make_nonlinear_operator(kind, params, grid)
-    stepper = configs[0].scheme(symbol, nonlinear, times[1] / steps_per)
+    dt = times[1] / steps_per
+    if configs[0].scheme is IntegratingFactorRK4:
+        advance = make_if_rk4(kind, params, grid, dt)
+    else:
+        stepper = configs[0].scheme(linear_symbol(kind, params, grid),
+                                    make_nonlinear_operator(kind, params, grid),
+                                    dt)
+
+        def advance(u_hat, steps):
+            for _ in range(steps):
+                u_hat = stepper.step(u_hat)
+            return u_hat
 
     u_hat = spectral.rfft(np.stack([s[0].u for s in snapshots], dtype=float))
     # overflow is diagnosed through the explicit finiteness check, so the
@@ -255,21 +265,20 @@ def _step_group(configs, snapshots, rows, steps_per, times):
     with np.errstate(over="ignore", invalid="ignore"):
         for i_snap in range(1, len(times)):
             start = u_hat
-            for _ in range(steps_per):
-                u_hat = stepper.step(u_hat)
+            u_hat = advance(u_hat, steps_per)
             # a non-finite entry stays non-finite (under either scheme each
             # step adds to u_hat times a unit-modulus factor), so one check
             # covers the interval
             if not np.all(np.isfinite(u_hat)):
                 state, first = start, (i_snap - 1) * steps_per
                 for j in range(1, steps_per + 1):
-                    state = u_hat if j == steps_per else stepper.step(state)
+                    state = u_hat if j == steps_per else advance(state, 1)
                     finite = np.isfinite(state).all(axis=-1)
                     if not finite.all():
                         bad, step = int(np.argmin(finite)), first + j
                         raise BlowUpError(
                             f"row {rows[bad]} lost finiteness at step {step}",
-                            step=step, t=step * stepper.dt,
+                            step=step, t=step * dt,
                             last_snapshot=snapshots[bad][-1], row=rows[bad])
             for s, u in zip(snapshots, spectral.irfft(u_hat)):
                 s.append(Snapshot(times[i_snap], u))

@@ -49,8 +49,9 @@ class KinkSolution:
 
     @property
     def amplitude(self) -> float:
+        # 1/mu outside the root: 30 mu^2 underflows to 0 below mu ~ 1e-162
         mu = self.params.mu
-        return np.sqrt((28.0 * mu + 15.0) / (30.0 * mu * mu))
+        return np.sqrt((28.0 * mu + 15.0) / 30.0) / mu
 
     @property
     def center_level(self) -> float:

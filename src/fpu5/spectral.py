@@ -11,11 +11,15 @@ gives it.  In both steppers the state has the symbol's shape: a
 ``(B, N//2 + 1)`` state steps B rows at once.
 
 ``rfft`` and ``irfft`` are the package's one transform pair; only the
-nonlinear operator, which makes its arrays once with their shapes and
-dtypes fixed, calls ``rfft_unchecked`` and ``irfft_unchecked`` instead,
-which skip the input check (0.5-1 µs a call).  Only ``irfft_unchecked``
-writes into the operator's arrays; ``rfft_unchecked`` returns a new one.
-All four call ``r2c`` and ``c2r`` of scipy's pybind11 build of pocketfft,
+nonlinear operator and the compiled IF-RK4 loop, which make their arrays
+once with their shapes and dtypes fixed, skip the input check (0.5-1 µs a
+call).  The operator calls ``rfft_unchecked`` and ``irfft_unchecked``;
+only ``irfft_unchecked`` writes into the operator's arrays, and
+``rfft_unchecked`` returns a new one.  The loop, in C, repeats the calls
+that ``rfft_call`` and ``irfft_call`` hand over, each a binding function
+with an argument tuple made once, writing into the loop's arrays: so this
+module stays the one that names the binding.
+All of them call ``r2c`` and ``c2r`` of scipy's pybind11 build of pocketfft,
 the C++ code ``np.fft.rfft`` and ``np.fft.irfft`` also end in, with the
 same normalisation, so for an even n the results are bit-identical to
 those functions'.  N is even, so m modes fix n = 2 (m - 1), the
@@ -166,6 +170,17 @@ def irfft_unchecked(u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _c2r(u_hat, _LAST_AXIS, out.shape[-1], False, 2, out, 1)
 
 
+def rfft_call(u: np.ndarray, out: np.ndarray) -> tuple:
+    """``(function, arguments)``: ``function(*arguments)`` writes
+    ``rfft(u)`` into out, unchecked, for a caller that repeats the call."""
+    return _r2c, (u, _LAST_AXIS, True, 0, out, 1)
+
+
+def irfft_call(u_hat: np.ndarray, out: np.ndarray) -> tuple:
+    """``(function, arguments)`` of ``irfft_unchecked(u_hat, out)``."""
+    return _c2r, (u_hat, _LAST_AXIS, out.shape[-1], False, 2, out, 1)
+
+
 def derivative_multiplier(grid: Grid, order: int, dealias: bool = True) -> np.ndarray:
     """Per-mode factor (i k)^order, Nyquist zeroed for odd orders."""
     if not 1 <= order <= 5:
@@ -209,70 +224,46 @@ def _checked_symbol(symbol, dt: float) -> np.ndarray:
     return symbol
 
 
+def integrating_factors(symbol, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """IF-RK4's E_half = exp(L dt/2) and E = E_half^2 of a symbol checked
+    as both steppers check it."""
+    e_half = np.exp(_checked_symbol(symbol, dt) * (0.5 * float(dt)))
+    return e_half, e_half * e_half
+
+
 class IntegratingFactorRK4:
     """IF-RK4 stepper with the integrating-factor exponentials precomputed.
 
     ``symbol`` must be purely imaginary (dispersive, no growth or decay);
-    this is asserted on construction.
+    this is asserted on construction.  ``step`` is the numpy reference:
+    IF-RK4 runs step in ``equations.make_if_rk4``'s compiled loop, which
+    gives its bits.
     """
 
     def __init__(self, symbol: np.ndarray, nonlinear, dt: float):
-        symbol = _checked_symbol(symbol, dt)
+        self.e_half, self.e_full = integrating_factors(symbol, dt)
         self.dt = float(dt)
         self.nonlinear = nonlinear
-        self.e_half = np.exp(symbol * (0.5 * self.dt))
-        self.e_full = self.e_half * self.e_half
-        # the step's scalars dt, 1/2, 2 and 6 as complex arrays of the
-        # symbol's shape, each used in its scalar's place: a scalar operand
-        # costs numpy a set-up on every call, and a full array in the same
-        # place gives the same bits (the complex product need not commute
-        # bit for bit, so the place matters)
-        self._scalars = tuple(np.full(self.e_half.shape, v, dtype=complex)
-                              for v in (self.dt, 0.5, 2.0, 6.0))
 
     def step(self, u_hat: np.ndarray) -> np.ndarray:
-        """One step from u_hat; returns the new state as a fresh array.
-
-        Never writes into u_hat or into an array the nonlinear callable
-        returned: each stage result is scaled by dt into a new array, and
-        only those, the stage input and the result are updated in place.
-        The stage input handed to the callable is one array of the step's
-        own, overwritten once the callable has returned.  The arithmetic is
-        that of the textbook combination
+        """One step from u_hat; returns the new state as a fresh array,
+        writing into neither u_hat nor an array the nonlinear callable
+        returned.  The textbook combination, with E = exp(L dt/2):
 
             a = dt N(u),  b = dt N((u + a/2) E),  c = dt N(u E + b/2),
             d = dt N(u E^2 + c E),
-            u' = u E^2 + (a E^2 + 2 (b + c) E + d) / 6,   E = exp(L dt/2),
+            u' = u E^2 + (a E^2 + 2 (b + c) E + d) / 6.
 
-        evaluated operation for operation in the same order.
+        a/2 is written 0.5 a: numpy's complex division need not give the
+        product's bits.
         """
-        dt, half, two, six = self._scalars
-        e_half = self.e_half
-        e_full = self.e_full
-        n = self.nonlinear
+        dt, n = self.dt, self.nonlinear
+        e_half, e_full = self.e_half, self.e_full
         a = dt * n(u_hat)
-        stage = np.multiply(half, a)
-        np.add(u_hat, stage, out=stage)
-        np.multiply(stage, e_half, out=stage)
-        b = dt * n(stage)
-        # the result array holds b/2 until u E^2 is needed
-        result = np.multiply(half, b)
-        np.multiply(u_hat, e_half, out=stage)
-        np.add(stage, result, out=stage)
-        c = dt * n(stage)
-        np.multiply(u_hat, e_full, out=result)
-        np.multiply(c, e_half, out=stage)
-        np.add(result, stage, out=stage)
-        d = dt * n(stage)
-        np.multiply(a, e_full, out=a)
-        np.add(b, c, out=b)
-        np.multiply(two, b, out=b)
-        np.multiply(b, e_half, out=b)
-        np.add(a, b, out=a)
-        np.add(a, d, out=a)
-        np.divide(a, six, out=a)
-        np.add(result, a, out=result)
-        return result
+        b = dt * n((u_hat + 0.5 * a) * e_half)
+        c = dt * n(u_hat * e_half + 0.5 * b)
+        d = dt * n(u_hat * e_full + c * e_half)
+        return u_hat * e_full + (a * e_full + 2.0 * (b + c) * e_half + d) / 6.0
 
 
 class ETDRK4:

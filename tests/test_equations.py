@@ -437,15 +437,21 @@ def test_only_the_stepper_builds_a_nonlinear_operator(module):
 @pytest.mark.parametrize("module", sorted(
     path.name for path in Path(spectral.__file__).parent.glob("*.py")))
 def test_only_the_stepping_loop_calls_a_steppers_step(module):
-    # one loop steps every run, checks it and replays a failed interval,
-    # so a compiled interval loop has one place to go
+    # one loop steps every run, checks it and replays a failed interval:
+    # only it builds the compiled IF-RK4 loop, calls it an interval (or a
+    # step) at a time, and calls an ETDRK4 stepper's step
     tree = ast.parse((Path(spectral.__file__).parent / module).read_text())
-    callers = {getattr(top, "name", None) for top in tree.body
-               for node in ast.walk(top)
-               if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "step"}
-    assert callers == ({"_step_group"} if module == "experiments.py" else set())
+    callers = {name: set() for name in ("make_if_rk4", "advance", "step")}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name in callers:
+                    callers[name].add(getattr(top, "name", None))
+    expected = {"_step_group"} if module == "experiments.py" else set()
+    assert callers == dict.fromkeys(callers, expected)
 
 
 _BINDING = {"_pocketfft", "_r2c", "_c2r", "pypocketfft"}

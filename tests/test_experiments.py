@@ -13,6 +13,7 @@ from fpu5 import (ETDRK4, EXPERIMENTS, BlowUpError, DomainError, EquationKind,
                   linear_symbol, make_nonlinear_operator, mass_drift,
                   recurrence_scan, recurrence_table, run, run_batch,
                   shape_score, write_snapshots, xcorr_mismatch)
+from fpu5 import experiments
 from fpu5.experiments import (Snapshot, _schedule, _span, _study_index,
                               _time_tol, build_initial_condition,
                               min_shift_difference)
@@ -169,7 +170,9 @@ class TestRun:
                                                      dt, steps_per, step):
         # the replay takes the interval's end state instead of stepping to
         # it again, so a run whose first non-finite step ends an interval
-        # makes step + steps_per - 1 calls of step and still names it
+        # takes step + steps_per - 1 steps and still names it: an IF-RK4
+        # run in one compiled call per interval and one call per replayed
+        # step, an ETDRK4 run one call of step a step
         config = small_config(
             kind=EquationKind.FPU5, params=ModelParams(delta=2.0, mu=0.0),
             initial_condition=InitialCondition("kdv5_soliton", k=1.0),
@@ -177,18 +180,34 @@ class TestRun:
         expected = per_step_blow_up(config)
         assert (expected[0], expected[3]) == (step, steps_per)
         calls = []
-        plain_step = scheme.step
+        if scheme is IntegratingFactorRK4:
+            make = experiments.make_if_rk4
 
-        def counted_step(stepper, u_hat):
-            calls.append(1)
-            return plain_step(stepper, u_hat)
+            def counted_loop(*args):
+                advance = make(*args)
 
-        monkeypatch.setattr(scheme, "step", counted_step)
+                def counted(u_hat, steps):
+                    calls.append(steps)
+                    return advance(u_hat, steps)
+                return counted
+
+            monkeypatch.setattr(experiments, "make_if_rk4", counted_loop)
+        else:
+            plain_step = scheme.step
+
+            def counted_step(stepper, u_hat):
+                calls.append(1)
+                return plain_step(stepper, u_hat)
+
+            monkeypatch.setattr(scheme, "step", counted_step)
         with pytest.raises(BlowUpError) as err:
             run(config)
         assert (err.value.step, err.value.t) == expected[:2]
         assert same_snapshots([err.value.last_snapshot], [expected[2]])
-        assert len(calls) == step + steps_per - 1
+        assert sum(calls) == step + steps_per - 1
+        if scheme is IntegratingFactorRK4:
+            assert calls == ([steps_per] * (step // steps_per)
+                             + [1] * (steps_per - 1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", [EquationKind.KDV, EquationKind.GARDNER])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,7 @@ class TestKink:
 
     @pytest.mark.parametrize("mu, delta, constant", [
         (1e300, 1.0, "steepness"), (1.0, 5e-324, "steepness"),
-        (1e-160, 1.0, "amplitude")])
+        (5e-324, 1.0, "amplitude")])
     def test_a_derived_constant_past_a_double_is_refused(self, mu, delta,
                                                          constant):
         # a finite (mu, delta) whose steepness or amplitude overflows would
@@ -52,6 +54,17 @@ class TestKink:
         with pytest.raises(DomainError, match=f"^kink {constant} is not a "
                            "finite double at mu = "):
             KinkSolution(ModelParams(delta, mu))
+
+    def test_no_tiny_mu_divides_by_zero(self):
+        # 30 mu^2 underflows to 0 below mu ~ 1e-162: every finite mu > 0
+        # down to the least subnormal gives a kink or a DomainError
+        for mu in [10.0**-e for e in range(150, 324)] + [1e-310, 5e-324]:
+            try:
+                s = KinkSolution(ModelParams(1.0, mu))
+            except DomainError as exc:
+                assert "is not a finite double" in str(exc)
+            else:
+                assert math.isfinite(s.amplitude) and s.amplitude > 0
 
     @pytest.mark.parametrize("branch", [0, 2, -2])
     def test_branch_is_plus_or_minus_one(self, branch):

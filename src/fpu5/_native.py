@@ -1,9 +1,9 @@
 """The compiled kernels of ``_tendency.c``, built once with the interpreter's
-own C compiler and loaded through ctypes: ``fpu5_tendency``, the nonlinear
-tendency of every row, and ``fpu5_if_rk4``, whole IF-RK4 steps around it.
-Each takes one pointer to an operand block; ``tendency`` and ``if_rk4``
-make that block and every array the function reads and writes, so no array
-made elsewhere reaches C.
+own C compiler and loaded through ctypes: ``fpu5_nonlinear``, the dealiased
+nonlinear tendency of every row, and ``fpu5_if_rk4``, whole IF-RK4 steps
+around the same pass.  Each takes one pointer to a loop block; ``loop``
+makes that block and every array the function reads and writes, so no
+array made elsewhere reaches C.
 
 The library is loaded as a ``ctypes.PyDLL``: it holds the GIL while it
 runs, so the step loop can call the pocketfft binding's transforms through
@@ -111,8 +111,8 @@ def load():
     if not os.path.isfile(path):
         _build(path, flags)
     library = ctypes.PyDLL(path)
-    library.fpu5_tendency.argtypes = [ctypes.c_void_p]
-    library.fpu5_tendency.restype = None
+    library.fpu5_nonlinear.argtypes = [ctypes.c_void_p]
+    library.fpu5_nonlinear.restype = ctypes.c_int
     library.fpu5_if_rk4.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t]
     library.fpu5_if_rk4.restype = ctypes.c_int
     return library
@@ -131,60 +131,54 @@ def _block(values: list, keep: tuple) -> ctypes.c_void_p:
     return pointer
 
 
-def _tendency_operands(fifth: bool, mu, d2, lead: tuple, n: int):
-    """f, out and the values and arrays of ``struct operands``."""
-    f = np.empty((4 if fifth else 2,) + lead + (n,))
-    out = np.empty(lead + (n,))
-    rows = out.size // n
-    arrays = (f, np.array(mu, dtype=float).reshape(rows),
-              np.array(d2, dtype=float).reshape(rows), out)
-    return f, out, [a.ctypes.data for a in arrays] + [len(f), rows, n], arrays
+def loop(shape: tuple, mult, mask, mu, d2, rfft_call, irfft_call,
+         e_half=None, e_full=None, dt=None):
+    """The compiled pass on a ``struct loop`` block made here: without
+    e_half, e_full and dt, ``operator(u_hat)``, one call of
+    ``fpu5_nonlinear``; with them, ``advance(u_hat, steps)``, one call of
+    ``fpu5_if_rk4``.  Either copies u_hat into the state, which it returns
+    as a fresh array, so u_hat is not written; a u_hat of another shape
+    than ``shape``, ``lead + (h,)``, raises ValueError naming both shapes.
 
-
-def tendency(fifth: bool, mu, d2, lead: tuple, n: int):
-    """``(f, out, call)``: C-contiguous float64 arrays f, of shape
-    ``(4 if fifth else 2,) + lead + (n,)`` (u, u_x and for fifth u_xx,
-    u_xxx), and out, of shape ``lead + (n,)``; ``call()`` writes the
-    tendency of every row into out, with one mu and one d2 per row.  call
-    holds the operand block and every array it points to."""
-    f, out, values, arrays = _tendency_operands(fifth, mu, d2, lead, n)
-    return f, out, functools.partial(library().fpu5_tendency,
-                                     _block(values, arrays))
-
-
-def if_rk4(e_half, e_full, dt: float, mult, mask, mu, d2,
-           rfft_call, irfft_call):
-    """``advance(u_hat, steps)``: the state ``steps`` IF-RK4 steps on from
-    u_hat, as a fresh array, in one call of ``fpu5_if_rk4``; u_hat is not
-    written.
-
-    e_half and e_full, exp(L dt/2) and its square, have the state's shape,
-    ``lead + (h,)``; mult holds the rows 1, (ik), ... of the stacked
-    transform, 2 or 4 of them (h modes each), mask the h-mode dealias mask,
-    and mu and d2 one value per row.  ``rfft_call(u, out)`` and
-    ``irfft_call(u_hat, out)`` give ``(function, arguments)`` of a transform
-    into out, which the loop calls with the arrays made here."""
-    shape = np.shape(e_half)
+    mult holds the rows 1, (ik), ... of the stacked transform, 2 or 4 of
+    them (h modes each), mask the h-mode dealias mask, mu and d2 one value
+    per row, and e_half and e_full, exp(L dt/2) and its square, the
+    state's shape; without them the block holds NULL for them, dt and the
+    stages.  ``rfft_call(u, out)`` and ``irfft_call(u_hat, out)`` give
+    ``(function, arguments)`` of a transform into out, which C calls with
+    the arrays made here."""
     h = shape[-1]
     fields = len(mult)
-    f, out, values, arrays = _tendency_operands(
-        fields == 4, mu, d2, shape[:-1], 2 * (h - 1))
-    u, spectrum, a, b, c = (np.empty(shape, dtype=complex) for _ in range(5))
+    f = np.empty((fields,) + shape[:-1] + (2 * (h - 1),))
+    out = np.empty(f.shape[1:])
+    rows = out.size // out.shape[-1]
+    u, spectrum = (np.empty(shape, dtype=complex) for _ in range(2))
     stacked = np.empty((fields,) + shape, dtype=complex)
-    constants = [np.array(v, dtype=complex)
-                 for v in (e_half, e_full, mult, mask)]
-    loop = [u, *constants, np.array([float(dt)]), stacked, spectrum, a, b, c]
+    arrays = [f, np.array(mu, dtype=float).reshape(rows),
+              np.array(d2, dtype=float).reshape(rows), out, u,
+              np.array(mult, dtype=complex), np.array(mask, dtype=complex),
+              stacked, spectrum]
     calls = (*irfft_call(stacked, f), *rfft_call(out, spectrum))
-    run = functools.partial(library().fpu5_if_rk4, _block(
-        values + [x.ctypes.data for x in loop] + [id(x) for x in calls] + [h],
-        arrays + tuple(loop) + calls))
+    stepping = [] if dt is None else [
+        np.array(e_half, dtype=complex), np.array(e_full, dtype=complex),
+        np.array([float(dt)]), *(np.empty(shape, dtype=complex)
+                                 for _ in range(3))]
+    # struct loop's members in order: struct operands first
+    addresses = [x.ctypes.data for x in arrays]
+    block = _block(addresses[:4] + [fields, rows, f.shape[-1]] + addresses[4:]
+                   + [id(x) for x in calls] + [h]
+                   + ([x.ctypes.data for x in stepping] or [0] * 6),
+                   (*arrays, *calls, *stepping))
+    run = functools.partial(library().fpu5_if_rk4 if stepping
+                            else library().fpu5_nonlinear, block)
+    what = "IF-RK4 loop" if stepping else "nonlinear operator"
 
-    def advance(u_hat, steps):
+    def call(u_hat, *steps):
         if u_hat.shape != shape:
-            raise ValueError(f"IF-RK4 loop built for shape {shape} "
+            raise ValueError(f"{what} built for shape {shape} "
                              f"was given shape {u_hat.shape}")
         np.copyto(u, u_hat)
-        run(steps)
+        run(*steps)
         return u.copy()
 
-    return advance
+    return call

@@ -1,27 +1,31 @@
-/* The nonlinear tendency of every row, in physical space, and whole IF-RK4
-   steps built on it.
+/* The dealiased nonlinear tendency N of every row, one pass of it and whole
+   IF-RK4 steps built on it.
 
-   fpu5_tendency takes one pointer to an operand block, which _native.tendency
-   makes with every array it points to.  f holds `fields` stacked fields,
-   each rows x n doubles, row after row: u and u_x (2, the third-order
-   kinds) or u, u_x, u_xx and u_xxx (4, the fifth-order kinds); mu and d2
-   hold one value per row.  out (rows x n) gets
+   Both exports take one pointer to a loop block, which _native.loop makes
+   with every array and call it points to, and return 0, or -1 with the
+   Python error set when a transform raised.  fpu5_nonlinear replaces the
+   state u by N(u), the operator of equations.make_nonlinear_operator;
+   fpu5_if_rk4 steps the state in place a given number of times.  A pass
+   stacks u times the derivative multipliers, transforms the stack to u
+   and its derivatives (c2r), takes the tendency in physical space, and
+   transforms it back (r2c); the mask and the mode-0 store give N.  Each
+   value has the bits of the numpy reference in the tests, the pipeline
+   written out and IntegratingFactorRK4.step around it, elementwise
+   operation for operation and with the same operands in the same places:
+   complex products by numpy's rule on the host (FPU5_FMA, which the build
+   defines when numpy fuses), the division by 6 in numpy's Smith form, and
+   the transforms by the same pocketfft calls on arrays of the same shapes.
+
+   tendency reads `fields` stacked fields from f, each rows x n doubles,
+   row after row: u and u_x (2, the third-order kinds) or u, u_x, u_xx and
+   u_xxx (4, the fifth-order kinds); mu and d2 hold one value per row.
+   out (rows x n) gets
      2 fields:  w ux,
      4 fields:  w (ux + d2 uxxx) + d2 ux ((4 mu u - 2) uxx + mu ux ux),
    w = mu u u - u, every product and sum taken in the order written, 4 mu
    formed once per row, so each value has the bits of the same formula
    written in numpy.  That holds only when the compiler fuses no multiply
-   into an add: build with -ffp-contract=off and without -ffast-math.
-
-   fpu5_if_rk4 takes one pointer to a loop block, which _native.if_rk4
-   makes, and a step count; it steps the state in place that many times
-   and returns 0, or -1 with the Python error set when a transform raised.
-   Each step is IntegratingFactorRK4.step with the operator of
-   equations.make_nonlinear_operator, elementwise operation for operation
-   and with the same operands in the same places: complex products by
-   numpy's rule on the host (FPU5_FMA, which the build defines when numpy
-   fuses), the division by 6 in numpy's Smith form, and the transforms by
-   the same pocketfft calls on arrays of the same shapes. */
+   into an add: build with -ffp-contract=off and without -ffast-math. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -34,7 +38,7 @@ struct operands {
     ptrdiff_t fields, rows, n;
 };
 
-void fpu5_tendency(const struct operands *a)
+static void tendency(const struct operands *a)
 {
     const ptrdiff_t rows = a->rows, n = a->n, size = rows * n;
     const double *u = a->f, *ux = a->f + size;
@@ -67,15 +71,16 @@ void fpu5_tendency(const struct operands *a)
 struct loop {
     struct operands tendency;
     double *u;                          /* rows x h: the state */
-    const double *e_half, *e_full;      /* rows x h: exp(L dt/2), its square */
     const double *mult;                 /* fields x h: 1, (ik)^m dealiased */
     const double *mask;                 /* h: the dealias mask, + 0i */
-    const double *dt;                   /* 1 */
     double *stacked;                    /* fields x rows x h: stage input x mult */
     const double *spectrum;             /* rows x h: rfft of the tendency */
-    double *a, *b, *c;                  /* rows x h: the first three stages */
     PyObject *inverse, *inverse_args, *forward, *forward_args;
     ptrdiff_t h;
+    /* read by fpu5_if_rk4 only, NULL in a block made for fpu5_nonlinear */
+    const double *e_half, *e_full;      /* rows x h: exp(L dt/2), its square */
+    const double *dt;                   /* 1 */
+    double *a, *b, *c;                  /* rows x h: the first three stages */
 };
 
 typedef struct { double re, im; } cplx;
@@ -121,13 +126,17 @@ static inline void stack(const struct loop *s, ptrdiff_t i, ptrdiff_t k, cplx v)
         put(s->stacked + 2 * f * size, i, mul(v, at(s->mult, f * s->h + k)));
 }
 
-/* dt N at element i, mode k, from the spectrum: the mask, mode 0 stored
-   as +0 apart from it, then dt in front */
+/* N at element i, mode k, from the spectrum: the mask, mode 0 stored as
+   +0 apart from it */
+static inline cplx masked(const struct loop *s, ptrdiff_t i, ptrdiff_t k)
+{
+    return k ? mul(at(s->spectrum, i), at(s->mask, k)) : (cplx){0.0, 0.0};
+}
+
+/* dt N at element i, mode k */
 static inline cplx scaled(const struct loop *s, ptrdiff_t i, ptrdiff_t k)
 {
-    const cplx n = k ? mul(at(s->spectrum, i), at(s->mask, k))
-                     : (cplx){0.0, 0.0};
-    return mul((cplx){*s->dt, 0.0}, n);
+    return mul((cplx){*s->dt, 0.0}, masked(s, i, k));
 }
 
 /* the stacked stage input to the spectrum of its tendency */
@@ -137,11 +146,28 @@ static int transform(const struct loop *s)
     if (!done)
         return -1;
     Py_DECREF(done);
-    fpu5_tendency(&s->tendency);
+    tendency(&s->tendency);
     done = PyObject_Call(s->forward, s->forward_args, NULL);
     if (!done)
         return -1;
     Py_DECREF(done);
+    return 0;
+}
+
+/* the state to the spectrum of its tendency */
+static int transform_state(const struct loop *s)
+{
+    for (ptrdiff_t i = 0; i < s->tendency.rows * s->h; i++)
+        stack(s, i, i % s->h, at(s->u, i));
+    return transform(s);
+}
+
+int fpu5_nonlinear(const struct loop *s)
+{
+    if (transform_state(s))
+        return -1;
+    for (ptrdiff_t i = 0; i < s->tendency.rows * s->h; i++)
+        put(s->u, i, masked(s, i, i % s->h));
     return 0;
 }
 
@@ -152,9 +178,7 @@ int fpu5_if_rk4(const struct loop *s, ptrdiff_t steps)
 
     for (ptrdiff_t step = 0; step < steps; step++) {
         /* a = dt N(u) */
-        for (ptrdiff_t i = 0; i < rows * h; i++)
-            stack(s, i, i % h, at(s->u, i));
-        if (transform(s))
+        if (transform_state(s))
             return -1;
         /* b = dt N((u + a/2) E) */
         for (ptrdiff_t r = 0; r < rows; r++)

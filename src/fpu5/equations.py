@@ -3,7 +3,7 @@
 Each equation is split as u_t = symbol*u + N(u): the two constant-coefficient
 linear terms (third and, for the fifth-order family, fifth derivative) go
 into the per-mode symbol and everything u-dependent is treated explicitly,
-for every kind in one call to the compiled kernel (``_native``).
+for every kind in one call to the compiled pass (``_native``).
 Symbols and tendencies live on the rfft half spectrum, modes 0..N/2.  Both
 factories take one ``ModelParams`` or a sequence of them; a sequence gives
 one row per entry, with delta and mu set per row.
@@ -70,19 +70,16 @@ def make_nonlinear_operator(kind: EquationKind,
     u_hat * [1, ik, (ik)^2, (ik)^3] (two rows for the third-order kinds)
     gives u and its derivatives; the derivatives carry the 2/3 mask.
     Products are formed in physical space and the ``rfft`` of the tendency
-    is masked again.  The tendency of every kind is one call to the C
-    kernel of ``_tendency.c``, which ``_native`` builds on first use with
-    the interpreter's C compiler and caches; ``_native.tendency`` makes the
-    real-space arrays it reads and writes.  It takes each product and sum
-    in the order of the plain numpy expression, so its bits are numpy's.
-    With no working compiler, building an operator of any kind raises
-    ImportError.  The mode-0 component is zeroed: the tendency is an
+    is masked again.  The mode-0 component is zeroed: the tendency is an
     exact x-derivative, so its mean vanishes identically and zeroing
     removes the aliasing residue of the cubic terms.
 
-    This operator is the tendency of ETDRK4 runs and of the reference
-    ``IntegratingFactorRK4.step``; IF-RK4 runs step with ``make_if_rk4``,
-    which computes the same values in C.
+    Each call is one call of ``fpu5_nonlinear``, the pass of every stage
+    of ``make_if_rk4``'s loop, through ``_native.loop``; ``_native``
+    builds ``_tendency.c`` on first use and caches it, and with no working
+    compiler building an operator raises ImportError.  ETDRK4 runs and
+    ``IntegratingFactorRK4.step`` step with it; its numpy reference, the
+    same pipeline written out, lives in the tests.
 
     The operator takes u_hat of one shape, the shape ``linear_symbol``
     gives for the same parameters: (N//2 + 1,) for one parameter set,
@@ -93,36 +90,8 @@ def make_nonlinear_operator(kind: EquationKind,
     be called from two threads at once.
     """
     shape, mult, mu, d2 = _terms(kind, params, grid)
-    # the transforms' inputs are made here with their shapes and dtypes
-    # fixed, so their checks can go
-    irfft = spectral.irfft_unchecked
-    rfft = spectral.rfft_unchecked
-    # Every constant operand (the derivative multipliers and the dealias
-    # mask) is copied out once to the shape and dtype of the output it
-    # meets: numpy sets up a broadcast, a scalar or a float-to-complex cast
-    # anew on every call, at up to the cost of the call's own arithmetic.
-    # Operands keep their order in the plain expression, since numpy's
-    # complex multiply need not give x*y and y*x the same bits.  The
-    # stacked rows are u and its derivatives, f[r] the r-th of them.
-    mult_rows = np.full((len(mult),) + shape,
-                        mult[:, None] if len(shape) == 2 else mult)
-    mask_full = np.full(shape, grid.dealias, dtype=complex)
-    f, tendency, kernel = _native.tendency(len(mult) == 4, mu, d2, shape[:-1],
-                                           grid.n)
-
-    def nonlinear(u_hat):
-        if u_hat.shape != shape:
-            raise ValueError(f"nonlinear operator built for shape {shape} "
-                             f"was given shape {u_hat.shape}")
-        irfft(u_hat * mult_rows, f)
-        kernel()
-        out = rfft(tendency)
-        np.multiply(out, mask_full, out=out)
-        # kept apart from the mask: folding it in can flip a zero's sign
-        out[..., 0] = 0.0
-        return out
-
-    return nonlinear
+    return _native.loop(shape, mult, grid.dealias, mu, d2,
+                        spectral.rfft_call, spectral.irfft_call)
 
 
 def make_if_rk4(kind: EquationKind,
@@ -132,16 +101,17 @@ def make_if_rk4(kind: EquationKind,
     from u_hat, as a fresh array, in one call to the compiled loop of
     ``_tendency.c``; u_hat is not written.  Each step has the bits of
     ``IntegratingFactorRK4(linear_symbol(...), make_nonlinear_operator(...),
-    dt).step`` for the same arguments, and u_hat the shape of that symbol.
-    ``_native.if_rk4`` makes every array the loop reads and writes, and
-    ``spectral`` hands over the transform calls.  Like the operator, one
-    loop is not reentrant.
+    dt).step`` for the same arguments, and u_hat the shape of that symbol:
+    each stage makes the operator's pass, on a block ``_native.loop``
+    makes.  The tests hold it to that step with the operator's numpy
+    reference.  Like the operator, one loop is not reentrant.
     """
-    _, mult, mu, d2 = _terms(kind, params, grid)
+    shape, mult, mu, d2 = _terms(kind, params, grid)
     e_half, e_full = spectral.integrating_factors(
         linear_symbol(kind, params, grid), dt)
-    return _native.if_rk4(e_half, e_full, dt, mult, grid.dealias, mu, d2,
-                          spectral.rfft_call, spectral.irfft_call)
+    return _native.loop(shape, mult, grid.dealias, mu, d2,
+                        spectral.rfft_call, spectral.irfft_call,
+                        e_half, e_full, dt)
 
 
 def flux(params: ModelParams, u, ux, uxx, uxxxx):

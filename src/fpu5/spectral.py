@@ -10,27 +10,27 @@ Nyquist entry of ``k`` is -pi N / L, the sign numpy's full ``fftfreq``
 gives it.  In both steppers the state has the symbol's shape: a
 ``(B, N//2 + 1)`` state steps B rows at once.
 
-``rfft`` and ``irfft`` are the package's one transform pair; only the
-nonlinear operator and the compiled IF-RK4 loop, which make their arrays
-once with their shapes and dtypes fixed, skip the input check (0.5-1 µs a
-call).  The operator calls ``rfft_unchecked`` and ``irfft_unchecked``;
-only ``irfft_unchecked`` writes into the operator's arrays, and
-``rfft_unchecked`` returns a new one.  The loop, in C, repeats the calls
-that ``rfft_call`` and ``irfft_call`` hand over, each a binding function
-with an argument tuple made once, writing into the loop's arrays: so this
-module stays the one that names the binding.
+``rfft`` and ``irfft`` are the package's one transform pair.  The
+compiled pass of ``_tendency.c``, which the nonlinear operator and the
+IF-RK4 loop both run, skips their input check (0.5-1 µs a call): it makes
+its arrays once with their shapes and dtypes fixed, and repeats the calls
+that ``rfft_call`` and ``irfft_call`` hand over when it is built, each a
+binding function with an argument tuple made once, writing into its
+arrays.  So this module stays the one that names the binding, and a
+wrapper of the two factories installed before an operator or a loop is
+built sees every transform either scheme steps with.
 All of them call ``r2c`` and ``c2r`` of scipy's pybind11 build of pocketfft,
 the C++ code ``np.fft.rfft`` and ``np.fft.irfft`` also end in, with the
 same normalisation, so for an even n the results are bit-identical to
 those functions'.  N is even, so m modes fix n = 2 (m - 1), the
 ``np.fft.irfft`` default: ``irfft`` takes n from its spectrum and
-``irfft_unchecked`` from its output.  Fed inf or nan, they give the same
+``irfft_call`` from its output.  Fed inf or nan, they give the same
 values, though a nan may carry the other sign bit: one in about 40 random
 non-finite ``irfft`` inputs.  The binding's fixed cost per call is lower
 than that of numpy's gufunc: an ``rfft`` of (256,) costs about 4 µs
 against 10 µs.  It transforms a float32 or complex64 array in single
 precision, hence the dtype checks of ``rfft`` and ``irfft``, and writes
-past the end of a short ``out``, which only ``irfft_unchecked`` passes.
+past the end of a short ``out``, which only the calls handed over pass.
 
 The import system's path finder finds the extension under scipy's install
 directory, and it is loaded from its file under its own dotted name but
@@ -159,17 +159,6 @@ def irfft(u_hat: np.ndarray) -> np.ndarray:
     return _c2r(u_hat, _LAST_AXIS, 2 * (u_hat.shape[-1] - 1), False, 2, None, 1)
 
 
-def rfft_unchecked(u: np.ndarray) -> np.ndarray:
-    """``rfft`` without the input check, as a new complex128 array."""
-    return _r2c(u, _LAST_AXIS, True, 0, None, 1)
-
-
-def irfft_unchecked(u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``irfft`` to n = ``out.shape[-1]`` into out, unchecked: a mis-shaped
-    out is written past its end."""
-    return _c2r(u_hat, _LAST_AXIS, out.shape[-1], False, 2, out, 1)
-
-
 def rfft_call(u: np.ndarray, out: np.ndarray) -> tuple:
     """``(function, arguments)``: ``function(*arguments)`` writes
     ``rfft(u)`` into out, unchecked, for a caller that repeats the call."""
@@ -177,7 +166,9 @@ def rfft_call(u: np.ndarray, out: np.ndarray) -> tuple:
 
 
 def irfft_call(u_hat: np.ndarray, out: np.ndarray) -> tuple:
-    """``(function, arguments)`` of ``irfft_unchecked(u_hat, out)``."""
+    """``(function, arguments)``: ``function(*arguments)`` writes
+    ``irfft(u_hat)`` to n = ``out.shape[-1]`` into out, unchecked, so a
+    mis-shaped out is written past its end."""
     return _c2r, (u_hat, _LAST_AXIS, out.shape[-1], False, 2, out, 1)
 
 
@@ -235,9 +226,12 @@ class IntegratingFactorRK4:
     """IF-RK4 stepper with the integrating-factor exponentials precomputed.
 
     ``symbol`` must be purely imaginary (dispersive, no growth or decay);
-    this is asserted on construction.  ``step`` is the numpy reference:
-    IF-RK4 runs step in ``equations.make_if_rk4``'s compiled loop, which
-    gives its bits.
+    this is asserted on construction.  ``step`` is the numpy reference of
+    IF-RK4: runs step in ``equations.make_if_rk4``'s compiled loop, which
+    gives its bits.  With ``make_nonlinear_operator`` each stage calls the
+    loop's own compiled pass; the tests also step it with the numpy
+    reference of that operator, so the loop is held to a step written
+    wholly in numpy.
     """
 
     def __init__(self, symbol: np.ndarray, nonlinear, dt: float):

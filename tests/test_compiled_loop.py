@@ -1,7 +1,9 @@
-"""The compiled IF-RK4 loop (``equations.make_if_rk4``) against the numpy
-reference, ``IntegratingFactorRK4.step`` with ``make_nonlinear_operator``:
+"""The compiled pass of ``_tendency.c`` in both its consumers against
+steps written wholly in numpy: the IF-RK4 loop (``equations.make_if_rk4``)
+against ``IntegratingFactorRK4.step`` with the numpy operator of the tests,
 the same bytes for every kind, on random batches, on special values and on
-a blow-up inside an interval."""
+a blow-up inside an interval; and ETDRK4 with ``make_nonlinear_operator``
+against ETDRK4 with that numpy operator."""
 import gc
 
 import numpy as np
@@ -9,29 +11,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpu5 import (BlowUpError, EquationKind, Grid, InitialCondition,
+from fpu5 import (ETDRK4, BlowUpError, EquationKind, Grid, InitialCondition,
                   IntegratingFactorRK4, ModelParams, SimulationConfig,
                   experiments, linear_symbol, make_nonlinear_operator,
-                  run_batch)
+                  run_batch, spectral)
 from fpu5.equations import make_if_rk4
 
-from test_equations import SPECIAL
+from test_equations import SPECIAL, numpy_operator
 from test_experiments import per_step_blow_up, same_snapshots
 
 
-def reference(kind, params, grid, dt, u_hat, steps):
-    stepper = IntegratingFactorRK4(linear_symbol(kind, params, grid),
-                                   make_nonlinear_operator(kind, params, grid),
-                                   dt)
+def stepped(scheme, operator, kind, params, grid, dt, u_hat, steps):
+    stepper = scheme(linear_symbol(kind, params, grid), operator, dt)
     for _ in range(steps):
         u_hat = stepper.step(u_hat)
     return u_hat
+
+
+def reference(kind, params, grid, dt, u_hat, steps):
+    """IF-RK4 written wholly in numpy: the step and its operator."""
+    return stepped(IntegratingFactorRK4, numpy_operator(kind, params, grid),
+                   kind, params, grid, dt, u_hat, steps)
 
 
 rows = st.lists(st.tuples(st.floats(0.3, 1.5), st.floats(0.0, 0.5)),
                 min_size=1, max_size=4)
 
 
+# a drawn field may overflow within a few steps, in C and in the numpy
+# reference alike
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind", list(EquationKind))
 @settings(max_examples=25, deadline=None)
 @given(n=st.sampled_from([32, 64, 128, 256, 512]), rows=rows,
@@ -92,6 +101,24 @@ def test_special_values_through_one_step(kind):
         params = [ModelParams(0.7, 0.3)] * len(state)
         got = make_if_rk4(kind, params, grid, 0.01)(state, 1)
         expected = reference(kind, params, grid, 0.01, state, 1)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(EquationKind))
+def test_etdrk4_steps_with_the_compiled_pass_have_the_numpy_bytes(kind):
+    # ETDRK4 steps through the operator, so the operator's compiled pass
+    # gives it the bytes of its numpy reference, one row and a batch; noise
+    # in every mode leaves an aliasing residue in mode 0 for the pass to zero
+    grid = Grid(40.0, 128)
+    u_hat = spectral.rfft(np.random.default_rng(7).normal(0.5, 0.5,
+                                                          (3, grid.n)))
+    batch = [ModelParams(0.6, 0.3), ModelParams(1.1, -0.0),
+             ModelParams(0.9, 0.1)]
+    for params, state in ((batch[0], u_hat[0]), (batch, u_hat)):
+        got = stepped(ETDRK4, make_nonlinear_operator(kind, params, grid),
+                      kind, params, grid, 1e-3, state, 5)
+        expected = stepped(ETDRK4, numpy_operator(kind, params, grid),
+                           kind, params, grid, 1e-3, state, 5)
         assert got.tobytes() == expected.tobytes()
 
 

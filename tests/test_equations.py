@@ -8,7 +8,7 @@ import pytest
 from fpu5 import (BlowUpError, EquationKind, Grid, ModelParams,
                   conservation_flux, linear_symbol)
 from fpu5 import spectral
-from fpu5.equations import make_nonlinear_operator
+from fpu5.equations import make_if_rk4, make_nonlinear_operator
 from fpu5.spectral import derivative_multiplier
 
 ALL_KINDS = list(EquationKind)
@@ -36,6 +36,38 @@ def tendency(kind, params, grid, u):
     """The operator's nonlinear tendency of a field, in physical space."""
     op = make_nonlinear_operator(kind, params, grid)
     return spectral.irfft(op(spectral.rfft(u)))
+
+
+def numpy_operator(kind, params, grid):
+    """``make_nonlinear_operator`` written as plain numpy, row by row: the
+    reference that the compiled pass of the operator and of the IF-RK4 loop
+    is held to byte for byte.  spectral's checked transforms give np.fft's
+    bits, and the pass's nan signs on non-finite input; the mask is
+    complex, as the pass multiplies by it, so an inf meets 0j as there."""
+    fifth = kind in (EquationKind.FPU5, EquationKind.KDV5)
+    mult = np.stack([np.ones(grid.n // 2 + 1, dtype=complex)]
+                    + [derivative_multiplier(grid, m)
+                       for m in ((1, 2, 3) if fifth else (1,))])
+    mask = grid.dealias.astype(complex)
+
+    def row(p, v):
+        mu = 0.0 if kind in (EquationKind.KDV, EquationKind.KDV5) else p.mu
+        delta2 = p.delta**2
+        u, ux, *high = spectral.irfft(v * mult)
+        w = mu * u * u - u
+        if fifth:
+            uxx, uxxx = high
+            tend = w * (ux + delta2 * uxxx) \
+                + delta2 * ux * ((4.0 * mu * u - 2.0) * uxx + mu * ux * ux)
+        else:
+            tend = w * ux
+        out = spectral.rfft(tend) * mask
+        out[0] = 0.0
+        return out
+
+    if isinstance(params, ModelParams):
+        return lambda v: row(params, v)
+    return lambda u_hat: np.stack([row(p, v) for p, v in zip(params, u_hat)])
 
 
 def band_limited_field(grid, max_mode, seed=0, scale=1.0):
@@ -180,39 +212,16 @@ class TestConservationFlux:
 
 class TestOperatorFactory:
     def test_bit_identical_to_the_plain_expression(self):
-        # the operator works in place on its own arrays; its result must be
-        # that of the tendency written as one numpy expression, zero signs
-        # included, for one row, for a batch of rows, and for a batch of
-        # rows that share one parameter set
+        # the operator's compiled pass must give the tendency written as
+        # plain numpy, zero signs included, for one row, for a batch of
+        # rows, and for a batch of rows that share one parameter set
         g = Grid(20.0, 64)
-        h = g.n // 2 + 1
         rows = [ModelParams(1.0, 0.2), ModelParams(0.6, 0.0), ModelParams(1.4, 0.7)]
         rng = np.random.default_rng(12)
         u_hat = np.fft.rfft(rng.standard_normal((len(rows), g.n)))
 
-        def plain(kind, params, v):
-            fifth = kind in (EquationKind.FPU5, EquationKind.KDV5)
-            mult = np.stack([np.ones(h, dtype=complex)]
-                            + [derivative_multiplier(g, m)
-                               for m in ((1, 2, 3) if fifth else (1,))])
-            mu = 0.0 if kind in (EquationKind.KDV, EquationKind.KDV5) else params.mu
-            delta2 = params.delta**2
-            f = np.fft.irfft(v[None, :] * mult, g.n)
-            u, ux = f[0], f[1]
-            w = mu * u * u - u
-            if fifth:
-                uxx, uxxx = f[2], f[3]
-                tend = w * (ux + delta2 * uxxx) \
-                    + delta2 * ux * ((4.0 * mu * u - 2.0) * uxx + mu * ux * ux)
-            else:
-                tend = w * ux
-            out = np.fft.rfft(tend)
-            out *= g.dealias
-            out[0] = 0.0
-            return out
-
         for kind in ALL_KINDS:
-            expected = np.stack([plain(kind, p, v) for p, v in zip(rows, u_hat)])
+            expected = numpy_operator(kind, rows, g)(u_hat)
             batched = make_nonlinear_operator(kind, rows, g)(u_hat)
             assert batched.tobytes() == expected.tobytes()
             for p, v, row in zip(rows, u_hat, expected):
@@ -220,7 +229,7 @@ class TestOperatorFactory:
                 assert single.tobytes() == row.tobytes()
             stacked = make_nonlinear_operator(kind, [rows[0]] * 3, g)(u_hat)
             for v, row in zip(u_hat, stacked):
-                assert row.tobytes() == plain(kind, rows[0], v).tobytes()
+                assert row.tobytes() == numpy_operator(kind, rows[0], g)(v).tobytes()
 
     def test_work_arrays_never_leak_between_calls(self):
         # an operator fed several inputs in turn, one operator for single
@@ -311,16 +320,32 @@ SPECIAL = np.array([s * v for v in (0.0, 5e-324, 1e-310, 1e154, 1.7e308, 1.0, 3.
                     for s in (1.0, -1.0)])
 
 
-def plain_third_order(mu, grid, v):
-    """The third-order tendency (mu u u - u) ux of one row as one numpy
-    expression, mu a float."""
-    mult = np.stack([np.ones(grid.n // 2 + 1, dtype=complex),
-                     derivative_multiplier(grid, 1)])
-    u, ux = np.fft.irfft(v[None, :] * mult, grid.n)
-    out = np.fft.rfft((mu * u * u - u) * ux)
-    out *= grid.dealias
-    out[0] = 0.0
-    return out
+def fake_transforms(monkeypatch, fields, seen):
+    """spectral's two call factories replaced, as the compiled pass calls
+    them: the inverse transform writes fields (u, ux, ...) into the pass's
+    physical-space arrays, the forward one keeps the tendency it is given
+    and leaves a zero spectrum, so no FFT can hide a zero's sign or a
+    rounding."""
+    def fill(out):
+        for row, field in zip(out, fields):
+            row[...] = field
+
+    def keep(tendency, spectrum):
+        seen.append(tendency.copy())
+        spectrum[...] = 0.0
+
+    monkeypatch.setattr(spectral, "irfft_call",
+                        lambda u_hat, out: (fill, (out,)))
+    monkeypatch.setattr(spectral, "rfft_call",
+                        lambda u, out: (keep, (u, out)))
+
+
+def through_each_consumer(kind, params, grid):
+    """One operator call and one compiled IF-RK4 step from a zero state:
+    the two consumers of the compiled pass."""
+    zero = np.zeros(linear_symbol(kind, params, grid).shape, dtype=complex)
+    make_nonlinear_operator(kind, params, grid)(zero)
+    make_if_rk4(kind, params, grid, 0.01)(zero, 1)
 
 
 class TestThirdOrderKernel:
@@ -332,28 +357,19 @@ class TestThirdOrderKernel:
         (EquationKind.KDV, 0.7), (EquationKind.GARDNER, 0.0),
         (EquationKind.GARDNER, -0.0), (EquationKind.GARDNER, 0.3)])
     def test_tendency_on_special_values(self, monkeypatch, kind, mu):
-        # the operator's FFTs replaced: the inverse one hands the kernel
-        # every pair of special values as (u, ux), the forward one keeps
-        # the tendency it is given, before any FFT can hide a zero's sign
+        # the inverse FFT hands the pass every pair of special values as
+        # (u, ux), in an operator call and in each of the four stages of a
+        # loop step, and the forward one keeps the tendency it is given
         g = Grid(20.0, 256)
         u, ux = (np.resize(a.ravel(), g.n)
                  for a in np.meshgrid(SPECIAL, SPECIAL, indexing="ij"))
         seen = []
-
-        def irfft(u_hat, out):
-            out[0], out[1] = u, ux
-            return out
-
-        def rfft(tendency):
-            seen.append(tendency.copy())
-            return np.zeros(tendency.shape[:-1] + (g.n // 2 + 1,), dtype=complex)
-
-        monkeypatch.setattr(spectral, "irfft_unchecked", irfft)
-        monkeypatch.setattr(spectral, "rfft_unchecked", rfft)
-        op = make_nonlinear_operator(kind, ModelParams(1.0, mu), g)
-        op(np.zeros(g.n // 2 + 1, dtype=complex))
+        fake_transforms(monkeypatch, (u, ux), seen)
+        through_each_consumer(kind, ModelParams(1.0, mu), g)
         m = 0.0 if kind is EquationKind.KDV else mu
-        assert seen[0].tobytes() == ((m * u * u - u) * ux).tobytes()
+        assert len(seen) == 5
+        for tendency in seen:
+            assert tendency.tobytes() == ((m * u * u - u) * ux).tobytes()
 
     @pytest.mark.parametrize("kind, mus", [
         (EquationKind.KDV, (0.0, 0.3, 1.0)),
@@ -367,9 +383,7 @@ class TestThirdOrderKernel:
         u_hat = np.fft.rfft(rng.standard_normal((len(rows), g.n)))
         u_hat[1] = 0.0                 # a zero field: u is +0.0 everywhere
         u_hat[2, 3:] = 0.0             # few modes: small values and zeros
-        effective = [0.0 if kind is EquationKind.KDV else p.mu for p in rows]
-        expected = np.stack([plain_third_order(m, g, v)
-                             for m, v in zip(effective, u_hat)])
+        expected = numpy_operator(kind, rows, g)(u_hat)
         batched = make_nonlinear_operator(kind, rows, g)(u_hat)
         assert batched.tobytes() == expected.tobytes()
         for p, v, row in zip(rows, u_hat, expected):
@@ -382,29 +396,17 @@ class TestThirdOrderKernel:
     ModelParams(0.6, 0.05),
     [ModelParams(1.0, 0.0), ModelParams(0.6, -0.0), ModelParams(1.4, 0.05)]])
 def test_fifth_order_tendency_on_special_values(monkeypatch, params):
-    # the compiled kernel against the plain numpy expression, byte for byte:
-    # the inverse FFT hands it every special value in every position of u,
-    # ux, uxx and uxxx (all 14**4 combinations), the forward one keeps the
-    # tendency it is given, so no FFT can hide a zero's sign or a rounding
+    # the compiled tendency against the plain numpy expression, byte for
+    # byte, in an operator call and in each stage of a loop step: the
+    # inverse FFT hands it every special value in every position of u, ux,
+    # uxx and uxxx (all 14**4 combinations) in every row
     g = Grid(20.0, 65536)
     fields = [np.resize(a.ravel(), g.n)
               for a in np.meshgrid(*[SPECIAL] * 4, indexing="ij")]
     seen = []
-
-    def irfft(u_hat, out):
-        for row, field in zip(out, fields):
-            row[...] = field
-        return out
-
-    def rfft(tendency):
-        seen.append(tendency.copy())
-        return np.zeros(tendency.shape[:-1] + (g.n // 2 + 1,), dtype=complex)
-
-    monkeypatch.setattr(spectral, "irfft_unchecked", irfft)
-    monkeypatch.setattr(spectral, "rfft_unchecked", rfft)
+    fake_transforms(monkeypatch, fields, seen)
+    through_each_consumer(EquationKind.FPU5, params, g)
     rows = params if isinstance(params, list) else [params]
-    op = make_nonlinear_operator(EquationKind.FPU5, params, g)
-    op(np.zeros(linear_symbol(EquationKind.FPU5, params, g).shape, dtype=complex))
     u, ux, uxx, uxxx = fields
     expected = []
     for p in rows:
@@ -412,7 +414,9 @@ def test_fifth_order_tendency_on_special_values(monkeypatch, params):
         w = mu * u * u - u
         expected.append(w * (ux + delta2 * uxxx)
                         + delta2 * ux * ((4.0 * mu * u - 2.0) * uxx + mu * ux * ux))
-    assert seen[0].tobytes() == np.stack(expected).tobytes()
+    assert len(seen) == 5
+    for tendency in seen:
+        assert tendency.reshape(-1, g.n).tobytes() == np.stack(expected).tobytes()
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -1,10 +1,9 @@
-"""The compiled tendency and its loader: the arrays and the call
-``_native.tendency`` makes, the build cache, the cache key, the refusal when
-no compiler works and a strict compile of the source.  Each test that loads
+"""The compiled pass and its loader: an operator holding what C reads,
+the build cache, the cache key, the refusal when no compiler works and a
+strict compile of the source.  Each test that loads
 builds into a temporary cache directory of its own."""
 import functools
 import gc
-import math
 import os
 import shlex
 import subprocess
@@ -39,50 +38,6 @@ def compiles(monkeypatch):
 
     monkeypatch.setattr(subprocess, "run", recorded)
     return commands
-
-
-def test_the_kernel_computes_the_tendency(cache, monkeypatch):
-    # both orders through the arrays and the call _native.tendency makes,
-    # one row and three rows, each row with its own mu and delta^2, against
-    # the formula in numpy; the library is built from this source
-    monkeypatch.setattr(_native, "library", functools.cache(_native.load))
-    rng = np.random.default_rng(5)
-    mus, d2s = [0.3, 0.0, -0.0], [0.36, 1.96, 0.49]
-    cases = [((), [m], [d]) for m, d in zip(mus, d2s)] + [((3,), mus, d2s)]
-    for fifth in (False, True):
-        for lead, mu, d2 in cases:
-            f, out, call = _native.tendency(fifth, mu, d2, lead, 16)
-            f[...] = rng.standard_normal(f.shape)
-            call()
-            m = np.array(mu).reshape(lead + (1,))
-            d = np.array(d2).reshape(lead + (1,))
-            u, ux = f[:2]
-            w = m * u * u - u
-            if fifth:
-                uxx, uxxx = f[2:]
-                expected = (w * (ux + d * uxxx)
-                            + d * ux * ((4.0 * m * u - 2.0) * uxx
-                                        + m * ux * ux))
-            else:
-                expected = w * ux
-            assert out.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("fifth, fields", [(False, 2), (True, 4)])
-@pytest.mark.parametrize("lead", [(), (3,)])
-def test_the_kernel_arrays_have_the_documented_layout(fifth, fields, lead):
-    # the kernel reads fields x rows x n doubles from f and writes rows x n
-    # into out through bare addresses, so _native makes both arrays itself,
-    # C-contiguous float64 of these shapes, and the call takes no argument
-    rows = math.prod(lead)
-    f, out, call = _native.tendency(fifth, [0.1] * rows, [0.2] * rows, lead, 32)
-    assert f.shape == (fields,) + lead + (32,)
-    assert out.shape == lead + (32,)
-    for a in (f, out):
-        assert a.dtype == np.float64 and a.flags.c_contiguous
-    f[...] = 0.0
-    call()
-    assert not out.any()
 
 
 def test_an_operator_holds_every_array_its_kernel_reads():

@@ -1,9 +1,11 @@
 """The compiled kernels of ``_tendency.c``, built once with the interpreter's
 own C compiler and loaded through ctypes: ``fpu5_nonlinear``, the dealiased
 nonlinear tendency of every row, and ``fpu5_if_rk4``, whole IF-RK4 steps
-around the same pass.  Each takes one pointer to a loop block; ``loop``
-makes that block and every array the function reads and writes, so no
-array made elsewhere reaches C.
+around the same pass.  Each takes one pointer to a ``struct loop``;
+``loop`` makes that block, one ``intp`` list in the struct's member
+order, and every array the function reads and writes, so no array made
+elsewhere reaches C, and refuses a block whose size is not the struct's,
+``fpu5_loop_size``.
 
 The library is loaded as a ``ctypes.PyDLL``: it holds the GIL while it
 runs, so the step loop can call the pocketfft binding's transforms through
@@ -42,6 +44,8 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
+
+from . import spectral
 
 SOURCE = os.path.join(os.path.dirname(__file__), "_tendency.c")
 CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
@@ -112,9 +116,8 @@ def load():
         _build(path, flags)
     library = ctypes.PyDLL(path)
     library.fpu5_nonlinear.argtypes = [ctypes.c_void_p]
-    library.fpu5_nonlinear.restype = ctypes.c_int
     library.fpu5_if_rk4.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t]
-    library.fpu5_if_rk4.restype = ctypes.c_int
+    library.loop_size = ctypes.c_size_t.in_dll(library, "fpu5_loop_size").value
     return library
 
 
@@ -122,17 +125,8 @@ def load():
 library = functools.cache(load)
 
 
-def _block(values: list, keep: tuple) -> ctypes.c_void_p:
-    """A pointer to an operand block of values (addresses and integers),
-    holding the block and every object in keep."""
-    block = np.array(values, dtype=np.intp)
-    pointer = block.ctypes.data_as(ctypes.c_void_p)
-    pointer.operands = block, *keep
-    return pointer
-
-
-def loop(shape: tuple, mult, mask, mu, d2, rfft_call, irfft_call,
-         e_half=None, e_full=None, dt=None):
+def loop(shape: tuple, mult, mask, mu, d2, e_half=None, e_full=None,
+         dt=None):
     """The compiled pass on a ``struct loop`` block made here: without
     e_half, e_full and dt, ``operator(u_hat)``, one call of
     ``fpu5_nonlinear``; with them, ``advance(u_hat, steps)``, one call of
@@ -144,9 +138,9 @@ def loop(shape: tuple, mult, mask, mu, d2, rfft_call, irfft_call,
     them (h modes each), mask the h-mode dealias mask, mu and d2 one value
     per row, and e_half and e_full, exp(L dt/2) and its square, the
     state's shape; without them the block holds NULL for them, dt and the
-    stages.  ``rfft_call(u, out)`` and ``irfft_call(u_hat, out)`` give
-    ``(function, arguments)`` of a transform into out, which C calls with
-    the arrays made here."""
+    stages.  C repeats the transform calls that ``spectral.irfft_call``
+    and ``rfft_call``, looked up here when the block is built, hand over;
+    a block of another size than ``struct loop`` raises ImportError."""
     h = shape[-1]
     fields = len(mult)
     f = np.empty((fields,) + shape[:-1] + (2 * (h - 1),))
@@ -158,19 +152,23 @@ def loop(shape: tuple, mult, mask, mu, d2, rfft_call, irfft_call,
               np.array(d2, dtype=float).reshape(rows), out, u,
               np.array(mult, dtype=complex), np.array(mask, dtype=complex),
               stacked, spectrum]
-    calls = (*irfft_call(stacked, f), *rfft_call(out, spectrum))
+    calls = (*spectral.irfft_call(stacked, f),
+             *spectral.rfft_call(out, spectrum))
     stepping = [] if dt is None else [
         np.array(e_half, dtype=complex), np.array(e_full, dtype=complex),
         np.array([float(dt)]), *(np.empty(shape, dtype=complex)
                                  for _ in range(3))]
-    # struct loop's members in order: struct operands first
-    addresses = [x.ctypes.data for x in arrays]
-    block = _block(addresses[:4] + [fields, rows, f.shape[-1]] + addresses[4:]
-                   + [id(x) for x in calls] + [h]
-                   + ([x.ctypes.data for x in stepping] or [0] * 6),
-                   (*arrays, *calls, *stepping))
+    block = np.array([fields, rows, f.shape[-1], h]
+                     + [x.ctypes.data for x in arrays] + [id(x) for x in calls]
+                     + ([x.ctypes.data for x in stepping] or [0] * 6),
+                     dtype=np.intp)
+    if block.nbytes != library().loop_size:
+        raise ImportError(f"a {block.nbytes} B block for the "
+                          f"{library().loop_size} B struct loop of {SOURCE}")
+    pointer = block.ctypes.data_as(ctypes.c_void_p)
+    pointer.operands = block, *arrays, *calls, *stepping
     run = functools.partial(library().fpu5_if_rk4 if stepping
-                            else library().fpu5_nonlinear, block)
+                            else library().fpu5_nonlinear, pointer)
     what = "IF-RK4 loop" if stepping else "nonlinear operator"
 
     def call(u_hat, *steps):

@@ -90,8 +90,7 @@ def make_nonlinear_operator(kind: EquationKind,
     be called from two threads at once.
     """
     shape, mult, mu, d2 = _terms(kind, params, grid)
-    return _native.loop(shape, mult, grid.dealias, mu, d2,
-                        spectral.rfft_call, spectral.irfft_call)
+    return _native.loop(shape, mult, grid.dealias, mu, d2)
 
 
 def make_if_rk4(kind: EquationKind,
@@ -109,9 +108,7 @@ def make_if_rk4(kind: EquationKind,
     shape, mult, mu, d2 = _terms(kind, params, grid)
     e_half, e_full = spectral.integrating_factors(
         linear_symbol(kind, params, grid), dt)
-    return _native.loop(shape, mult, grid.dealias, mu, d2,
-                        spectral.rfft_call, spectral.irfft_call,
-                        e_half, e_full, dt)
+    return _native.loop(shape, mult, grid.dealias, mu, d2, e_half, e_full, dt)
 
 
 def flux(params: ModelParams, u, ux, uxx, uxxxx):

@@ -288,7 +288,10 @@ def mass_drift(snapshots: list[Snapshot]) -> float:
     """Relative drift of the spatial mean over a run.
 
     Scaled by max(|initial mean|, max|u0|) so zero-mean data is handled.
+    No snapshots raise ValueError.
     """
+    if not snapshots:
+        raise ValueError("mass_drift was given no snapshots")
     means = np.array([s.u.mean() for s in snapshots])
     scale = max(abs(means[0]), float(np.max(np.abs(snapshots[0].u))), 1e-300)
     return float(np.max(np.abs(means - means[0]))) / scale

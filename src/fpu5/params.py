@@ -104,11 +104,15 @@ def kink_speed(mu: float) -> float:
 def velocity_curve(mu_min: float, mu_max: float, n: int) -> np.ndarray:
     """Tabulate kink_speed on n uniform samples of [mu_min, mu_max].
 
-    Returns an (n, 2) array of (mu, speed) rows.  A single sample is allowed
-    only when the interval is a point.
+    Returns an (n, 2) array of (mu, speed) rows.  n may be any integral
+    number, as Grid's N may: 2.0 gives two rows.  A single sample is
+    allowed only when the interval is a point.
     """
     if not (0 < mu_min <= mu_max < math.inf):
         raise DomainError("need 0 < mu_min <= mu_max, both finite")
+    if not (math.isfinite(n) and int(n) == n):
+        raise DomainError(f"n must be an integer, not {n!r}")
+    n = int(n)
     if n < 1 or (n == 1 and mu_min != mu_max):
         raise DomainError("need n >= 2 samples on a nondegenerate interval")
     mus = np.linspace(mu_min, mu_max, n)

@@ -127,6 +127,10 @@ class TestRun:
         snaps = run(small_config(kind=EquationKind.FPU5, dt=1e-3))
         assert mass_drift(snaps) < 1e-12
 
+    def test_mass_drift_of_no_snapshots_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no snapshots"):
+            mass_drift([])
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_reported_with_step_and_last_snapshot(self):
         config = small_config(

@@ -16,7 +16,7 @@ import pytest
 
 from fpu5 import EquationKind, Grid, ModelParams
 from fpu5 import _native
-from fpu5.equations import make_nonlinear_operator
+from fpu5.equations import make_if_rk4, make_nonlinear_operator
 
 
 @pytest.fixture
@@ -55,6 +55,24 @@ def test_an_operator_holds_every_array_its_kernel_reads():
         fresh = make_nonlinear_operator(kind, params, g)
         assert op(u_hat).tobytes() == fresh(u_hat).tobytes()
         del others  # alive until op has run
+
+
+def test_a_block_that_does_not_match_struct_loop_is_an_import_error(
+        monkeypatch):
+    # the block is one intp a member of struct loop, 23 of them; a library
+    # whose struct had a member more would read past the block, so building
+    # either consumer on it is refused, naming both sizes
+    library = _native.library()
+    size = library.loop_size
+    assert size == 23 * np.dtype(np.intp).itemsize
+    monkeypatch.setattr(library, "loop_size", size + 8)
+    grid, params = Grid(20.0, 64), ModelParams(1.0, 0.1)
+    refused = f"a {size} B block for the {size + 8} B struct loop"
+    for kind in EquationKind:
+        with pytest.raises(ImportError, match=refused):
+            make_nonlinear_operator(kind, params, grid)
+        with pytest.raises(ImportError, match=refused):
+            make_if_rk4(kind, params, grid, 0.01)
 
 
 def test_the_source_compiles_cleanly_as_strict_c99():

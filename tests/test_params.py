@@ -127,3 +127,13 @@ class TestVelocityCurve:
             velocity_curve(0.1, 1.0, 1)
         with pytest.raises(DomainError, match="both finite"):
             velocity_curve(0.1, np.inf, 5)
+
+    def test_an_integral_count_of_any_type_is_taken(self):
+        # as Grid takes an integral N: 2.0 rows are 2 rows, and a count
+        # that is no integer is refused as the other domain errors are
+        assert np.array_equal(velocity_curve(0.1, 0.2, 2.0),
+                              velocity_curve(0.1, 0.2, 2))
+        assert velocity_curve(0.1, 0.2, np.int64(3)).shape == (3, 2)
+        for n in (3.5, np.nan, np.inf):
+            with pytest.raises(DomainError, match="n must be an integer"):
+                velocity_curve(0.1, 0.2, n)
